@@ -10,7 +10,6 @@ Exit codes: 0 all requested checks pass, 2 at least one check fails,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -114,10 +113,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a JSON-configured experiment")
     p_run.add_argument("config", help="path to the experiment config (JSON)")
-    p_run.add_argument("--workers", type=int,
-                       default=int(os.environ.get("SEQPRED_WORKERS", "1")),
-                       help="worker count, default $SEQPRED_WORKERS or 1 "
-                            "(results are worker-count independent)")
     p_run.set_defaults(func=_cmd_run)
 
     p_chk = sub.add_parser("check-inequalities", help="grid-verify the proof inequalities")

@@ -142,13 +142,21 @@ def loss_from_spec(spec: dict, alphabet_size: int, path: str) -> tuple[str, Loss
     return spec.get("label", kind), loss
 
 
-def scheme_from_spec(spec: dict, alphabet_size: int, path: str) -> PredictionScheme:
+def scheme_from_spec(spec: dict, alphabet_size: int, path: str,
+                     losses: dict[str, LossSpec]) -> PredictionScheme:
+    """Build one scheme; a constant action must be playable under every loss."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(path, "scheme spec needs a 'kind' field")
     kind = spec["kind"]
     if kind == "constant":
         _require_keys(spec, path, ("kind", "action"))
-        return ConstantScheme(_number(spec["action"], f"{path}.action", minimum=0.0))
+        scheme = ConstantScheme(_number(spec["action"], f"{path}.action", minimum=0.0))
+        for label, loss in losses.items():
+            try:
+                scheme.action_for(loss)
+            except ValueError as exc:
+                raise ConfigError(f"{path}.action", f"{exc} (loss {label!r})") from exc
+        return scheme
     if kind == "majority-vote":
         _require_keys(spec, path, ("kind",))
         return MajorityVoteScheme(alphabet_size)
@@ -232,7 +240,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"losses[{i}].label", f"duplicate loss label {label!r}")
         losses[label] = loss
 
-    schemes = [scheme_from_spec(s, alphabet_size, f"schemes[{i}]")
+    schemes = [scheme_from_spec(s, alphabet_size, f"schemes[{i}]", losses)
                for i, s in enumerate(raw.get("schemes", []))]
 
     eng_raw = raw["engine"]

@@ -10,15 +10,28 @@ informed, and any alternative prediction schemes.
 
 * ``exact_evaluate`` enumerates every history with positive true-measure
   probability (zero-probability branches are pruned; they carry no
-  expectation mass).  Expectations are exact weighted sums; the work budget
-  counts visited history nodes.
+  expectation mass), merging histories whose state is bitwise identical.
+  Expectations are exact weighted sums; the work budget counts visited
+  (merged) nodes.
 * ``monte_carlo_evaluate`` samples paths from the true measure and averages.
   Per-step conditionals along each path are computed exactly, so randomness
   enters only through path selection; standard errors come from the sample
   variance across paths (per step, and of per-path cumulative sums for the
   cumulative series).
 
-Everything is vectorized across the histories of a level / across sample
+The state of a history is the int64 bit pattern of its per-component
+log-marginals together with the ``state_key`` of every component and every
+scheme.  Every per-node value and every later state is a function of it, so
+after each tree extension the exact engine keeps one node per distinct
+state, in order of first occurrence, with an integer-valued multiplicity;
+merged nodes give bit-identical values and only the order of the weighted
+sum changes.  The key is bitwise and not count-based: log-marginals summed
+along different orderings of the same counts may round differently, and on
+threshold losses a one-ulp difference can flip the Bayes action of a
+posterior sitting on the threshold, so merging by counts would move the
+totals by far more than rounding.
+
+Everything is vectorized across the nodes of a level / across sample
 paths, in fixed construction order, so outputs are reproducible bit for bit
 from (config, seed).
 """
@@ -33,7 +46,7 @@ import numpy as np
 from .distances import StepDistances, distances_batch, ratio_term_batch
 from .logdomain import log_or_neg_inf, log_sum_exp_over_axis
 from .losses import LossSpec
-from .measures import as_symbols
+from .measures import as_symbols, draw_symbols
 from .mixture import MixtureModel
 from .schemes import PredictionScheme
 
@@ -55,14 +68,20 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class HistoryRecord:
-    """Per-history quantities at one step (exact engine only)."""
+    """Per-node quantities at one step (exact engine only).
+
+    A node stands for ``multiplicity`` histories with one bitwise-identical
+    state, hence identical per-history values; ``history`` is the first of
+    them in enumeration order.
+    """
 
     step: int                    # 1-based
     history: tuple[int, ...]
-    weight: float                # true-measure probability of the history
+    weight: float                # true-measure probability of all its histories
     distances: StepDistances
     ratio_term: float
     losses: dict[str, tuple[float, float]]  # label -> (mixture loss, informed loss)
+    multiplicity: int = 1
 
     @property
     def loss_gap(self) -> dict[str, float]:
@@ -171,6 +190,24 @@ class _StepEvaluator:
                 values[f"scheme_loss[{scheme.label}|{label}]"] = loss.expected_losses(true_cond, acts)
         return true_cond, log_cond, mix_cond, values
 
+    def state_keys(self, histories: np.ndarray, t: int, comp_logm: np.ndarray) -> np.ndarray:
+        """One int64 row per history: everything its later values depend on."""
+        cols = [comp_logm.view(np.int64)]
+        cols += [c.state_key(histories, t) for c in self.components]
+        cols += [s.state_key(histories) for s in self.schemes]
+        return np.concatenate(cols, axis=1, dtype=np.int64, casting="same_kind")
+
+
+def _merge_equal_rows(keys: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the first row of each distinct key, in order of first
+    occurrence, and the summed multiplicities of the rows they stand for."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    merged = np.bincount(rank[inverse.reshape(-1)], weights=mult, minlength=order.size)
+    return first[order], merged
+
 
 def _series_keys(losses, schemes):
     return list(DISTANCE_KEYS) + _loss_series_keys(losses, [s.label for s in schemes])
@@ -231,8 +268,10 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
     records: list[HistoryRecord] | None = [] if collect_records else None
 
     histories = np.zeros((1, 0), dtype=np.int64)
-    log_true_path = np.zeros(1)
     comp_logm = np.zeros((1, len(mixture.components)))
+    # histories per node, as integer-valued float64: exact below 2**53, and
+    # unlike int64 it does not overflow past horizon 62 on binary trees
+    mult = np.ones(1)
     visits = 0
 
     for t in range(horizon):
@@ -240,7 +279,7 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
         if visits > node_budget:
             raise BudgetExceededError(visits, node_budget, suggested_samples=100_000)
         true_cond, log_cond, mix_cond, values = ev.step(histories, t, comp_logm)
-        weights = np.exp(log_true_path)
+        weights = mult * np.exp(comp_logm[:, true_index])
         for k in keys:
             per_step[k][t] = float(weights @ values[k])
         if records is not None:
@@ -260,28 +299,33 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
                     losses={lab: (float(values[f"mixture_loss[{lab}]"][i]),
                                   float(values[f"informed_loss[{lab}]"][i]))
                             for lab in labelled},
+                    multiplicity=int(mult[i]),
                 ))
         # extend to the next level, pruning zero-probability branches,
         # symbol-major order so output layout is traversal-independent
-        parts_h, parts_lp, parts_cm = [], [], []
+        parts_h, parts_cm, parts_m = [], [], []
         for x in range(n_sym):
             mask = true_cond[:, x] > 0.0
             if not mask.any():
                 continue
             ext = np.full((int(mask.sum()), 1), x, dtype=np.int64)
             parts_h.append(np.hstack([histories[mask], ext]))
-            parts_lp.append(log_true_path[mask] + np.log(true_cond[mask, x]))
             parts_cm.append(comp_logm[mask] + log_cond[mask, :, x])
+            parts_m.append(mult[mask])
         histories = np.vstack(parts_h)
-        log_true_path = np.concatenate(parts_lp)
         comp_logm = np.vstack(parts_cm)
+        keep, mult = _merge_equal_rows(ev.state_keys(histories, t + 1, comp_logm),
+                                       np.concatenate(parts_m))
+        histories = histories[keep]
+        comp_logm = comp_logm[keep]
 
     # leaf level: expectation of the full-string log-ratio
     visits += histories.shape[0]
     if visits > node_budget:
         raise BudgetExceededError(visits, node_budget, suggested_samples=100_000)
+    log_true = comp_logm[:, true_index]
     log_mix_full = log_sum_exp_over_axis(mixture.log_weights[None, :] + comp_logm, axis=1)
-    kl_direct = float(np.exp(log_true_path) @ (log_true_path - log_mix_full))
+    kl_direct = float((mult * np.exp(log_true)) @ (log_true - log_mix_full))
 
     return _build_report("exact", mixture, true_index, labelled, ev.schemes, horizon,
                          per_step, kl_direct, node_visits=visits, records=records)
@@ -328,11 +372,7 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
             running[k] += vals
             se_cumulative[k][t] = _se(running[k])
         # draw next symbols from the true conditionals
-        cdf = np.cumsum(true_cond, axis=1)
-        u = rng.random(samples)
-        # per-row searchsorted(cdf, u, side="right"): >= so u == 0.0 can never
-        # land on a zero-probability leading symbol
-        nxt = np.minimum((u[:, None] >= cdf).sum(axis=1), mixture.alphabet.size - 1)
+        nxt = draw_symbols(true_cond, rng.random(samples))
         rows = np.arange(samples)
         log_true_path = log_true_path + np.log(true_cond[rows, nxt])
         comp_logm = comp_logm + log_cond[rows, :, nxt]

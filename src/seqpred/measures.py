@@ -74,6 +74,20 @@ def as_symbols(string, alphabet: Alphabet) -> tuple[int, ...]:
     return tuple(alphabet.check(s) for s in seq)
 
 
+def draw_symbols(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-cdf draw of one symbol per row of ``probs`` from uniforms ``u``.
+
+    Row i gets the number of cdf entries <= u[i] (searchsorted, side
+    "right"), so a zero-probability symbol below the last positive one is
+    never drawn, not even at u == 0.  When rounding leaves the cdf below 1
+    and u lands past it, the row gets its last positive-probability symbol.
+    """
+    cdf = np.cumsum(probs, axis=1)
+    drawn = (u[:, None] >= cdf).sum(axis=1)
+    last_positive = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
+    return np.minimum(drawn, last_positive)
+
+
 class SequenceMeasure:
     """Base class for probability measures over symbol sequences.
 
@@ -81,6 +95,8 @@ class SequenceMeasure:
     distribution given a *possible* history.  ``_step_matrix`` is the
     vectorized form used by the evaluation engines; the default loops over
     rows, and families whose conditionals have closed forms override it.
+    ``state_key`` names the part of a history that all later conditionals
+    depend on; the exact engine merges histories that agree on it.
     """
 
     is_deterministic = False
@@ -97,6 +113,16 @@ class SequenceMeasure:
         if t == 0:
             return np.tile(self._step_distribution(()), (histories.shape[0], 1))
         return np.stack([self._step_distribution(tuple(int(s) for s in row)) for row in histories])
+
+    def state_key(self, histories: np.ndarray, t: int) -> np.ndarray:
+        """Integer columns that fix every later conditional of each history.
+
+        Histories of one level that agree on this key (and on their
+        log-marginals) have identical futures.  The default is the whole
+        history, which merges nothing; families that depend on less override
+        it.
+        """
+        return histories
 
     # -- public API -------------------------------------------------------------
     def log_marginal(self, string) -> float:
@@ -134,8 +160,7 @@ class SequenceMeasure:
         h: tuple[int, ...] = ()
         for t in range(n):
             probs = self._step_distribution(h)
-            x = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-            x = min(x, self.alphabet.size - 1)
+            x = int(draw_symbols(probs[None, :], np.array([rng.random()]))[0])
             out[t] = x
             h = h + (x,)
         return out
@@ -169,6 +194,9 @@ class BernoulliMeasure(SequenceMeasure):
 
     def _step_matrix(self, histories, t):
         return np.tile(self._vec, (histories.shape[0], 1))
+
+    def state_key(self, histories, t):
+        return histories[:, :0]
 
     def __repr__(self):
         return f"BernoulliMeasure({self.theta})"
@@ -216,6 +244,9 @@ class MarkovMeasure(SequenceMeasure):
         ctx = tuple(histories[:, t - self.order + j] for j in range(self.order))
         return self.transitions[ctx]
 
+    def state_key(self, histories, t):
+        return histories[:, max(t - self.order, 0):]
+
     def __repr__(self):
         return f"MarkovMeasure(order={self.order}, N={self.alphabet.size})"
 
@@ -253,6 +284,9 @@ class DeterministicMeasure(SequenceMeasure):
 
     def _step_matrix(self, histories, t):
         return np.tile(self._step_distribution((0,) * t), (histories.shape[0], 1))
+
+    def state_key(self, histories, t):
+        return histories[:, :0]
 
     def log_marginal(self, string) -> float:
         xs = as_symbols(string, self.alphabet)
@@ -301,6 +335,9 @@ class TimeVaryingBinaryMeasure(SequenceMeasure):
     def _step_matrix(self, histories, t):
         p = self._p(t + 1)
         return np.tile(np.array([1.0 - p, p]), (histories.shape[0], 1))
+
+    def state_key(self, histories, t):
+        return histories[:, :0]
 
     def __repr__(self):
         return "TimeVaryingBinaryMeasure"

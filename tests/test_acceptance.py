@@ -140,11 +140,13 @@ def test_criterion_06_instantaneous_chains(preset_runs):
     for name in BINARY_RECORD_PRESETS:
         _, report, _ = preset_runs[name]
         assert report.records is not None
-        if name in ("collapse", "three-bernoulli"):
-            # full binary tree: sum over t <= 12 of 2^(t-1) histories
-            assert len({r.history for r in report.records}) == 2**report.horizon - 1 \
-                or name == "collapse"
-        total_histories += len(report.records)
+        histories = sum(r.multiplicity for r in report.records)
+        if name == "three-bernoulli":
+            # full binary tree: 2^(t-1) histories at step t, merged into records
+            for t in range(1, report.horizon + 1):
+                assert sum(r.multiplicity for r in report.records if r.step == t) == 2**(t - 1)
+            assert histories == 2**report.horizon - 1
+        total_histories += histories
         for label, loss in report.losses.items():
             if not loss.bounded:
                 continue

@@ -158,6 +158,12 @@ class TestPresets:
         assert cfg.horizon >= 1
         assert cfg.mixture.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_satisfy_the_json_schema(self, name):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((preset_path(name).parent / "config.schema.json").read_text())
+        jsonschema.validate(load_preset_dict(name), schema)
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(KeyError):
             preset_path("nope")
@@ -203,6 +209,16 @@ class TestConfigValidation:
         p.write_text('{"alphabet_size": 2,,}')
         with pytest.raises(ConfigError, match="line"):
             load_config(p)
+
+    def test_fractional_constant_action_with_matrix_loss(self):
+        cfg = load_preset_dict("three-symbol")
+        cfg["schemes"] = [{"kind": "majority-vote"}, {"kind": "constant", "action": 1.5}]
+        with pytest.raises(ConfigError, match=re.escape("schemes[1].action")):
+            parse_config(cfg)
+        cfg["schemes"][1]["action"] = 1.0
+        parsed = parse_config(cfg)
+        loss = next(iter(parsed.losses.values()))
+        assert parsed.schemes[1].action_for(loss) == 1
 
     def test_unknown_check_name(self):
         cfg = self.base()

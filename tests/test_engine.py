@@ -15,7 +15,9 @@ from seqpred.losses import AbsoluteLoss, ErrorLoss, HellingerLoss, LogLoss, Matr
 from seqpred.measures import (
     BernoulliMeasure,
     DeterministicMeasure,
+    ExplicitTableMeasure,
     MarkovMeasure,
+    SequenceMeasure,
     TimeVaryingBinaryMeasure,
 )
 from seqpred.mixture import MixtureModel
@@ -182,7 +184,11 @@ def records_report():
 
 class TestHistoryRecords:
     def test_record_count_is_full_binary_tree(self, records_report):
-        assert len(records_report.records) == 2**8 - 1
+        # a record stands for `multiplicity` histories sharing one state
+        records = records_report.records
+        for t in range(1, 9):
+            assert sum(r.multiplicity for r in records if r.step == t) == 2**(t - 1)
+        assert sum(r.multiplicity for r in records) == 2**8 - 1
 
     def test_weights_sum_to_one_per_step(self, records_report):
         for t in range(1, 9):
@@ -200,6 +206,130 @@ class TestHistoryRecords:
         rec = records_report.records[0]
         assert rec.loss_gap["error"] == pytest.approx(
             rec.losses["error"][0] - rec.losses["error"][1], abs=0)
+
+
+def _brute_force_totals(mixture, true_index, loss, horizon):
+    """Per-history float loop over every binary string: marginals as
+    products of ``_step_distribution`` along the path, the mixture
+    conditional as a ratio of linear-domain mixture marginals."""
+    comps, w = mixture.components, mixture.weights
+    truth = comps[true_index]
+
+    def marg(m, h):
+        p = 1.0
+        for i, x in enumerate(h):
+            p *= float(m._step_distribution(h[:i])[x])
+        return p
+
+    tot = dict.fromkeys(("kl", "absolute", "square", "hellinger", "mixture", "informed",
+                         "majority"), 0.0)
+    kl_direct = 0.0
+    for t in range(horizon + 1):
+        for h in product((0, 1), repeat=t):
+            weight = marg(truth, h)
+            if weight == 0.0:
+                continue
+            mix_h = sum(wk * marg(c, h) for wk, c in zip(w, comps))
+            if t == horizon:
+                kl_direct += weight * math.log(weight / mix_h)
+                continue
+            y = truth._step_distribution(h)
+            z = [sum(wk * marg(c, h + (x,)) for wk, c in zip(w, comps)) / mix_h for x in (0, 1)]
+            tot["kl"] += weight * sum(y[i] * math.log(y[i] / z[i]) for i in (0, 1) if y[i] > 0)
+            tot["absolute"] += weight * sum(abs(y[i] - z[i]) for i in (0, 1))
+            tot["square"] += weight * sum((y[i] - z[i]) ** 2 for i in (0, 1))
+            tot["hellinger"] += weight * sum((math.sqrt(y[i]) - math.sqrt(z[i])) ** 2
+                                             for i in (0, 1))
+
+            def loss_of(act):
+                return sum(y[i] * loss.matrix[i, act] for i in (0, 1))
+
+            def bayes(post):
+                risks = [sum(post[i] * loss.matrix[i, a] for i in (0, 1))
+                         for a in range(loss.n_actions)]
+                return risks.index(min(risks))
+
+            tot["mixture"] += weight * loss_of(bayes(z))
+            tot["informed"] += weight * loss_of(bayes(y))
+            tot["majority"] += weight * loss_of(int(h.count(1) > h.count(0)))
+    return tot, kl_direct
+
+
+class _CoinWithoutStateKey(SequenceMeasure):
+    """A coin that keeps the base-class ``state_key`` (the whole history)."""
+
+    def __init__(self, theta):
+        super().__init__(BernoulliMeasure(theta).alphabet)
+        self._vec = np.array([1.0 - theta, theta])
+
+    def _step_distribution(self, history):
+        return self._vec
+
+
+class TestStateMerging:
+    H = 6
+    LOSS = MatrixLoss([[0.0, 0.83, 0.37], [0.91, 0.06, 0.52]])
+
+    @staticmethod
+    def _components():
+        rng = np.random.default_rng(5)
+        table = {}
+        for t in range(TestStateMerging.H):
+            for h in product((0, 1), repeat=t):
+                p = float(rng.uniform(0.05, 0.95))
+                table[h] = [1.0 - p, p]
+        table[(1, 1)] = [1.0, 0.0]  # a zero the other components never have
+        return [
+            # dyadic rows make many paths' log-marginals bitwise equal, so a
+            # key that forgot the older context symbol would merge wrongly
+            MarkovMeasure([[[0.75, 0.25], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]],
+                          initial=[0.5, 0.5], order=2),
+            TimeVaryingBinaryMeasure(lambda t: 0.25 if t % 2 else 0.5),
+            ExplicitTableMeasure(table, 2),
+        ]
+
+    @pytest.mark.parametrize("members", [(0, 1, 2), (0, 1)], ids=["with-table", "no-table"])
+    def test_merged_engine_matches_per_history_brute_force(self, members):
+        comps = [self._components()[i] for i in members]
+        mix = MixtureModel(comps, np.full(len(comps), 1.0 / len(comps)))
+        rep = exact_evaluate(mix, 0, {"m": self.LOSS}, self.H,
+                             schemes=[MajorityVoteScheme(2)])
+        want, kl_direct = _brute_force_totals(mix, 0, self.LOSS, self.H)
+        for key in ("kl", "absolute", "square", "hellinger"):
+            assert rep.total(key) == pytest.approx(want[key], abs=1e-12), key
+        assert rep.total("mixture_loss[m]") == pytest.approx(want["mixture"], abs=1e-12)
+        assert rep.total("informed_loss[m]") == pytest.approx(want["informed"], abs=1e-12)
+        assert rep.total("scheme_loss[majority-vote|m]") == pytest.approx(want["majority"],
+                                                                          abs=1e-12)
+        assert rep.kl_direct == pytest.approx(kl_direct, abs=1e-12)
+        full_tree = 2**(self.H + 1) - 1
+        if 2 in members:
+            # the table keys on the whole history: nothing merges
+            assert rep.node_visits == full_tree
+        else:
+            assert rep.node_visits < full_tree
+
+    def test_subclass_without_state_key_walks_the_full_tree(self):
+        def run(first):
+            mix = MixtureModel([first, BernoulliMeasure(0.5)], [0.5, 0.5])
+            return exact_evaluate(mix, 0, [ErrorLoss(), QuadraticLoss()], 8,
+                                  schemes=[ConstantScheme(0)])
+
+        plain, merged = run(_CoinWithoutStateKey(0.2)), run(BernoulliMeasure(0.2))
+        assert plain.node_visits == 2**9 - 1
+        assert merged.node_visits < plain.node_visits
+        for key in plain.cumulative:
+            np.testing.assert_allclose(merged.cumulative[key], plain.cumulative[key],
+                                       rtol=0, atol=1e-12)
+
+    def test_float_state_key_is_rejected(self):
+        class FloatKeyCoin(_CoinWithoutStateKey):
+            def state_key(self, histories, t):
+                return histories.astype(float)
+
+        mix = MixtureModel([FloatKeyCoin(0.2), BernoulliMeasure(0.5)], [0.5, 0.5])
+        with pytest.raises(TypeError):
+            exact_evaluate(mix, 0, [ErrorLoss()], 3)
 
 
 class TestAlternativeSchemes:

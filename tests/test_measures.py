@@ -13,6 +13,7 @@ from seqpred.measures import (
     MarkovMeasure,
     TimeVaryingBinaryMeasure,
     UndefinedConditionalError,
+    draw_symbols,
 )
 
 NEG_INF = float("-inf")
@@ -205,3 +206,21 @@ class TestValidation:
         bad = TimeVaryingBinaryMeasure(lambda t: 1.5)
         with pytest.raises(ValueError):
             bad.conditional_vector("")
+
+
+class TestDrawSymbols:
+    def test_cdf_rounding_below_one_never_draws_a_zero_probability_symbol(self):
+        probs = np.array([[0.1] * 10 + [0.0]])
+        assert np.cumsum(probs)[-1] < 1.0
+        u = np.array([0.9999999999999999])
+        assert draw_symbols(probs, u).tolist() == [9]
+
+    def test_leading_zero_is_skipped_at_u_zero(self):
+        probs = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+        assert draw_symbols(probs, np.zeros(2)).tolist() == [1, 2]
+
+    def test_matches_searchsorted_inside_the_cdf(self):
+        probs = np.tile([0.2, 0.3, 0.5], (5, 1))
+        u = np.array([0.0, 0.19, 0.2, 0.6, 0.99])
+        want = [int(np.searchsorted(np.cumsum(probs[0]), x, side="right")) for x in u]
+        assert draw_symbols(probs, u).tolist() == want
