@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import (AbsoluteLoss, AlphaLoss, ErrorLoss, HellingerLoss, LogLoss,
-                     LossSpec, MatrixLoss, QuadraticLoss)
+from .losses import NAMED_LOSSES, AlphaLoss, LossSpec, MatrixLoss
 from .measures import (BernoulliMeasure, DeterministicMeasure, ExplicitTableMeasure,
                        MarkovMeasure, SequenceMeasure, TimeVaryingBinaryMeasure)
 from .mixture import MixtureModel
@@ -114,14 +113,12 @@ def loss_from_spec(spec: dict, alphabet_size: int, path: str) -> tuple[str, Loss
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(path, "loss spec needs a 'kind' field")
     kind = spec["kind"]
-    named = {"error": ErrorLoss, "absolute": AbsoluteLoss, "quadratic": QuadraticLoss,
-             "hellinger": HellingerLoss, "log": LogLoss}
     try:
-        if kind in named:
+        if kind in NAMED_LOSSES:
             _require_keys(spec, path, ("kind",), ("label",))
             if alphabet_size != 2:
                 raise ConfigError(path, f"{kind} loss requires alphabet_size 2")
-            loss = named[kind]()
+            loss = NAMED_LOSSES[kind]()
         elif kind == "alpha":
             _require_keys(spec, path, ("kind", "alpha"), ("label",))
             if alphabet_size != 2:

@@ -17,19 +17,27 @@ informed, and any alternative prediction schemes.
   Per-step conditionals along each path are computed exactly, so randomness
   enters only through path selection; standard errors come from the sample
   variance across paths (per step, and of per-path cumulative sums for the
-  cumulative series).
+  cumulative series).  Symbols go into one preallocated (samples, horizon)
+  buffer and every series' mean and standard errors are one reduction per
+  step, so S paths of length n cost O(S·n) time and memory.
+
+Both engines carry each scheme's key beside the per-component
+log-marginals: they start from ``initial_key``, extend it by one symbol per
+step with ``extend_key`` and pass it to ``actions(keys, loss)``, so a scheme
+never rescans a history.  The default key is the whole history; majority
+vote carries its symbol counts and a constant scheme carries nothing.
 
 The state of a history is the int64 bit pattern of its per-component
-log-marginals together with the ``state_key`` of every component and every
-scheme.  Every per-node value and every later state is a function of it, so
-after each tree extension the exact engine keeps one node per distinct
-state, in order of first occurrence, with an integer-valued multiplicity;
-merged nodes give bit-identical values and only the order of the weighted
-sum changes.  The key is bitwise and not count-based: log-marginals summed
-along different orderings of the same counts may round differently, and on
-threshold losses a one-ulp difference can flip the Bayes action of a
-posterior sitting on the threshold, so merging by counts would move the
-totals by far more than rounding.
+log-marginals together with the ``state_key`` of every component and the
+carried key of every scheme.  Every per-node value and every later state is
+a function of it, so after each tree extension the exact engine keeps one
+node per distinct state, in order of first occurrence, with an
+integer-valued multiplicity; merged nodes give bit-identical values and only
+the order of the weighted sum changes.  The key is bitwise and not
+count-based: log-marginals summed along different orderings of the same
+counts may round differently, and on threshold losses a one-ulp difference
+can flip the Bayes action of a posterior sitting on the threshold, so
+merging by counts would move the totals by far more than rounding.
 
 Everything is vectorized across the nodes of a level / across sample
 paths, in fixed construction order, so outputs are reproducible bit for bit
@@ -164,9 +172,11 @@ class _StepEvaluator:
         self.components = mixture.components
         self.log_weights = mixture.log_weights
 
-    def step(self, histories: np.ndarray, t: int, comp_logm: np.ndarray):
+    def step(self, histories: np.ndarray, t: int, comp_logm: np.ndarray,
+             scheme_keys: Sequence[np.ndarray]):
         """Conditional matrices and per-history values at one level.
 
+        ``scheme_keys`` holds each scheme's carried key, one row per history.
         Returns (true_cond, log_cond_stack, mix_cond, values) where values
         maps series names to per-history arrays.
         """
@@ -185,16 +195,17 @@ class _StepEvaluator:
             acts_inf = loss.bayes_actions(true_cond)
             values[f"mixture_loss[{label}]"] = loss.expected_losses(true_cond, acts_mix)
             values[f"informed_loss[{label}]"] = loss.expected_losses(true_cond, acts_inf)
-            for scheme in self.schemes:
-                acts = scheme.actions(histories, loss)
+            for scheme, keys in zip(self.schemes, scheme_keys):
+                acts = scheme.actions(keys, loss)
                 values[f"scheme_loss[{scheme.label}|{label}]"] = loss.expected_losses(true_cond, acts)
         return true_cond, log_cond, mix_cond, values
 
-    def state_keys(self, histories: np.ndarray, t: int, comp_logm: np.ndarray) -> np.ndarray:
+    def state_keys(self, histories: np.ndarray, t: int, comp_logm: np.ndarray,
+                   scheme_keys: Sequence[np.ndarray]) -> np.ndarray:
         """One int64 row per history: everything its later values depend on."""
         cols = [comp_logm.view(np.int64)]
         cols += [c.state_key(histories, t) for c in self.components]
-        cols += [s.state_key(histories) for s in self.schemes]
+        cols += scheme_keys
         return np.concatenate(cols, axis=1, dtype=np.int64, casting="same_kind")
 
 
@@ -269,6 +280,7 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
 
     histories = np.zeros((1, 0), dtype=np.int64)
     comp_logm = np.zeros((1, len(mixture.components)))
+    scheme_keys = [s.initial_key(1) for s in ev.schemes]
     # histories per node, as integer-valued float64: exact below 2**53, and
     # unlike int64 it does not overflow past horizon 62 on binary trees
     mult = np.ones(1)
@@ -278,7 +290,7 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
         visits += histories.shape[0]
         if visits > node_budget:
             raise BudgetExceededError(visits, node_budget, suggested_samples=100_000)
-        true_cond, log_cond, mix_cond, values = ev.step(histories, t, comp_logm)
+        true_cond, log_cond, mix_cond, values = ev.step(histories, t, comp_logm, scheme_keys)
         weights = mult * np.exp(comp_logm[:, true_index])
         for k in keys:
             per_step[k][t] = float(weights @ values[k])
@@ -304,20 +316,25 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
         # extend to the next level, pruning zero-probability branches,
         # symbol-major order so output layout is traversal-independent
         parts_h, parts_cm, parts_m = [], [], []
+        parts_k = [[] for _ in ev.schemes]
         for x in range(n_sym):
             mask = true_cond[:, x] > 0.0
             if not mask.any():
                 continue
-            ext = np.full((int(mask.sum()), 1), x, dtype=np.int64)
-            parts_h.append(np.hstack([histories[mask], ext]))
+            ext = np.full(int(mask.sum()), x, dtype=np.int64)
+            parts_h.append(np.hstack([histories[mask], ext[:, None]]))
             parts_cm.append(comp_logm[mask] + log_cond[mask, :, x])
             parts_m.append(mult[mask])
+            for parts, scheme, k in zip(parts_k, ev.schemes, scheme_keys):
+                parts.append(scheme.extend_key(k[mask], ext))
         histories = np.vstack(parts_h)
         comp_logm = np.vstack(parts_cm)
-        keep, mult = _merge_equal_rows(ev.state_keys(histories, t + 1, comp_logm),
+        scheme_keys = [np.concatenate(parts) for parts in parts_k]
+        keep, mult = _merge_equal_rows(ev.state_keys(histories, t + 1, comp_logm, scheme_keys),
                                        np.concatenate(parts_m))
         histories = histories[keep]
         comp_logm = comp_logm[keep]
+        scheme_keys = [k[keep] for k in scheme_keys]
 
     # leaf level: expectation of the full-string log-ratio
     visits += histories.shape[0]
@@ -329,6 +346,15 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
 
     return _build_report("exact", mixture, true_index, labelled, ev.schemes, horizon,
                          per_step, kl_direct, node_visits=visits, records=records)
+
+
+def _standard_errors(vals: np.ndarray) -> np.ndarray:
+    """Standard error of the mean of each row of a (series, samples) matrix;
+    inf for a row that holds a non-finite value."""
+    finite = np.isfinite(vals).all(axis=1)
+    se = np.full(vals.shape[0], math.inf)
+    se[finite] = vals[finite].std(axis=1, ddof=1) / math.sqrt(vals.shape[1])
+    return se
 
 
 def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
@@ -349,45 +375,43 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
     keys = _series_keys(labelled, ev.schemes)
     rng = np.random.default_rng(seed)
 
-    per_step = {k: np.zeros(horizon) for k in keys}
-    se_per_step = {k: np.zeros(horizon) for k in keys}
-    se_cumulative = {k: np.zeros(horizon) for k in keys}
-    running = {k: np.zeros(samples) for k in keys}
+    # one row per series: per-step means and standard errors, and each
+    # path's running sum for the standard error of the cumulative series
+    means = np.empty((len(keys), horizon))
+    se_step = np.empty((len(keys), horizon))
+    se_cum = np.empty((len(keys), horizon))
+    running = np.zeros((len(keys), samples))
 
-    histories = np.zeros((samples, 0), dtype=np.int64)
+    histories = np.empty((samples, horizon), dtype=np.int64)
+    scheme_keys = [s.initial_key(samples) for s in ev.schemes]
     log_true_path = np.zeros(samples)
     comp_logm = np.zeros((samples, len(mixture.components)))
-
-    def _se(vals: np.ndarray) -> float:
-        if not np.isfinite(vals).all():
-            return math.inf
-        return float(vals.std(ddof=1) / math.sqrt(samples))
+    rows = np.arange(samples)
 
     for t in range(horizon):
-        true_cond, log_cond, _mix_cond, values = ev.step(histories, t, comp_logm)
-        for k in keys:
-            vals = values[k]
-            per_step[k][t] = float(vals.mean())
-            se_per_step[k][t] = _se(vals)
-            running[k] += vals
-            se_cumulative[k][t] = _se(running[k])
+        true_cond, log_cond, _mix_cond, values = ev.step(histories[:, :t], t, comp_logm,
+                                                         scheme_keys)
+        vals = np.stack([values[k] for k in keys])
+        means[:, t] = vals.mean(axis=1)
+        se_step[:, t] = _standard_errors(vals)
+        running += vals
+        se_cum[:, t] = _standard_errors(running)
         # draw next symbols from the true conditionals
         nxt = draw_symbols(true_cond, rng.random(samples))
-        rows = np.arange(samples)
         log_true_path = log_true_path + np.log(true_cond[rows, nxt])
         comp_logm = comp_logm + log_cond[rows, :, nxt]
-        histories = np.hstack([histories, nxt[:, None].astype(np.int64)])
+        histories[:, t] = nxt
+        scheme_keys = [s.extend_key(k, nxt) for s, k in zip(ev.schemes, scheme_keys)]
 
     log_mix_full = log_sum_exp_over_axis(mixture.log_weights[None, :] + comp_logm, axis=1)
     ratios = log_true_path - log_mix_full
     kl_direct = float(ratios.mean())
 
-    report = _build_report("monte-carlo", mixture, true_index, labelled, ev.schemes, horizon,
-                           per_step, kl_direct, samples=samples, seed=seed,
-                           se_per_step=se_per_step, se_cumulative=se_cumulative,
-                           kl_direct_se=_se(ratios))
-    # cumulative means are cumsums of per-step means already; nothing to redo
-    return report
+    return _build_report("monte-carlo", mixture, true_index, labelled, ev.schemes, horizon,
+                         dict(zip(keys, means)), kl_direct, samples=samples, seed=seed,
+                         se_per_step=dict(zip(keys, se_step)),
+                         se_cumulative=dict(zip(keys, se_cum)),
+                         kl_direct_se=float(_standard_errors(ratios[None, :])[0]))
 
 
 def ratio_trace(mixture: MixtureModel, true_index: int, path, horizon: int | None = None,
@@ -412,18 +436,17 @@ def ratio_trace(mixture: MixtureModel, true_index: int, path, horizon: int | Non
     if symbol is not None:
         symbol = mixture.alphabet.check(symbol)
     ev = _StepEvaluator(mixture, true_index, {}, ())
-    histories = np.zeros((1, 0), dtype=np.int64)
+    histories = np.array([symbols[:horizon]], dtype=np.int64)
     comp_logm = np.zeros((1, len(mixture.components)))
     out = np.empty(horizon)
     for t in range(horizon):
         x = symbols[t]
         at = x if symbol is None else symbol
-        true_cond, log_cond, mix_cond, _ = ev.step(histories, t, comp_logm)
+        true_cond, log_cond, mix_cond, _ = ev.step(histories[:, :t], t, comp_logm, ())
         if true_cond[0, x] <= 0.0:
             raise ValueError(f"path symbol {x} at step {t + 1} has zero true-measure probability")
         if true_cond[0, at] <= 0.0:
             raise ValueError(f"symbol {at} at step {t + 1} has zero true-measure probability")
         out[t] = mix_cond[0, at] / true_cond[0, at]
         comp_logm = comp_logm + log_cond[:, :, x]
-        histories = np.hstack([histories, np.full((1, 1), x, dtype=np.int64)])
     return out

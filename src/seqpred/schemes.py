@@ -5,6 +5,12 @@ evaluate their expected losses alongside the mixture and informed predictors
 so the no-free-lunch certificates (no causal scheme beats the informed one;
 none significantly beats the mixture one) can be checked against concrete
 opponents.  Shipped: a constant action and past-majority vote.
+
+A scheme sees a history only through its *key*: one integer row per history
+that the engines start with ``initial_key`` and extend by one symbol per
+step with ``extend_key``.  The default key is the whole history, so a
+subclass that only overrides ``actions`` receives histories; schemes that
+depend on less carry less.
 """
 from __future__ import annotations
 
@@ -16,17 +22,18 @@ from .losses import LossSpec, MatrixLoss
 class PredictionScheme:
     label: str = "?"
 
-    def actions(self, histories: np.ndarray, loss: LossSpec) -> np.ndarray:
-        """Actions for a (K, t) batch of histories, typed to fit ``loss``."""
+    def initial_key(self, n: int) -> np.ndarray:
+        """Keys of ``n`` empty histories: one int64 row each."""
+        return np.zeros((n, 0), dtype=np.int64)
+
+    def extend_key(self, keys: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+        """Keys of the histories ``keys`` stand for, each followed by its
+        symbol.  The default appends the symbol, so the key is the history."""
+        return np.concatenate([keys, symbols[:, None]], axis=1)
+
+    def actions(self, keys: np.ndarray, loss: LossSpec) -> np.ndarray:
+        """Actions for a batch of keys (one row per history), typed to fit ``loss``."""
         raise NotImplementedError
-
-    def state_key(self, histories: np.ndarray) -> np.ndarray:
-        """Integer columns that fix every later action of each history.
-
-        The default is the whole history, which lets the exact engine merge
-        nothing; schemes that depend on less override it.
-        """
-        return histories
 
 
 class ConstantScheme(PredictionScheme):
@@ -48,30 +55,31 @@ class ConstantScheme(PredictionScheme):
             raise ValueError(f"constant action {a} outside [0, 1]")
         return a
 
-    def actions(self, histories, loss):
-        a = self.action_for(loss)
-        return np.full(histories.shape[0], a, dtype=np.int64 if isinstance(a, int) else float)
+    def extend_key(self, keys, symbols):
+        return keys
 
-    def state_key(self, histories):
-        return histories[:, :0]
+    def actions(self, keys, loss):
+        a = self.action_for(loss)
+        return np.full(keys.shape[0], a, dtype=np.int64 if isinstance(a, int) else float)
 
 
 class MajorityVoteScheme(PredictionScheme):
     """Predict the most frequent past symbol (lowest index on ties, 0 when
-    the history is empty)."""
+    the history is empty).  The key is the per-symbol counts."""
 
     label = "majority-vote"
 
     def __init__(self, alphabet_size: int = 2):
         self.alphabet_size = alphabet_size
 
-    def state_key(self, histories):
-        """Per-symbol counts, one column per symbol."""
-        return np.stack([(histories == s).sum(axis=1) for s in range(self.alphabet_size)],
-                        axis=1)
+    def initial_key(self, n):
+        return np.zeros((n, self.alphabet_size), dtype=np.int64)
 
-    def actions(self, histories, loss):
-        votes = np.argmax(self.state_key(histories), axis=1)
+    def extend_key(self, keys, symbols):
+        return keys + np.eye(self.alphabet_size, dtype=np.int64)[symbols]
+
+    def actions(self, keys, loss):
+        votes = np.argmax(keys, axis=1)
         if isinstance(loss, MatrixLoss):
             if self.alphabet_size > loss.n_actions:
                 raise ValueError("majority vote needs one action per symbol")

@@ -28,6 +28,19 @@ class TestRunCommand:
         assert (in_tmp / "collapse-series.csv").exists()
         assert (in_tmp / "collapse-report.json").exists()
 
+    def test_output_paths_resolve_against_the_working_directory(self, tmp_path, monkeypatch):
+        cfg = load_preset_dict("collapse")
+        cfg["output"] = {"csv": "out/series.csv", "report_json": "report.json"}
+        config_dir, work_dir = tmp_path / "configs", tmp_path / "work"
+        config_dir.mkdir()
+        (work_dir / "out").mkdir(parents=True)
+        (config_dir / "cfg.json").write_text(json.dumps(cfg))
+        monkeypatch.chdir(work_dir)
+        assert run_cli("run", str(config_dir / "cfg.json")) == 0
+        assert (work_dir / "out" / "series.csv").exists()
+        assert (work_dir / "report.json").exists()
+        assert sorted(p.name for p in config_dir.iterdir()) == ["cfg.json"]
+
     def test_identical_runs_are_byte_identical(self, in_tmp):
         run_cli("run", str(preset_path("three-bernoulli")))
         first_csv = (in_tmp / "three-bernoulli-series.csv").read_bytes()

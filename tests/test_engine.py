@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -7,6 +8,8 @@ import pytest
 
 from seqpred.engine import (
     BudgetExceededError,
+    _StepEvaluator,
+    _standard_errors,
     exact_evaluate,
     monte_carlo_evaluate,
     ratio_trace,
@@ -21,7 +24,7 @@ from seqpred.measures import (
     TimeVaryingBinaryMeasure,
 )
 from seqpred.mixture import MixtureModel
-from seqpred.schemes import ConstantScheme, MajorityVoteScheme
+from seqpred.schemes import ConstantScheme, MajorityVoteScheme, PredictionScheme
 
 from oracles import counterexample_offsymbol_ratio, enumerate_bernoulli_mixture
 
@@ -350,6 +353,64 @@ class TestAlternativeSchemes:
                                    atol=1e-12)
 
 
+class _HistoryMajority(PredictionScheme):
+    """Majority vote that keeps the default key (the whole history) and
+    counts the symbols of the history itself."""
+
+    label = "history-majority"
+
+    def __init__(self, alphabet_size):
+        self.alphabet_size = alphabet_size
+
+    def actions(self, keys, loss):
+        counts = np.stack([(keys == s).sum(axis=1) for s in range(self.alphabet_size)], axis=1)
+        votes = np.argmax(counts, axis=1)
+        return votes if isinstance(loss, MatrixLoss) else votes.astype(float)
+
+
+class TestCarriedSchemeKeys:
+    CASES = {
+        "coins": (three_coin_mixture, THREE_COIN_LOSSES),
+        "markov-3": (lambda: MixtureModel(
+            [MarkovMeasure([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]], [0.2, 0.3, 0.5]),
+             MarkovMeasure([[1 / 3] * 3] * 3, [1 / 3] * 3)], [0.4, 0.6]),
+            [MatrixLoss([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 1.0, 0.0]])]),
+    }
+
+    @staticmethod
+    def _assert_same_series(rep, fields):
+        for lab in rep.loss_labels:
+            carried = f"scheme_loss[majority-vote|{lab}]"
+            history = f"scheme_loss[history-majority|{lab}]"
+            for name in fields:
+                got = getattr(rep, name)
+                assert np.array_equal(got[carried], got[history]), (name, lab)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_default_history_key_matches_carried_counts_exactly(self, case):
+        mixture, losses = self.CASES[case]
+        n = mixture().alphabet.size
+        schemes = [MajorityVoteScheme(n), _HistoryMajority(n)]
+        ex = exact_evaluate(mixture(), 0, losses, 7, schemes=schemes)
+        self._assert_same_series(ex, ("per_step", "cumulative"))
+        mc = monte_carlo_evaluate(mixture(), 0, losses, 40, samples=200, seed=3, schemes=schemes)
+        self._assert_same_series(mc, ("per_step", "cumulative", "se_per_step", "se_cumulative"))
+
+    def test_whole_history_key_merges_nothing(self):
+        rep = exact_evaluate(three_coin_mixture(), 0, [ErrorLoss()], 6,
+                             schemes=[_HistoryMajority(2)])
+        assert rep.node_visits == 2**7 - 1
+
+    def test_float_scheme_key_is_rejected(self):
+        class FloatKeyScheme(_HistoryMajority):
+            def initial_key(self, n):
+                return np.zeros((n, 1))
+
+        with pytest.raises(TypeError):
+            exact_evaluate(three_coin_mixture(), 0, [ErrorLoss()], 3,
+                           schemes=[FloatKeyScheme(2)])
+
+
 class TestMonteCarlo:
     def test_degenerate_truth_is_zero_variance_and_exact(self):
         mix = MixtureModel([DeterministicMeasure.from_pattern([0, 1]), BernoulliMeasure(0.5)],
@@ -359,6 +420,18 @@ class TestMonteCarlo:
         for key in mc.per_step:
             np.testing.assert_allclose(mc.per_step[key], ex.per_step[key], atol=1e-12)
             np.testing.assert_allclose(mc.se_per_step[key], 0.0, atol=1e-12)
+
+    def test_history_dependent_component_sees_the_sampled_path(self):
+        # one path only, so Monte Carlo must reproduce the exact values; the
+        # order-2 chain reads the two symbols before each step
+        mix = MixtureModel([DeterministicMeasure.from_pattern([0, 1, 1]),
+                            MarkovMeasure([[[0.9, 0.1], [0.6, 0.4]], [[0.3, 0.7], [0.2, 0.8]]],
+                                          [0.5, 0.5], order=2)], [0.5, 0.5])
+        mc = monte_carlo_evaluate(mix, 0, [ErrorLoss()], 12, samples=100, seed=1,
+                                  schemes=[MajorityVoteScheme(2)])
+        ex = exact_evaluate(mix, 0, [ErrorLoss()], 12, schemes=[MajorityVoteScheme(2)])
+        for key in mc.per_step:
+            np.testing.assert_allclose(mc.per_step[key], ex.per_step[key], rtol=0, atol=1e-12)
 
     def test_agrees_with_exact_within_three_se(self):
         mix = three_coin_mixture()
@@ -384,6 +457,32 @@ class TestMonteCarlo:
     def test_sample_floor(self):
         with pytest.raises(ValueError, match="100"):
             monte_carlo_evaluate(three_coin_mixture(), 0, [ErrorLoss()], 4, samples=10, seed=0)
+
+    def test_non_finite_series_has_infinite_se_without_warnings(self):
+        # constant action 0 under log loss: -log 0 on every path, every step
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mc = monte_carlo_evaluate(three_coin_mixture(), 0, [LogLoss()], 5, samples=100,
+                                      seed=2, schemes=[ConstantScheme(0)])
+        key = "scheme_loss[constant-0|log]"
+        assert np.isposinf(mc.per_step[key]).all()
+        assert np.isposinf(mc.se_per_step[key]).all()
+        assert np.isposinf(mc.se_cumulative[key]).all()
+        for other in mc.per_step:
+            if other != key:
+                assert np.isfinite(mc.se_cumulative[other]).all(), other
+
+    def test_batched_standard_errors_match_per_series(self):
+        rng = np.random.default_rng(0)
+        vals = rng.normal(size=(4, 150))
+        vals[1, 7] = np.inf
+        vals[2, 3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            se = _standard_errors(vals)
+        assert se[1] == se[2] == math.inf
+        for row in (0, 3):
+            assert se[row] == float(vals[row].std(ddof=1) / math.sqrt(150))
 
     def test_counterexample_run_is_finite_and_on_the_zero_path(self):
         mix = MixtureModel([TimeVaryingBinaryMeasure.from_power_law(0.5, 3.0),
@@ -414,6 +513,22 @@ class TestRatioTrace:
         gaps = np.abs(tr - 1.0)
         assert (np.diff(gaps) <= 1e-15).all()
         assert gaps[-1] < 1e-12
+
+    @pytest.mark.parametrize("symbol", [None, 1])
+    def test_equals_a_trace_that_rebuilds_each_history(self, symbol):
+        mix = MixtureModel([MarkovMeasure([[0.7, 0.3], [0.2, 0.8]], [0.5, 0.5]),
+                            MarkovMeasure([[[0.6, 0.4], [0.5, 0.5]], [[0.1, 0.9], [0.3, 0.7]]],
+                                          [0.4, 0.6], order=2)], [0.3, 0.7])
+        path = mix.components[0].sample(80, seed=11)
+        ev = _StepEvaluator(mix, 0, {}, ())
+        comp_logm = np.zeros((1, 2))
+        want = []
+        for t, x in enumerate(path):
+            at = x if symbol is None else symbol
+            true_cond, log_cond, mix_cond, _ = ev.step(np.array([path[:t]]), t, comp_logm, ())
+            want.append(mix_cond[0, at] / true_cond[0, at])
+            comp_logm = comp_logm + log_cond[:, :, x]
+        assert np.array_equal(ratio_trace(mix, 0, path, symbol=symbol), want)
 
     def test_zero_probability_symbol_is_a_domain_error(self):
         mix = MixtureModel([BernoulliMeasure(1.0), BernoulliMeasure(0.5)], [0.5, 0.5])

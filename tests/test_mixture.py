@@ -4,7 +4,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from seqpred.measures import BernoulliMeasure, MarkovMeasure, UndefinedConditionalError
+from seqpred.logdomain import log_sum_exp
+from seqpred.measures import (BernoulliMeasure, DeterministicMeasure, MarkovMeasure,
+                              UndefinedConditionalError, draw_symbols)
 from seqpred.mixture import MixtureModel
 
 
@@ -119,6 +121,49 @@ class TestMixtureIsAMeasure:
 
     def test_sampling_runs(self):
         assert len(two_coin().sample(16, seed=3)) == 16
+
+
+def three_coins():
+    return MixtureModel([BernoulliMeasure(0.2), BernoulliMeasure(0.5), BernoulliMeasure(0.8)],
+                        [1 / 3, 1 / 3, 1 - 2 / 3])
+
+
+def sample_from_scratch(mix, n, seed):
+    """Draws of a sampler that recomputes every component log-marginal from
+    the start at each step."""
+    rng = np.random.default_rng(seed)
+    h = ()
+    for _ in range(n):
+        def log_mix(xs):
+            return log_sum_exp(mix.log_weights + np.array([c.log_marginal(xs)
+                                                           for c in mix.components]))
+        log_h = log_mix(h)
+        probs = np.array([np.exp(log_mix(h + (x,)) - log_h) for x in range(mix.alphabet.size)])
+        h += (int(draw_symbols(probs[None, :], np.array([rng.random()]))[0]),)
+    return list(h)
+
+
+class TestSampling:
+    MIXTURES = {
+        "three-coins": three_coins,
+        "markov-3": lambda: MixtureModel(
+            [MarkovMeasure([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]], [0.2, 0.3, 0.5]),
+             MarkovMeasure([[1 / 3] * 3] * 3, [1 / 3] * 3)], [0.4, 0.6]),
+        # a component that overrides log_marginal, and one that dies off-pattern
+        "deterministic": lambda: MixtureModel(
+            [DeterministicMeasure.from_pattern([0, 1]), BernoulliMeasure(0.5)], [0.5, 0.5]),
+        "nested": lambda: MixtureModel([three_coins(), BernoulliMeasure(0.3)], [0.5, 0.5]),
+    }
+
+    @pytest.mark.parametrize("name", list(MIXTURES))
+    def test_draws_equal_the_from_scratch_sampler(self, name):
+        mix = self.MIXTURES[name]()
+        for seed in (0, 1, 2):
+            assert mix.sample(60, seed).tolist() == sample_from_scratch(mix, 60, seed)
+
+    def test_draws_for_a_fixed_seed_are_pinned(self):
+        got = "".join(map(str, three_coins().sample(80, seed=0)))
+        assert got == "10001111111010101101001110111111011111111111111101111010111010011101101111111111"
 
 
 class TestValidation:
