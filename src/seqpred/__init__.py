@@ -34,7 +34,7 @@ from .losses import (
 from .schemes import ConstantScheme, MajorityVoteScheme, PredictionScheme
 from .engine import (
     BudgetExceededError,
-    HistoryRecord,
+    LevelRecord,
     TotalsReport,
     exact_evaluate,
     monte_carlo_evaluate,

@@ -24,7 +24,10 @@ Certified families:
 * log-loss: the exact regret == cumulative-KL identity.
 * instantaneous: per-history regret chains (through the absolute distance
   and through the KL with the informed loss) and the aggregated
-  squared-regret budget.
+  squared-regret budget.  They read the exact engine's LevelRecords: each
+  chain's sides are arrays over one tree level's nodes, and the reported
+  location is the first node, in level then node order, with the smallest
+  slack.
 * proof inequalities: the two reduced binary inequality functions f1, f2
   (and their reduced polynomial forms g1, g2) verified over (A, y, z) grids
   for a given B(A) rule.
@@ -33,11 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import HistoryRecord, TotalsReport
+from .engine import LevelRecord, TotalsReport
 
 EXACT_TOL = 1e-9
 GRID_TOL = 1e-12
@@ -247,22 +250,27 @@ def check_logloss_identity(report: TotalsReport, label: str, *,
 
 # -- instantaneous (per-history) bounds -------------------------------------------
 
-def _min_slack(items: Iterable[tuple[float, float, int, tuple[int, ...]]]):
-    """Smallest (rhs - lhs) and where it occurs."""
-    best = None
-    for lhs, rhs, step, hist in items:
-        slack = rhs - lhs
-        if best is None or slack < best[0]:
-            best = (slack, lhs, rhs, step, hist)
-    return best
+def _sqrt_pos(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(x, 0.0))
 
 
-def _history_str(step: int, hist: tuple[int, ...]) -> str:
-    h = "".join(str(s) for s in hist) if hist else "(empty)"
-    return f"t={step} history={h}"
+def _min_slacks(records: Sequence[LevelRecord], chains, tolerance: float) -> list[BoundCheckResult]:
+    """One result per chain, at its first node in level then node order with
+    the smallest rhs - lhs; ``chains(level)`` maps bound ids to (lhs, rhs)
+    arrays over the level's nodes."""
+    best = {}
+    for rec in records:
+        for bound_id, (lhs, rhs) in chains(rec).items():
+            slack = rhs - lhs
+            i = int(np.argmin(slack))
+            if bound_id not in best or slack[i] < best[bound_id][0]:
+                h = "".join(map(str, rec.histories[i].tolist())) or "(empty)"
+                best[bound_id] = (slack[i], float(lhs[i]), float(rhs[i]), f"t={rec.step} history={h}")
+    return [BoundCheckResult(bound_id, lhs, rhs, tolerance, "exact", location=location)
+            for bound_id, (_, lhs, rhs, location) in best.items()]
 
 
-def check_instant_bounds(records: Sequence[HistoryRecord], report: TotalsReport,
+def check_instant_bounds(records: Sequence[LevelRecord], report: TotalsReport,
                          label: str, *, tolerance: float = EXACT_TOL) -> list[BoundCheckResult]:
     """Per-history regret chains for one bounded loss, plus the aggregated
     squared-regret budget.  Each chain is reported at its minimal-slack
@@ -270,47 +278,37 @@ def check_instant_bounds(records: Sequence[HistoryRecord], report: TotalsReport,
     loss = report.losses[label]
     if not loss.bounded:
         raise ValueError(f"loss {label!r} is unbounded; instantaneous chains assume losses in [0, 1]")
-    gaps, abs_chain, sqrt_chain, kl_chain = [], [], [], []
-    agg = 0.0
-    for rec in records:
-        l_mix, l_inf = rec.losses[label]
-        gap = l_mix - l_inf
-        d = rec.distances.kl
-        a = rec.distances.absolute
-        gaps.append((0.0, gap, rec.step, rec.history))
-        abs_chain.append((gap, a, rec.step, rec.history))
-        sqrt_chain.append((a, math.sqrt(max(2.0 * d, 0.0)), rec.step, rec.history))
-        kl_chain.append((gap, 2.0 * d + 2.0 * math.sqrt(max(l_inf * d, 0.0)), rec.step, rec.history))
-        agg += rec.weight * gap * gap
+    mix_key, inf_key = f"mixture_loss[{label}]", f"informed_loss[{label}]"
 
-    results = []
-    for bound_id, items in ((f"instant-regret-nonneg[{label}]", gaps),
-                            (f"instant-regret<=abs[{label}]", abs_chain),
-                            (f"instant-abs<=sqrt-2kl[{label}]", sqrt_chain),
-                            (f"instant-regret<=kl-form[{label}]", kl_chain)):
-        slack, lhs, rhs, step, hist = _min_slack(items)
-        results.append(BoundCheckResult(bound_id, lhs, rhs, tolerance, "exact",
-                                        location=_history_str(step, hist)))
+    def chains(rec):
+        v = rec.values
+        l_inf, d, a = v[inf_key], v["kl"], v["absolute"]
+        gap = v[mix_key] - l_inf
+        return {f"instant-regret-nonneg[{label}]": (np.zeros(gap.size), gap),
+                f"instant-regret<=abs[{label}]": (gap, a),
+                f"instant-abs<=sqrt-2kl[{label}]": (a, _sqrt_pos(2.0 * d)),
+                f"instant-regret<=kl-form[{label}]": (gap, 2.0 * d + 2.0 * _sqrt_pos(l_inf * d))}
+
+    results = _min_slacks(records, chains, tolerance)
+    # a left-to-right running sum in node order: cumsum adds sequentially,
+    # where sum and @ add pairwise and would change the last bits
+    gaps = [rec.values[mix_key] - rec.values[inf_key] for rec in records]
+    terms = [rec.weights * gap * gap for rec, gap in zip(records, gaps)]
+    agg = float(np.cumsum(np.concatenate([[0.0], *terms]))[-1])
     results.append(BoundCheckResult(f"squared-regret-sum<=2kl[{label}]", agg,
                                     2.0 * report.total("kl"), tolerance, "exact"))
     return results
 
 
-def check_instant_distance_bounds(records: Sequence[HistoryRecord], *,
+def check_instant_distance_bounds(records: Sequence[LevelRecord], *,
                                   tolerance: float = EXACT_TOL) -> list[BoundCheckResult]:
     """Per-history absolute-distance sandwich (loss-free form)."""
-    lower, upper = [], []
-    for rec in records:
-        d = rec.distances
-        lower.append((d.abs_divergence - d.kl, d.absolute, rec.step, rec.history))
-        upper.append((d.absolute, math.sqrt(max(2.0 * d.kl, 0.0)), rec.step, rec.history))
-    results = []
-    for bound_id, items in (("instant-absdiv-minus-kl<=abs", lower),
-                            ("instant-abs<=sqrt-2kl", upper)):
-        slack, lhs, rhs, step, hist = _min_slack(items)
-        results.append(BoundCheckResult(bound_id, lhs, rhs, tolerance, "exact",
-                                        location=_history_str(step, hist)))
-    return results
+    def chains(rec):
+        v = rec.values
+        return {"instant-absdiv-minus-kl<=abs": (v["abs_divergence"] - v["kl"], v["absolute"]),
+                "instant-abs<=sqrt-2kl": (v["absolute"], _sqrt_pos(2.0 * v["kl"]))}
+
+    return _min_slacks(records, chains, tolerance)
 
 
 # -- proof inequalities ------------------------------------------------------------

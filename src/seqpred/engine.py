@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distances import StepDistances, distances_batch, ratio_term_batch
+from .distances import distances_batch, ratio_term_batch
 from .logdomain import log_or_neg_inf, log_sum_exp_over_axis
 from .losses import LossSpec
 from .measures import as_symbols, draw_symbols
@@ -74,26 +74,23 @@ class BudgetExceededError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class HistoryRecord:
-    """Per-node quantities at one step (exact engine only).
+@dataclass(frozen=True, eq=False)
+class LevelRecord:
+    """The nodes of one tree level as row-aligned arrays (exact engine only).
 
-    A node stands for ``multiplicity`` histories with one bitwise-identical
-    state, hence identical per-history values; ``history`` is the first of
-    them in enumeration order.
+    Row i is one node.  It stands for ``multiplicity[i]`` histories with one
+    bitwise-identical state, hence identical per-history values;
+    ``histories[i]`` is the first of them in enumeration order and
+    ``weights[i]`` their summed true-measure probability.  ``values`` maps
+    the engine's series names (DISTANCE_KEYS and the loss series) to
+    per-node arrays.
     """
 
-    step: int                    # 1-based
-    history: tuple[int, ...]
-    weight: float                # true-measure probability of all its histories
-    distances: StepDistances
-    ratio_term: float
-    losses: dict[str, tuple[float, float]]  # label -> (mixture loss, informed loss)
-    multiplicity: int = 1
-
-    @property
-    def loss_gap(self) -> dict[str, float]:
-        return {k: v[0] - v[1] for k, v in self.losses.items()}
+    step: int                    # 1-based; histories have step - 1 symbols
+    histories: np.ndarray        # (nodes, step - 1) int64
+    weights: np.ndarray
+    multiplicity: np.ndarray     # integer-valued float64
+    values: dict[str, np.ndarray]
 
 
 @dataclass
@@ -105,7 +102,9 @@ class TotalsReport:
     ``mixture_loss[<label>]``, ``informed_loss[<label>]`` and
     ``scheme_loss[<scheme>|<label>]``.  ``kl_direct`` is the expectation of
     the full-string log-ratio log(true/mixture), which must telescope to the
-    cumulative kl series (exact engine).
+    cumulative kl series (exact engine).  ``records`` holds one LevelRecord
+    per step when the exact engine ran with ``collect_records``; the
+    per-history checks read it.
     """
 
     horizon: int
@@ -126,7 +125,7 @@ class TotalsReport:
     se_per_step: dict[str, np.ndarray] | None = None
     se_cumulative: dict[str, np.ndarray] | None = None
     kl_direct_se: float | None = None
-    records: list[HistoryRecord] | None = field(default=None, repr=False)
+    records: list[LevelRecord] | None = field(default=None, repr=False)
 
     @property
     def log_inv_true_weight(self) -> float:
@@ -276,7 +275,7 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
     n_sym = mixture.alphabet.size
     keys = _series_keys(labelled, ev.schemes)
     per_step = {k: np.zeros(horizon) for k in keys}
-    records: list[HistoryRecord] | None = [] if collect_records else None
+    records: list[LevelRecord] | None = [] if collect_records else None
 
     histories = np.zeros((1, 0), dtype=np.int64)
     comp_logm = np.zeros((1, len(mixture.components)))
@@ -295,24 +294,7 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
         for k in keys:
             per_step[k][t] = float(weights @ values[k])
         if records is not None:
-            for i in range(histories.shape[0]):
-                records.append(HistoryRecord(
-                    step=t + 1,
-                    history=tuple(int(s) for s in histories[i]),
-                    weight=float(weights[i]),
-                    distances=StepDistances(
-                        absolute=float(values["absolute"][i]),
-                        square=float(values["square"][i]),
-                        hellinger=float(values["hellinger"][i]),
-                        kl=float(values["kl"][i]),
-                        abs_divergence=float(values["abs_divergence"][i]),
-                    ),
-                    ratio_term=float(values["ratio_term"][i]),
-                    losses={lab: (float(values[f"mixture_loss[{lab}]"][i]),
-                                  float(values[f"informed_loss[{lab}]"][i]))
-                            for lab in labelled},
-                    multiplicity=int(mult[i]),
-                ))
+            records.append(LevelRecord(t + 1, histories, weights, mult, values))
         # extend to the next level, pruning zero-probability branches,
         # symbol-major order so output layout is traversal-independent
         parts_h, parts_cm, parts_m = [], [], []

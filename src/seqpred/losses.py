@@ -35,6 +35,12 @@ POSTERIOR_SUM_TOL = 1e-9
 _EXP_CLAMP = 700.0
 
 
+def _threshold_actions(posteriors: np.ndarray) -> np.ndarray:
+    """Act 1.0 exactly when rho1 > 1/2, else 0.0: the Bayes rule of every
+    binary loss whose optima sit at the endpoints."""
+    return (posteriors[:, 1] > 0.5).astype(float)
+
+
 class DegenerateLossError(ValueError):
     """A 2x2 loss matrix in which one prediction direction never matters."""
 
@@ -161,8 +167,7 @@ class ErrorLoss(LossSpec):
     def loss(self, x, y):
         return np.where(np.asarray(x, dtype=float) == np.asarray(y, dtype=float), 0.0, 1.0)
 
-    def bayes_actions(self, posteriors):
-        return (posteriors[:, 1] > 0.5).astype(float)
+    bayes_actions = staticmethod(_threshold_actions)
 
     def has_zero_loss_action(self):
         return True
@@ -176,8 +181,7 @@ class AbsoluteLoss(LossSpec):
     def loss(self, x, y):
         return np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
 
-    def bayes_actions(self, posteriors):
-        return (posteriors[:, 1] > 0.5).astype(float)
+    bayes_actions = staticmethod(_threshold_actions)
 
     def has_zero_loss_action(self):
         return True
@@ -204,7 +208,7 @@ class AlphaLoss(LossSpec):
 
     def bayes_actions(self, posteriors):
         if self.alpha <= 1.0:
-            return (posteriors[:, 1] > 0.5).astype(float)
+            return _threshold_actions(posteriors)
         with np.errstate(divide="ignore"):
             t = (np.log(posteriors[:, 0]) - np.log(posteriors[:, 1])) / (self.alpha - 1.0)
         out = np.empty(posteriors.shape[0])

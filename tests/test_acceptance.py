@@ -140,11 +140,12 @@ def test_criterion_06_instantaneous_chains(preset_runs):
     for name in BINARY_RECORD_PRESETS:
         _, report, _ = preset_runs[name]
         assert report.records is not None
-        histories = sum(r.multiplicity for r in report.records)
+        assert [r.step for r in report.records] == list(range(1, report.horizon + 1))
+        histories = int(sum(r.multiplicity.sum() for r in report.records))
         if name == "three-bernoulli":
-            # full binary tree: 2^(t-1) histories at step t, merged into records
-            for t in range(1, report.horizon + 1):
-                assert sum(r.multiplicity for r in report.records if r.step == t) == 2**(t - 1)
+            # full binary tree: 2^(t-1) histories at step t, merged into nodes
+            for r in report.records:
+                assert r.multiplicity.sum() == 2**(r.step - 1)
             assert histories == 2**report.horizon - 1
         total_histories += histories
         for label, loss in report.losses.items():

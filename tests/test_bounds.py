@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,10 +18,12 @@ from seqpred.bounds import (
     proof_inequality_values,
 )
 from seqpred.distances import instant_distances
-from seqpred.engine import HistoryRecord, exact_evaluate, monte_carlo_evaluate
+from seqpred.cli import run_experiment
+from seqpred.engine import LevelRecord, exact_evaluate, monte_carlo_evaluate
 from seqpred.losses import ErrorLoss, LogLoss, MatrixLoss, QuadraticLoss
 from seqpred.measures import BernoulliMeasure, DeterministicMeasure
 from seqpred.mixture import MixtureModel
+from seqpred.presets import load_preset
 from seqpred.schemes import ConstantScheme, MajorityVoteScheme
 
 
@@ -45,6 +48,12 @@ def plateau_report():
                        [0.1, 0.9])
     return exact_evaluate(mix, 0, [MatrixLoss([[0, 1], [3, 0]]), LogLoss()], 30,
                           collect_records=True)
+
+
+@pytest.fixture(scope="module")
+def three_symbol_report():
+    report, _ = run_experiment(load_preset("three-symbol"))
+    return report
 
 
 class TestResultSemantics:
@@ -180,8 +189,11 @@ class TestInstantChecks:
         # true (1/2, 1/2), mixture (1/4, 3/4), error loss: both predict through
         # the threshold, so the regret is 0 <= abs distance 1/2 <= sqrt(2 kl)
         dist = instant_distances([0.5, 0.5], [0.25, 0.75])
-        rec = HistoryRecord(step=1, history=(), weight=1.0, distances=dist,
-                            ratio_term=0.0, losses={"error": (0.5, 0.5)})
+        values = {k: np.array([v]) for k, v in dataclasses.asdict(dist).items()}
+        values.update({"ratio_term": np.zeros(1), "mixture_loss[error]": np.array([0.5]),
+                       "informed_loss[error]": np.array([0.5])})
+        rec = LevelRecord(step=1, histories=np.zeros((1, 0), dtype=np.int64),
+                          weights=np.ones(1), multiplicity=np.ones(1), values=values)
         mix = MixtureModel([BernoulliMeasure(0.5)], [1.0])
         rep = exact_evaluate(mix, 0, [ErrorLoss()], 1)
         results = check_instant_bounds([rec], rep, "error")
@@ -213,6 +225,71 @@ class TestInstantChecks:
     def test_unbounded_loss_rejected(self, three_coin_report):
         with pytest.raises(ValueError, match="unbounded"):
             check_instant_bounds(three_coin_report.records, three_coin_report, "log")
+
+
+def _reference_instant_checks(records, labels):
+    """The per-node loop in Python floats over the rows of each level: each
+    chain's (lhs, rhs, location) at its first minimal-slack node, and each
+    label's left-to-right squared-regret sum."""
+    best, agg = {}, {label: 0.0 for label in labels}
+    for rec in records:
+        for i in range(rec.weights.size):
+            v = {k: float(a[i]) for k, a in rec.values.items()}
+            hist = "".join(str(int(s)) for s in rec.histories[i]) or "(empty)"
+            d, a = v["kl"], v["absolute"]
+            chains = {"instant-absdiv-minus-kl<=abs": (v["abs_divergence"] - d, a),
+                      "instant-abs<=sqrt-2kl": (a, math.sqrt(max(2.0 * d, 0.0)))}
+            for label in labels:
+                l_inf = v[f"informed_loss[{label}]"]
+                gap = v[f"mixture_loss[{label}]"] - l_inf
+                chains[f"instant-regret-nonneg[{label}]"] = (0.0, gap)
+                chains[f"instant-regret<=abs[{label}]"] = (gap, a)
+                chains[f"instant-abs<=sqrt-2kl[{label}]"] = (a, math.sqrt(max(2.0 * d, 0.0)))
+                chains[f"instant-regret<=kl-form[{label}]"] = (
+                    gap, 2.0 * d + 2.0 * math.sqrt(max(l_inf * d, 0.0)))
+                agg[label] += float(rec.weights[i]) * gap * gap
+            for bound_id, (lhs, rhs) in chains.items():
+                if bound_id not in best or rhs - lhs < best[bound_id][0]:
+                    best[bound_id] = (rhs - lhs, lhs, rhs, f"t={rec.step} history={hist}")
+    return {k: v[1:] for k, v in best.items()}, agg
+
+
+class TestInstantChecksMatchPerNodeLoop:
+    @pytest.mark.parametrize("fixture", ["three_coin_report", "collapse_report",
+                                         "plateau_report", "three_symbol_report"])
+    def test_bit_for_bit(self, fixture, request):
+        report = request.getfixturevalue(fixture)
+        labels = [lab for lab, loss in report.losses.items() if loss.bounded]
+        chains, agg = _reference_instant_checks(report.records, labels)
+        results = check_instant_distance_bounds(report.records)
+        for label in labels:
+            got = check_instant_bounds(report.records, report, label)
+            assert got[-1].lhs.hex() == agg[label].hex()
+            results += got[:-1]
+        assert len(results) == len(chains)
+        for r in results:
+            lhs, rhs, location = chains[r.bound_id]
+            assert (r.lhs.hex(), r.rhs.hex(), r.location) == (lhs.hex(), rhs.hex(), location), r.bound_id
+
+    def test_ties_go_to_the_first_node_of_the_earliest_level(self):
+        # regret slacks: 0.25 | 0.5 0.125 0.125 | 0.125 0.1875
+        def level(step, gaps):
+            n = len(gaps)
+            values = {k: np.full(n, 0.5) for k in ("absolute", "kl", "abs_divergence")}
+            values["mixture_loss[error]"] = np.array(gaps)
+            values["informed_loss[error]"] = np.zeros(n)
+            histories = np.repeat(np.arange(n)[:, None], step - 1, axis=1)
+            return LevelRecord(step, histories, np.full(n, 1.0 / n), np.ones(n), values)
+
+        records = [level(1, [0.25]), level(2, [0.5, 0.125, 0.125]), level(3, [0.125, 0.1875])]
+        rep = exact_evaluate(MixtureModel([BernoulliMeasure(0.5)], [1.0]), 0, [ErrorLoss()], 1)
+        by_id = {r.bound_id: r for r in check_instant_bounds(records, rep, "error")}
+        assert by_id["instant-regret-nonneg[error]"].location == "t=2 history=1"
+        assert by_id["instant-regret<=abs[error]"].location == "t=2 history=0"
+        chains, _ = _reference_instant_checks(records, ["error"])
+        for bound_id, r in by_id.items():
+            if bound_id in chains:
+                assert (r.lhs, r.rhs, r.location) == chains[bound_id], bound_id
 
 
 class TestProofInequalities:

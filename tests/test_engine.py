@@ -187,28 +187,31 @@ def records_report():
 
 class TestHistoryRecords:
     def test_record_count_is_full_binary_tree(self, records_report):
-        # a record stands for `multiplicity` histories sharing one state
+        # one LevelRecord per step; a row stands for `multiplicity` histories
+        # sharing one state
         records = records_report.records
-        for t in range(1, 9):
-            assert sum(r.multiplicity for r in records if r.step == t) == 2**(t - 1)
-        assert sum(r.multiplicity for r in records) == 2**8 - 1
+        assert [r.step for r in records] == list(range(1, 9))
+        for r in records:
+            assert r.multiplicity.sum() == 2**(r.step - 1)
+            assert r.histories.shape == (r.weights.size, r.step - 1)
+        assert sum(r.multiplicity.sum() for r in records) == 2**8 - 1
 
     def test_weights_sum_to_one_per_step(self, records_report):
-        for t in range(1, 9):
-            total = sum(r.weight for r in records_report.records if r.step == t)
-            assert total == pytest.approx(1.0, abs=1e-12)
+        for r in records_report.records:
+            assert r.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_level_arrays_give_the_per_step_series(self, records_report):
+        for r in records_report.records:
+            for key, series in records_report.per_step.items():
+                assert r.values[key].shape == r.weights.shape
+                assert float(r.weights @ r.values[key]) == series[r.step - 1]
 
     def test_per_history_distance_sandwich(self, records_report):
         # absdiv - kl <= abs <= sqrt(2 kl) for every enumerated history
         for rec in records_report.records:
-            d = rec.distances
-            assert d.abs_divergence - d.kl <= d.absolute + 1e-12
-            assert d.absolute <= math.sqrt(max(2 * d.kl, 0.0)) + 1e-12
-
-    def test_loss_gap_view(self, records_report):
-        rec = records_report.records[0]
-        assert rec.loss_gap["error"] == pytest.approx(
-            rec.losses["error"][0] - rec.losses["error"][1], abs=0)
+            v = rec.values
+            assert (v["abs_divergence"] - v["kl"] <= v["absolute"] + 1e-12).all()
+            assert (v["absolute"] <= np.sqrt(np.maximum(2 * v["kl"], 0.0)) + 1e-12).all()
 
 
 def _brute_force_totals(mixture, true_index, loss, horizon):
