@@ -347,6 +347,14 @@ def _binary_relative_entropy(y, z):
     return y * np.log(y / z) + (1.0 - y) * np.log((1.0 - y) / (1.0 - z))
 
 
+def _f1(ap, bp, y, z, rel):
+    return bp * rel + ap * (1.0 - y) * z / (1.0 - z) - y
+
+
+def _f2(ap, bp, y, z, rel):
+    return bp * rel + ap * (1.0 - y) - y * (1.0 - z) / z
+
+
 def proof_inequality_values(point: InequalityPoint) -> dict[str, float]:
     """Evaluate f1, f2 and the reduced forms g1, g2 at one point.
 
@@ -358,8 +366,8 @@ def proof_inequality_values(point: InequalityPoint) -> dict[str, float]:
     """
     ap, bp, y, z = point.a_prime, point.b_prime, point.y, point.z
     rel = float(_binary_relative_entropy(y, z))
-    f1 = bp * rel + ap * (1.0 - y) * z / (1.0 - z) - y
-    f2 = bp * rel + ap * (1.0 - y) - y * (1.0 - z) / z
+    f1 = _f1(ap, bp, y, z, rel)
+    f2 = _f2(ap, bp, y, z, rel)
     g1 = 2.0 * bp * ap**2 * z * (1.0 - z) + ((ap - 1.0) * bp * (1.0 - z) - ap) * (bp + ap * z / (1.0 - z))
     g2 = ((ap - 1.0) * bp * z - ap + 2.0 * z * (1.0 - z)) * (bp + 1.0 - 1.0 / z) + 2.0 * (1.0 - z) ** 2
     return {"f1": f1, "f2": f2, "g1": g1, "g2": g2}
@@ -387,26 +395,34 @@ def grid_verify_proof_inequalities(b_rule, *,
         rule_name, rule = f"B={const}", lambda a: const
     if a_values is None:
         a_values = np.geomspace(0.1, 10.0, 41)
+    if len(a_values) == 0:
+        raise ValueError("a_values must not be empty")
+    bad = [float(a) for a in a_values if not 0.0 < float(a) < math.inf]
+    if bad:
+        raise ValueError(f"a_values must be positive and finite, got {bad[0]}")
     if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    if not 0.0 < edge_margin < 0.5:
+        raise ValueError(f"edge_margin must lie in (0, 1/2), got {edge_margin}")
     ys = np.linspace(edge_margin, 1.0 - edge_margin, grid_points)
     zs = np.linspace(edge_margin, 1.0 - edge_margin, grid_points)
-    y_mat, z_mat = np.meshgrid(ys, zs, indexing="ij")
-    rel = _binary_relative_entropy(y_mat, z_mat)
-    lo_mask = z_mat <= 0.5
-    hi_mask = z_mat >= 0.5
+    # each inequality only on its own z columns; zs is increasing, so row-major
+    # order on a column subset keeps argmin's first minimum of the full grid
+    branches = []
+    for name, f, cols in (("f1", _f1, zs <= 0.5), ("f2", _f2, zs >= 0.5)):
+        y_mat, z_mat = np.meshgrid(ys, zs[cols], indexing="ij")
+        branches.append((name, f, zs[cols], y_mat, z_mat, _binary_relative_entropy(y_mat, z_mat)))
 
     best = {"f1": (math.inf, None), "f2": (math.inf, None)}
     for a in a_values:
         ap, bp = float(a) + 1.0, rule(float(a)) + 1.0
-        f1 = bp * rel + ap * (1.0 - y_mat) * z_mat / (1.0 - z_mat) - y_mat
-        f2 = bp * rel + ap * (1.0 - y_mat) - y_mat * (1.0 - z_mat) / z_mat
-        for name, vals, mask in (("f1", f1, lo_mask), ("f2", f2, hi_mask)):
-            masked = np.where(mask, vals, np.inf)
-            idx = np.unravel_index(int(np.argmin(masked)), masked.shape)
-            v = float(masked[idx])
-            if v < best[name][0]:
-                best[name] = (v, (float(a), float(ys[idx[0]]), float(zs[idx[1]])))
+        for name, f, z_cols, y_mat, z_mat, rel in branches:
+            vals = f(ap, bp, y_mat, z_mat, rel)
+            idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+            v = float(vals[idx])
+            # argmin stops at the first NaN; a NaN must fail, so it beats every number
+            if v < best[name][0] or (math.isnan(v) and not math.isnan(best[name][0])):
+                best[name] = (v, (float(a), float(ys[idx[0]]), float(z_cols[idx[1]])))
 
     results = []
     for name, branch in (("f1", "z<=1/2"), ("f2", "z>=1/2")):

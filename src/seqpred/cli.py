@@ -93,14 +93,23 @@ def _cmd_check_inequalities(args) -> int:
         rules = list(B_RULES)
     else:
         rules = [args.b_rule]
-    if args.a_value is not None:
-        a_values = np.array([float(args.a_value)])
-    else:
-        a_values = np.geomspace(args.a_min, args.a_max, args.a_count)
+    a_flag = "--a-value" if args.a_value is not None else "--a-min/--a-max/--a-count"
+    flags = {"a_values": a_flag, "grid_points": "--grid", "edge_margin": "--edge-margin"}
     results: list[BoundCheckResult] = []
-    for rule in rules:
-        results += grid_verify_proof_inequalities(
-            rule, a_values=a_values, grid_points=args.grid, edge_margin=args.edge_margin)
+    try:
+        if args.a_value is not None:
+            a_values = np.array([float(args.a_value)])
+        else:
+            a_values = np.geomspace(args.a_min, args.a_max, args.a_count)
+        for rule in rules:
+            results += grid_verify_proof_inequalities(
+                rule, a_values=a_values, grid_points=args.grid, edge_margin=args.edge_margin)
+    except ValueError as exc:
+        # grid_verify_proof_inequalities names its keyword first; np.geomspace
+        # (a zero end, a negative count) names none, and only A flags reach it
+        flag = flags.get(str(exc).split(" ", 1)[0], a_flag)
+        print(f"config error: {flag}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for r in results:
         print(r.line())
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL

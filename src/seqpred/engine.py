@@ -210,13 +210,22 @@ class _StepEvaluator:
 
 def _merge_equal_rows(keys: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the first row of each distinct key, in order of first
-    occurrence, and the summed multiplicities of the rows they stand for."""
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    merged = np.bincount(rank[inverse.reshape(-1)], weights=mult, minlength=order.size)
-    return first[order], merged
+    occurrence, and the summed multiplicities of the rows they stand for.
+
+    The lexsort is stable, so each run of equal keys starts at its first
+    row; bincount then adds every group's multiplicities in row order.
+    """
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    starts = np.concatenate(([True], np.any(ranked[1:] != ranked[:-1], axis=1)))
+    group = np.cumsum(starts) - 1                  # sorted group of each sorted row
+    first = order[starts]
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    row_rank = np.empty_like(order)
+    row_rank[order] = rank[group]
+    return first[by_first], np.bincount(row_rank, weights=mult, minlength=by_first.size)
 
 
 def _series_keys(losses, schemes):

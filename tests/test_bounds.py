@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from seqpred import bounds
 from seqpred.bounds import (
     B_RULES,
     BoundCheckResult,
@@ -355,6 +356,69 @@ class TestProofInequalities:
             InequalityPoint(-1.0, 2.0, 0.5, 0.5)
 
 
+def _full_grid_reference(rule, a_values, grid_points, edge_margin=1e-4):
+    """The full-grid loop that masked each inequality's other half of z away;
+    returns [(rhs, location)] for f1 and f2."""
+    ys = np.linspace(edge_margin, 1.0 - edge_margin, grid_points)
+    zs = np.linspace(edge_margin, 1.0 - edge_margin, grid_points)
+    y_mat, z_mat = np.meshgrid(ys, zs, indexing="ij")
+    rel = y_mat * np.log(y_mat / z_mat) + (1.0 - y_mat) * np.log((1.0 - y_mat) / (1.0 - z_mat))
+    lo_mask = z_mat <= 0.5
+    hi_mask = z_mat >= 0.5
+    best = {"f1": (math.inf, None), "f2": (math.inf, None)}
+    for a in a_values:
+        ap, bp = float(a) + 1.0, rule(float(a)) + 1.0
+        f1 = bp * rel + ap * (1.0 - y_mat) * z_mat / (1.0 - z_mat) - y_mat
+        f2 = bp * rel + ap * (1.0 - y_mat) - y_mat * (1.0 - z_mat) / z_mat
+        for name, vals, mask in (("f1", f1, lo_mask), ("f2", f2, hi_mask)):
+            masked = np.where(mask, vals, np.inf)
+            idx = np.unravel_index(int(np.argmin(masked)), masked.shape)
+            v = float(masked[idx])
+            if v < best[name][0]:
+                best[name] = (v, (float(a), float(ys[idx[0]]), float(zs[idx[1]])))
+    out = []
+    for name, branch in (("f1", "z<=1/2"), ("f2", "z>=1/2")):
+        v, (a, y, z) = best[name]
+        out.append((v.hex(), f"A={a:.6g} y={y:.6g} z={z:.6g} ({branch})"))
+    return out
+
+
+def _b_quarter(a):
+    return 0.25 * a + 0.5
+
+
+class TestHalfGridMatchesFullGrid:
+    # grid 31 has no z = 1/2 column (16 columns below it, 15 above); on grid
+    # 51 the z = 1/2 column belongs to both branches; grid 2 is the smallest
+    @pytest.mark.parametrize("grid_points, split", [(31, (16, 15)), (51, (26, 26)), (2, (1, 1))])
+    @pytest.mark.parametrize("b_rule", [*B_RULES, 0.01, 2.0, _b_quarter])
+    def test_bit_for_bit(self, b_rule, grid_points, split):
+        zs = np.linspace(1e-4, 1.0 - 1e-4, grid_points)
+        assert (int(np.sum(zs <= 0.5)), int(np.sum(zs >= 0.5))) == split
+        if isinstance(b_rule, str):
+            rule = B_RULES[b_rule]
+        elif callable(b_rule):
+            rule = b_rule
+        else:
+            rule = lambda a: float(b_rule)  # noqa: E731
+        a_values = np.geomspace(0.1, 10.0, 41)
+        got = grid_verify_proof_inequalities(b_rule, a_values=a_values, grid_points=grid_points)
+        assert [(r.rhs.hex(), r.location) for r in got] == \
+            _full_grid_reference(rule, a_values, grid_points)
+
+    def test_ties_go_to_the_first_cell_in_y_major_order(self, monkeypatch):
+        ys = np.linspace(1e-4, 1.0 - 1e-4, 11)
+
+        def tied_f1(ap, bp, y, z, rel):
+            # (y0, z2) is the first minimum in y-major order, (y1, z0) in z-major order
+            hit = ((y == ys[0]) & (z == ys[2])) | ((y == ys[1]) & (z == ys[0]))
+            return np.where(hit, -1.0, 0.0)
+
+        monkeypatch.setattr(bounds, "_f1", tied_f1)
+        f1 = grid_verify_proof_inequalities("1/A+1", a_values=[1.0, 2.0], grid_points=11)[0]
+        assert f1.location == f"A=1 y={ys[0]:.6g} z={ys[2]:.6g} (z<=1/2)"
+
+
 class TestGridVerification:
     def test_both_rules_pass_on_a_coarse_grid(self):
         for rule in B_RULES:
@@ -373,6 +437,23 @@ class TestGridVerification:
         results = grid_verify_proof_inequalities(lambda a: 1.0 / a + 1.0,
                                                  a_values=[0.5, 2.0], grid_points=31)
         assert all(r.passed for r in results)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"a_values": []}, {"a_values": [1.0, 0.0]}, {"a_values": [-1.0]},
+        {"a_values": [float("nan")]}, {"grid_points": 1}, {"edge_margin": 0.0},
+        {"edge_margin": 0.5}, {"edge_margin": -0.1}, {"edge_margin": float("nan")},
+    ])
+    def test_invalid_grid_raises_naming_the_keyword(self, kwargs):
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} "):
+            grid_verify_proof_inequalities("1/A+1", **kwargs)
+
+    def test_nan_cell_fails_at_its_first_location(self):
+        def rule(a):
+            return math.nan if a == 2.0 else 1.0 / a + 1.0
+
+        results = grid_verify_proof_inequalities(rule, a_values=[1.0, 2.0, 3.0], grid_points=11)
+        assert [r.passed for r in results] == [False, False]
+        assert all(math.isnan(r.rhs) and r.location.startswith("A=2 y=0.0001 ") for r in results)
 
     def test_reproducible_results(self):
         a = grid_verify_proof_inequalities("1/A+1", grid_points=31)

@@ -124,6 +124,17 @@ class TestCheckInequalities:
     def test_fixed_rule_requires_value(self, capsys):
         assert run_cli("check-inequalities", "--b-rule", "fixed") == 1
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--a-count", "0"], "--a-min/--a-max/--a-count"),
+        (["--edge-margin", "0"], "--edge-margin"),
+        (["--grid", "1"], "--grid"),
+    ])
+    def test_invalid_grid_exits_1_naming_the_flag(self, capsys, argv, flag):
+        assert run_cli("check-inequalities", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {flag}: ")
+        assert captured.out == ""
+
 
 class TestDescribeColumns:
     def test_exit_zero(self, capsys):

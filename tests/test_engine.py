@@ -9,6 +9,7 @@ import pytest
 from seqpred.engine import (
     BudgetExceededError,
     _StepEvaluator,
+    _merge_equal_rows,
     _standard_errors,
     exact_evaluate,
     monte_carlo_evaluate,
@@ -336,6 +337,51 @@ class TestStateMerging:
         mix = MixtureModel([FloatKeyCoin(0.2), BernoulliMeasure(0.5)], [0.5, 0.5])
         with pytest.raises(TypeError):
             exact_evaluate(mix, 0, [ErrorLoss()], 3)
+
+
+
+def _unique_merge(keys, mult):
+    """The np.unique(axis=0) merge the engine used before its stable lexsort."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    merged = np.bincount(rank[inverse.reshape(-1)], weights=mult, minlength=order.size)
+    return first[order], merged
+
+
+def _merge_cases():
+    rng = np.random.default_rng(11)
+    dup = rng.integers(-3, 3, size=(600, 3))
+    dup[::7, 1] = np.iinfo(np.int64).min        # signed extremes sort by sign
+    dup[::11, 2] = np.iinfo(np.int64).max
+    zeros = np.array([[0.0, 1.5], [-0.0, 1.5], [0.0, 1.5], [-0.0, 1.5]]).view(np.int64)
+    distinct = rng.permutation(40)[:, None] - 20
+    return {
+        "heavy-duplication": (dup, rng.uniform(0.0, 1e6, dup.shape[0])),
+        "signed-zero-bits": (zeros, np.array([1.0, 2.0, 4.0, 8.0])),
+        "one-column": (rng.integers(-4, 4, size=(200, 1)), np.ones(200)),
+        "one-row": (np.array([[5, -7, 0]]), np.array([3.0])),
+        "all-equal": (np.full((50, 2), -9), rng.uniform(0.0, 1.0, 50)),
+        "all-distinct": (distinct, rng.uniform(0.0, 1.0, distinct.shape[0])),
+    }
+
+
+class TestMergeEqualRows:
+    @pytest.mark.parametrize("case", list(_merge_cases()))
+    def test_matches_the_unique_merge_exactly(self, case):
+        keys, mult = _merge_cases()[case]
+        first, merged = _merge_equal_rows(keys, mult)
+        want_first, want_merged = _unique_merge(keys, mult)
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(merged, want_merged)
+        assert merged.dtype == np.float64
+
+    def test_signed_zeros_stay_apart(self):
+        keys, mult = _merge_cases()["signed-zero-bits"]
+        first, merged = _merge_equal_rows(keys, mult)
+        assert first.tolist() == [0, 1]
+        assert merged.tolist() == [5.0, 10.0]
 
 
 class TestAlternativeSchemes:
