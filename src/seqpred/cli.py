@@ -10,6 +10,7 @@ Exit codes: 0 all requested checks pass, 2 at least one check fails,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -83,6 +84,17 @@ def _cmd_run(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 
+def _a_values(args) -> np.ndarray:
+    """The A grid of ``check-inequalities``.  The ends are checked before
+    ``np.geomspace`` sees them, which warns on a negative or infinite end."""
+    if args.a_value is not None:
+        return np.array([float(args.a_value)])
+    for end in (args.a_min, args.a_max):
+        if not 0.0 < end < math.inf:
+            raise ValueError(f"a_values must be positive and finite, got {end}")
+    return np.geomspace(args.a_min, args.a_max, args.a_count)
+
+
 def _cmd_check_inequalities(args) -> int:
     if args.b_rule == "fixed":
         if args.b_value is None:
@@ -97,16 +109,13 @@ def _cmd_check_inequalities(args) -> int:
     flags = {"a_values": a_flag, "grid_points": "--grid", "edge_margin": "--edge-margin"}
     results: list[BoundCheckResult] = []
     try:
-        if args.a_value is not None:
-            a_values = np.array([float(args.a_value)])
-        else:
-            a_values = np.geomspace(args.a_min, args.a_max, args.a_count)
+        a_values = _a_values(args)
         for rule in rules:
             results += grid_verify_proof_inequalities(
                 rule, a_values=a_values, grid_points=args.grid, edge_margin=args.edge_margin)
     except ValueError as exc:
-        # grid_verify_proof_inequalities names its keyword first; np.geomspace
-        # (a zero end, a negative count) names none, and only A flags reach it
+        # grid_verify_proof_inequalities and _a_values name the keyword first;
+        # np.geomspace (a negative count) names none, and only A flags reach it
         flag = flags.get(str(exc).split(" ", 1)[0], a_flag)
         print(f"config error: {flag}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

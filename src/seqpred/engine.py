@@ -21,6 +21,19 @@ informed, and any alternative prediction schemes.
   buffer and every series' mean and standard errors are one reduction per
   step, so S paths of length n cost O(S·n) time and memory.
 
+Each level is one pass of ``_StepEvaluator.step`` over all its histories,
+with one numpy call per layer:
+
+* the K components' log-conditionals are stacked component-major, (K, M, N)
+  for M histories and N symbols, so the mixture's log-sum-exp reduces over
+  the outer axis 0 and adds the components in order;
+* each distance adds its symbol columns left to right;
+* per loss, ``bayes_actions`` runs once on the mixture and true conditionals
+  stacked together, and ``expected_losses`` once on a (P, M) action array
+  holding the mixture, informed and every scheme's actions (P = 2 + schemes).
+
+``step`` returns every series as one (series, M) array.
+
 Both engines carry each scheme's key beside the per-component
 log-marginals: they start from ``initial_key``, extend it by one symbol per
 step with ``extend_key`` and pass it to ``actions(keys, loss)``, so a scheme
@@ -51,7 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distances import distances_batch, ratio_term_batch
+from .distances import DISTANCE_NAMES, distances_batch, ratio_term_batch
 from .logdomain import log_or_neg_inf, log_sum_exp_over_axis
 from .losses import LossSpec
 from .measures import as_symbols, draw_symbols
@@ -60,7 +73,7 @@ from .schemes import PredictionScheme
 
 DEFAULT_NODE_BUDGET = 2**24
 
-DISTANCE_KEYS = ("absolute", "square", "hellinger", "kl", "abs_divergence", "ratio_term")
+DISTANCE_KEYS = DISTANCE_NAMES + ("ratio_term",)
 
 
 class BudgetExceededError(RuntimeError):
@@ -147,13 +160,13 @@ class TotalsReport:
         return list(self.per_step)
 
 
-def _loss_series_keys(loss_labels, scheme_labels):
-    keys = []
+def _series_keys(loss_labels, schemes):
+    """Series names in the row order of ``_StepEvaluator.step``'s values: the
+    distances, then per loss the P rows of its action array."""
+    keys = list(DISTANCE_KEYS)
     for lab in loss_labels:
-        keys.append(f"mixture_loss[{lab}]")
-        keys.append(f"informed_loss[{lab}]")
-        for sch in scheme_labels:
-            keys.append(f"scheme_loss[{sch}|{lab}]")
+        keys += [f"mixture_loss[{lab}]", f"informed_loss[{lab}]"]
+        keys += [f"scheme_loss[{s.label}|{lab}]" for s in schemes]
     return keys
 
 
@@ -170,33 +183,39 @@ class _StepEvaluator:
         self.schemes = tuple(schemes)
         self.components = mixture.components
         self.log_weights = mixture.log_weights
+        self.keys = _series_keys(losses, self.schemes)
 
     def step(self, histories: np.ndarray, t: int, comp_logm: np.ndarray,
              scheme_keys: Sequence[np.ndarray]):
         """Conditional matrices and per-history values at one level.
 
         ``scheme_keys`` holds each scheme's carried key, one row per history.
-        Returns (true_cond, log_cond_stack, mix_cond, values) where values
-        maps series names to per-history arrays.
+        Returns (true_cond, log_cond, mix_cond, values): ``log_cond`` is the
+        component-major (K, M, N) stack of log-conditionals and ``values`` one
+        (series, M) array whose rows follow ``self.keys``.
         """
         mats = [c._step_matrix(histories, t) for c in self.components]
         true_cond = mats[self.true_index]
-        log_cond = np.stack([log_or_neg_inf(m) for m in mats], axis=1)  # (K, M, N)
-        prior_terms = self.log_weights[None, :] + comp_logm              # (K, M)
-        log_mix_h = log_sum_exp_over_axis(prior_terms, axis=1)           # (K,)
-        log_mix_hx = log_sum_exp_over_axis(prior_terms[:, :, None] + log_cond, axis=1)  # (K, N)
+        log_cond = log_or_neg_inf(np.stack(mats))                       # (K, M, N)
+        prior_terms = self.log_weights[None, :] + comp_logm              # (M, K)
+        log_mix_h = log_sum_exp_over_axis(prior_terms, axis=1)           # (M,)
+        log_mix_hx = log_sum_exp_over_axis(prior_terms.T[:, :, None] + log_cond, axis=0)  # (M, N)
         mix_cond = np.exp(log_mix_hx - log_mix_h[:, None])
 
-        values = distances_batch(true_cond, mix_cond)
-        values["ratio_term"] = ratio_term_batch(true_cond, mix_cond)
-        for label, loss in self.losses.items():
-            acts_mix = loss.bayes_actions(mix_cond)
-            acts_inf = loss.bayes_actions(true_cond)
-            values[f"mixture_loss[{label}]"] = loss.expected_losses(true_cond, acts_mix)
-            values[f"informed_loss[{label}]"] = loss.expected_losses(true_cond, acts_inf)
-            for scheme, keys in zip(self.schemes, scheme_keys):
-                acts = scheme.actions(keys, loss)
-                values[f"scheme_loss[{scheme.label}|{label}]"] = loss.expected_losses(true_cond, acts)
+        m = true_cond.shape[0]
+        values = np.empty((len(self.keys), m))
+        distances = distances_batch(true_cond, mix_cond)
+        for row, key in enumerate(DISTANCE_NAMES):
+            values[row] = distances[key]
+        values[len(DISTANCE_NAMES)] = ratio_term_batch(true_cond, mix_cond)
+        # one (P, M) action array per loss: mixture, informed, then each scheme
+        both = np.concatenate([mix_cond, true_cond])
+        row = len(DISTANCE_KEYS)
+        for loss in self.losses.values():
+            actions = np.vstack([loss.bayes_actions(both).reshape(2, m),
+                                 *(s.actions(k, loss) for s, k in zip(self.schemes, scheme_keys))])
+            values[row:row + actions.shape[0]] = loss.expected_losses(true_cond, actions)
+            row += actions.shape[0]
         return true_cond, log_cond, mix_cond, values
 
     def state_keys(self, histories: np.ndarray, t: int, comp_logm: np.ndarray,
@@ -226,10 +245,6 @@ def _merge_equal_rows(keys: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, n
     row_rank = np.empty_like(order)
     row_rank[order] = rank[group]
     return first[by_first], np.bincount(row_rank, weights=mult, minlength=by_first.size)
-
-
-def _series_keys(losses, schemes):
-    return list(DISTANCE_KEYS) + _loss_series_keys(losses, [s.label for s in schemes])
 
 
 def _label_losses(losses) -> dict[str, LossSpec]:
@@ -282,8 +297,7 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
     labelled = _label_losses(losses)
     ev = _StepEvaluator(mixture, true_index, labelled, schemes)
     n_sym = mixture.alphabet.size
-    keys = _series_keys(labelled, ev.schemes)
-    per_step = {k: np.zeros(horizon) for k in keys}
+    per_step = np.zeros((len(ev.keys), horizon))
     records: list[LevelRecord] | None = [] if collect_records else None
 
     histories = np.zeros((1, 0), dtype=np.int64)
@@ -300,10 +314,11 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
             raise BudgetExceededError(visits, node_budget, suggested_samples=100_000)
         true_cond, log_cond, mix_cond, values = ev.step(histories, t, comp_logm, scheme_keys)
         weights = mult * np.exp(comp_logm[:, true_index])
-        for k in keys:
-            per_step[k][t] = float(weights @ values[k])
+        for row, series in enumerate(values):
+            per_step[row, t] = weights @ series
         if records is not None:
-            records.append(LevelRecord(t + 1, histories, weights, mult, values))
+            records.append(LevelRecord(t + 1, histories, weights, mult,
+                                       dict(zip(ev.keys, values))))
         # extend to the next level, pruning zero-probability branches,
         # symbol-major order so output layout is traversal-independent
         parts_h, parts_cm, parts_m = [], [], []
@@ -314,7 +329,7 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
                 continue
             ext = np.full(int(mask.sum()), x, dtype=np.int64)
             parts_h.append(np.hstack([histories[mask], ext[:, None]]))
-            parts_cm.append(comp_logm[mask] + log_cond[mask, :, x])
+            parts_cm.append(comp_logm[mask] + log_cond[:, mask, x].T)
             parts_m.append(mult[mask])
             for parts, scheme, k in zip(parts_k, ev.schemes, scheme_keys):
                 parts.append(scheme.extend_key(k[mask], ext))
@@ -336,15 +351,16 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
     kl_direct = float((mult * np.exp(log_true)) @ (log_true - log_mix_full))
 
     return _build_report("exact", mixture, true_index, labelled, ev.schemes, horizon,
-                         per_step, kl_direct, node_visits=visits, records=records)
+                         dict(zip(ev.keys, per_step)), kl_direct, node_visits=visits,
+                         records=records)
 
 
 def _standard_errors(vals: np.ndarray) -> np.ndarray:
     """Standard error of the mean of each row of a (series, samples) matrix;
-    inf for a row that holds a non-finite value."""
-    finite = np.isfinite(vals).all(axis=1)
-    se = np.full(vals.shape[0], math.inf)
-    se[finite] = vals[finite].std(axis=1, ddof=1) / math.sqrt(vals.shape[1])
+    inf for a row that holds a non-finite value (its std is NaN)."""
+    with np.errstate(invalid="ignore"):
+        se = vals.std(axis=1, ddof=1) / math.sqrt(vals.shape[1])
+    se[~np.isfinite(se)] = math.inf
     return se
 
 
@@ -363,7 +379,7 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
         raise ValueError("need at least 100 samples")
     labelled = _label_losses(losses)
     ev = _StepEvaluator(mixture, true_index, labelled, schemes)
-    keys = _series_keys(labelled, ev.schemes)
+    keys = ev.keys
     rng = np.random.default_rng(seed)
 
     # one row per series: per-step means and standard errors, and each
@@ -380,9 +396,8 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
     rows = np.arange(samples)
 
     for t in range(horizon):
-        true_cond, log_cond, _mix_cond, values = ev.step(histories[:, :t], t, comp_logm,
-                                                         scheme_keys)
-        vals = np.stack([values[k] for k in keys])
+        true_cond, log_cond, _mix_cond, vals = ev.step(histories[:, :t], t, comp_logm,
+                                                       scheme_keys)
         means[:, t] = vals.mean(axis=1)
         se_step[:, t] = _standard_errors(vals)
         running += vals
@@ -390,7 +405,7 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
         # draw next symbols from the true conditionals
         nxt = draw_symbols(true_cond, rng.random(samples))
         log_true_path = log_true_path + np.log(true_cond[rows, nxt])
-        comp_logm = comp_logm + log_cond[rows, :, nxt]
+        comp_logm = comp_logm + log_cond[:, rows, nxt].T
         histories[:, t] = nxt
         scheme_keys = [s.extend_key(k, nxt) for s, k in zip(ev.schemes, scheme_keys)]
 
@@ -439,5 +454,5 @@ def ratio_trace(mixture: MixtureModel, true_index: int, path, horizon: int | Non
         if true_cond[0, at] <= 0.0:
             raise ValueError(f"symbol {at} at step {t + 1} has zero true-measure probability")
         out[t] = mix_cond[0, at] / true_cond[0, at]
-        comp_logm = comp_logm + log_cond[:, :, x]
+        comp_logm = comp_logm + log_cond[:, :, x].T
     return out

@@ -58,11 +58,19 @@ class LossSpec:
         """ell(x, y), vectorized over numpy inputs."""
         raise NotImplementedError
 
-    # -- batch forms (posteriors as rows of a (K, N) array) ---------------------
+    # -- batch forms (posteriors as rows of an (M, N) array) ---------------------
     def bayes_actions(self, posteriors: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def expected_losses(self, true_posteriors: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Expected loss of each action under the matching row of the (M, N)
+        ``true_posteriors``.
+
+        ``actions`` is (M,), one action per row, or (P, M), one row of actions
+        per predictor, each scored against the same posteriors; the result has
+        the shape of ``actions``.  Every form works elementwise per action, so
+        a (P, M) call gives the bits of P separate (M,) calls.
+        """
         x0 = self.loss(0, actions)
         x1 = self.loss(1, actions)
         return true_posteriors[:, 0] * x0 + true_posteriors[:, 1] * x1

@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 
 def bernoulli_marginal(theta: Fraction, symbols) -> Fraction:
     p = Fraction(1)
@@ -129,3 +131,30 @@ def counterexample_offsymbol_ratio(horizon):
         log_true += math.log1p(-p_true)
         log_other += math.log1p(-p_other)
     return out
+
+
+def distance_terms(y, z):
+    """Per-symbol terms of the five distances and the ratio term for
+    row-aligned (M, N) arrays, each computed elementwise in numpy."""
+    diff = y - z
+    gap = np.sqrt(y) - np.sqrt(z)
+    ratio_gap = np.sqrt(z) - np.sqrt(y)
+    infinite = (y > 0.0) & (z == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.where((y > 0.0) & ~infinite, np.log(y / z), 0.0)
+    return {"absolute": np.abs(diff), "square": diff * diff, "hellinger": gap * gap,
+            "kl": np.where(infinite, np.inf, y * log_ratio),
+            "abs_divergence": np.where(infinite, np.inf, y * np.abs(log_ratio)),
+            "ratio_term": np.where(y > 0.0, ratio_gap * ratio_gap, 0.0)}
+
+
+def left_to_right_row_sums(terms) -> list[float]:
+    """Row sums of an (M, N) array in Python floats, ((t0 + t1) + t2) + ...,
+    whatever order numpy's own reductions use."""
+    sums = []
+    for row in terms.tolist():
+        acc = row[0]
+        for v in row[1:]:
+            acc = acc + v
+        sums.append(acc)
+    return sums

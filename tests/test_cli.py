@@ -135,6 +135,32 @@ class TestCheckInequalities:
         assert captured.err.startswith(f"config error: {flag}: ")
         assert captured.out == ""
 
+    # RuntimeWarnings are errors in this suite, so a warning from np.geomspace
+    # or from f1/f2 fails these tests before any output is compared.
+    @pytest.mark.parametrize("argv, bad", [
+        (["--a-min", "-1"], "-1.0"),
+        (["--a-max", "inf"], "inf"),
+        (["--a-min", "0"], "0.0"),
+    ])
+    def test_bad_a_end_prints_only_its_config_error(self, capsys, argv, bad):
+        assert run_cli("check-inequalities", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: --a-min/--a-max/--a-count: "
+                                f"a_values must be positive and finite, got {bad}\n")
+        assert captured.out == ""
+
+    def test_infinite_b_prints_only_its_nan_fail_lines(self, capsys):
+        code = run_cli("check-inequalities", "--b-rule", "fixed", "--b-value", "inf",
+                       "--a-count", "3", "--grid", "11")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert captured.out == (
+            "FAIL  proof-ineq-f1[B=inf]: lhs=0 rhs=nan slack=nan tol=1e-12  "
+            "at A=0.1 y=0.0001 z=0.0001 (z<=1/2)\n"
+            "FAIL  proof-ineq-f2[B=inf]: lhs=0 rhs=nan slack=nan tol=1e-12  "
+            "at A=0.1 y=0.5 z=0.5 (z>=1/2)\n")
+
 
 class TestDescribeColumns:
     def test_exit_zero(self, capsys):

@@ -5,6 +5,8 @@ import pytest
 
 from seqpred.distances import distances_batch, instant_distances, ratio_term, ratio_term_batch
 
+from oracles import distance_terms, left_to_right_row_sums
+
 
 def naive_distances(y, z):
     """Straightforward per-term summation oracle."""
@@ -156,3 +158,25 @@ class TestValidation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             instant_distances([0.5, 0.5], [0.3, 0.3, 0.4])
+
+
+class TestColumnSums:
+    """Batch distances add their symbol terms left to right,
+    ((t0 + t1) + t2) + ..., at every alphabet size; numpy's pairwise row sum
+    gives other bits from 8 symbols on."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16])
+    def test_sums_match_explicit_left_to_right_adds(self, n):
+        rng = np.random.default_rng(n)
+        # terms spread over many magnitudes, so the order of the adds shows
+        y = rng.random((60, n)) * 10.0 ** rng.uniform(-9, 0, (60, n))
+        z = rng.random((60, n)) * 10.0 ** rng.uniform(-9, 0, (60, n))
+        y[:10, 0] = 0.0            # outside the support of y
+        z[10:15, n - 1] = 0.0      # kl and abs_divergence are infinite
+        y /= y.sum(axis=1, keepdims=True)
+        z /= z.sum(axis=1, keepdims=True)
+        got = distances_batch(y, z)
+        got["ratio_term"] = ratio_term_batch(y, z)
+        for key, terms in distance_terms(y, z).items():
+            want = left_to_right_row_sums(terms)
+            assert [float(v).hex() for v in got[key]] == [v.hex() for v in want], key

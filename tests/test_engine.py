@@ -15,7 +15,16 @@ from seqpred.engine import (
     monte_carlo_evaluate,
     ratio_trace,
 )
-from seqpred.losses import AbsoluteLoss, ErrorLoss, HellingerLoss, LogLoss, MatrixLoss, QuadraticLoss
+from seqpred.logdomain import log_sum_exp_over_axis
+from seqpred.losses import (
+    AbsoluteLoss,
+    AlphaLoss,
+    ErrorLoss,
+    HellingerLoss,
+    LogLoss,
+    MatrixLoss,
+    QuadraticLoss,
+)
 from seqpred.measures import (
     BernoulliMeasure,
     DeterministicMeasure,
@@ -27,7 +36,12 @@ from seqpred.measures import (
 from seqpred.mixture import MixtureModel
 from seqpred.schemes import ConstantScheme, MajorityVoteScheme, PredictionScheme
 
-from oracles import counterexample_offsymbol_ratio, enumerate_bernoulli_mixture
+from oracles import (
+    counterexample_offsymbol_ratio,
+    distance_terms,
+    enumerate_bernoulli_mixture,
+    left_to_right_row_sums,
+)
 
 THREE_COIN_LOSSES = [ErrorLoss(), AbsoluteLoss(), QuadraticLoss(), HellingerLoss(), LogLoss()]
 
@@ -384,6 +398,140 @@ class TestMergeEqualRows:
         assert merged.tolist() == [5.0, 10.0]
 
 
+def _per_predictor_step(ev, histories, t, comp_logm, scheme_keys):
+    """The step kernel as it was before fusion: history-major (M, K, N)
+    log-conditionals reduced over axis 1, distance terms summed left to right
+    in Python, and one ``bayes_actions`` and ``expected_losses`` call per
+    predictor.  Returns (log_cond, mix_cond, {series: values})."""
+    mats = [c._step_matrix(histories, t) for c in ev.components]
+    y = mats[ev.true_index]
+    with np.errstate(divide="ignore"):
+        log_cond = np.stack([np.log(m) for m in mats], axis=1)
+    prior_terms = ev.log_weights[None, :] + comp_logm
+    log_mix_h = log_sum_exp_over_axis(prior_terms, axis=1)
+    log_mix_hx = log_sum_exp_over_axis(prior_terms[:, :, None] + log_cond, axis=1)
+    z = np.exp(log_mix_hx - log_mix_h[:, None])
+
+    values = {k: np.array(left_to_right_row_sums(v)) for k, v in distance_terms(y, z).items()}
+    for label, loss in ev.losses.items():
+        values[f"mixture_loss[{label}]"] = loss.expected_losses(y, loss.bayes_actions(z))
+        values[f"informed_loss[{label}]"] = loss.expected_losses(y, loss.bayes_actions(y))
+        for scheme, keys in zip(ev.schemes, scheme_keys):
+            values[f"scheme_loss[{scheme.label}|{label}]"] = loss.expected_losses(
+                y, scheme.actions(keys, loss))
+    return log_cond, z, values
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _random_table(rng, n_sym, depth, zero_at=None):
+    """An explicit conditional table over every history shorter than depth."""
+    table = {}
+    for t in range(depth):
+        for h in product(range(n_sym), repeat=t):
+            vec = rng.uniform(0.05, 1.0, n_sym)
+            table[h] = vec / vec.sum()
+    if zero_at is not None:
+        table[zero_at] = np.eye(n_sym)[0]
+    return table
+
+
+def _kernel_case(name):
+    """(mixture, true index, {label: loss}, schemes, depth) of one kernel case."""
+    rng = np.random.default_rng(17)
+    if name == "binary":
+        comps = [MarkovMeasure([[[1.0, 0.0], [0.3, 0.7]], [[0.55, 0.45], [0.0, 1.0]]],
+                               initial=[0.4, 0.6], order=2),
+                 BernoulliMeasure(0.3),
+                 TimeVaryingBinaryMeasure.from_power_law(0.5, 2.0),
+                 ExplicitTableMeasure(_random_table(rng, 2, 6, zero_at=(1, 0)), 2),
+                 DeterministicMeasure.from_pattern([0, 1, 1])]
+        mix = MixtureModel(comps, [0.3, 0.2, 0.2, 0.2, 0.1])
+        losses = {"error": ErrorLoss(), "absolute": AbsoluteLoss(), "quadratic": QuadraticLoss(),
+                  "hellinger": HellingerLoss(), "log": LogLoss(), "alpha-0.5": AlphaLoss(0.5),
+                  "alpha-1": AlphaLoss(1.0), "alpha-1.5": AlphaLoss(1.5),
+                  "alpha-3": AlphaLoss(3.0),
+                  "wide": MatrixLoss([[0.0, 1.0, 0.4], [1.0, 0.0, 0.45]])}
+        return mix, 0, losses, [ConstantScheme(0), MajorityVoteScheme(2)], 6
+    if name == "ternary":
+        comps = [MarkovMeasure(rng.dirichlet(np.ones(3), size=(3, 3)), [0.2, 0.5, 0.3], order=2),
+                 MarkovMeasure([[0.6, 0.3, 0.1], [0.0, 0.5, 0.5], [0.1, 0.2, 0.7]],
+                               initial=[1 / 3] * 3),
+                 ExplicitTableMeasure(_random_table(rng, 3, 4, zero_at=(2,)), 3)]
+        mix = MixtureModel(comps, [0.5, 0.3, 0.2])
+        losses = {"rescaled": MatrixLoss([[0.0, 2.0, 1.0], [1.5, -1.0, 0.5], [0.5, 0.25, 0.0]]),
+                  "wide": MatrixLoss([[0.0, 1.0, 0.5, 0.3], [1.0, 0.0, 0.5, 0.9],
+                                      [0.5, 1.0, 0.0, 0.2]])}
+        return mix, 0, losses, [ConstantScheme(1), MajorityVoteScheme(3)], 4
+    if name == "twelve-coins":
+        thetas = np.linspace(0.04, 0.96, 12)
+        mix = MixtureModel([BernoulliMeasure(float(p)) for p in thetas], np.full(12, 1 / 12))
+        losses = {"error": ErrorLoss(), "quadratic": QuadraticLoss(), "log": LogLoss()}
+        return mix, 5, losses, [MajorityVoteScheme(2)], 6
+    # nine symbols: a pairwise row sum differs from left-to-right adds here
+    comps = [MarkovMeasure(rng.dirichlet(np.ones(9), size=9), rng.dirichlet(np.ones(9))),
+             MarkovMeasure(np.full((9, 9), 1 / 9), np.full(9, 1 / 9))]
+    mix = MixtureModel(comps, [0.6, 0.4])
+    losses = {"square": MatrixLoss(rng.uniform(0.0, 1.0, (9, 9)))}
+    return mix, 0, losses, [ConstantScheme(4), MajorityVoteScheme(9)], 3
+
+
+def _kernel_levels(ev, n_sym, depth):
+    """Every level of the unmerged tree of positive-probability histories:
+    yields (histories, t, comp_logm, scheme_keys, reference step)."""
+    histories = np.zeros((1, 0), dtype=np.int64)
+    comp_logm = np.zeros((1, len(ev.components)))
+    keys = [s.initial_key(1) for s in ev.schemes]
+    for t in range(depth):
+        ref = _per_predictor_step(ev, histories, t, comp_logm, keys)
+        yield histories, t, comp_logm, keys, ref
+        log_cond = ref[0]
+        sym = np.repeat(np.arange(n_sym), histories.shape[0])
+        rows = np.tile(np.arange(histories.shape[0]), n_sym)
+        comp_logm = comp_logm[rows] + log_cond[rows, :, sym]
+        live = np.isfinite(comp_logm[:, ev.true_index])
+        histories = np.hstack([histories[rows], sym[:, None]])[live]
+        keys = [s.extend_key(k[rows], sym)[live] for s, k in zip(ev.schemes, keys)]
+        comp_logm = comp_logm[live]
+
+
+class TestFusedStepKernel:
+    """``_StepEvaluator.step`` gives the bits of the per-predictor kernel."""
+
+    CASES = ("binary", "ternary", "twelve-coins", "nine-symbol")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_step_matches_the_per_predictor_loop_bit_for_bit(self, case):
+        mix, true_index, losses, schemes, depth = _kernel_case(case)
+        ev = _StepEvaluator(mix, true_index, losses, schemes)
+        widths = []
+        for histories, t, comp_logm, keys, ref in _kernel_levels(ev, mix.alphabet.size, depth):
+            ref_log_cond, ref_mix, ref_values = ref
+            true_cond, log_cond, mix_cond, values = ev.step(histories, t, comp_logm, keys)
+            assert log_cond.shape == (len(mix.components),) + true_cond.shape
+            assert np.array_equal(log_cond.transpose(1, 0, 2).view(np.int64),
+                                  ref_log_cond.view(np.int64))
+            assert np.array_equal(mix_cond.view(np.int64), ref_mix.view(np.int64))
+            assert values.shape == (len(ev.keys), histories.shape[0])
+            assert list(ref_values) == ev.keys
+            for key, row in zip(ev.keys, values):
+                assert _hex(row) == _hex(ref_values[key]), (t, key)
+            widths.append(histories.shape[0])
+        assert widths[0] == 1 and max(widths) > 8
+
+    def test_cases_reach_infinite_and_zero_mass_log_losses(self):
+        mix, true_index, losses, schemes, depth = _kernel_case("binary")
+        ev = _StepEvaluator(mix, true_index, losses, schemes)
+        seen = {"inf": False, "zero-mass": False}
+        for histories, t, comp_logm, keys, ref in _kernel_levels(ev, 2, depth):
+            true_cond = mix.components[true_index]._step_matrix(histories, t)
+            seen["zero-mass"] |= bool((true_cond == 0.0).any())
+            seen["inf"] |= bool(np.isposinf(ref[2]["scheme_loss[constant-0|log]"]).any())
+        assert seen == {"inf": True, "zero-mass": True}
+
+
 class TestAlternativeSchemes:
     def test_informed_predictor_is_never_beaten(self):
         schemes = [ConstantScheme(0), MajorityVoteScheme(2)]
@@ -576,7 +724,7 @@ class TestRatioTrace:
             at = x if symbol is None else symbol
             true_cond, log_cond, mix_cond, _ = ev.step(np.array([path[:t]]), t, comp_logm, ())
             want.append(mix_cond[0, at] / true_cond[0, at])
-            comp_logm = comp_logm + log_cond[:, :, x]
+            comp_logm = comp_logm + log_cond[:, :, x].T
         assert np.array_equal(ratio_trace(mix, 0, path, symbol=symbol), want)
 
     def test_zero_probability_symbol_is_a_domain_error(self):

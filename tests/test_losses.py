@@ -188,3 +188,40 @@ class TestFlags:
     def test_alpha_requires_positive_exponent(self):
         with pytest.raises(ValueError):
             AlphaLoss(0.0)
+
+
+class TestStackedActions:
+    """``expected_losses`` scores a (P, M) action array row by row with the
+    bits of P separate (M,) calls: the engine makes one call per loss."""
+
+    @staticmethod
+    def _rows(loss, posteriors, per_predictor):
+        stacked = loss.expected_losses(posteriors, np.stack(per_predictor))
+        assert stacked.shape == (len(per_predictor), posteriors.shape[0])
+        for row, actions in zip(stacked, per_predictor):
+            want = loss.expected_losses(posteriors, actions)
+            assert [float(v).hex() for v in row] == [float(v).hex() for v in want]
+        return stacked
+
+    @pytest.mark.parametrize("loss", CONTINUOUS_LOSSES, ids=repr)
+    def test_binary_losses(self, loss):
+        rng = np.random.default_rng(8)
+        p1 = np.concatenate([rng.random(40), [0.0, 1.0, 0.5]])
+        posteriors = np.stack([1.0 - p1, p1], axis=1)
+        others = np.stack([1.0 - rng.random(43), rng.random(43)], axis=1)
+        per_predictor = [loss.bayes_actions(others), loss.bayes_actions(posteriors),
+                         np.zeros(43), np.ones(43), rng.random(43)]
+        stacked = self._rows(loss, posteriors, per_predictor)
+        if isinstance(loss, LogLoss):
+            # action 0 against mass on symbol 1 is infinite; against zero mass it is 0
+            assert np.isposinf(stacked[2, :40]).all()
+            assert stacked[2, 40] == 0.0 and stacked[3, 41] == 0.0
+
+    def test_non_square_matrix_loss(self):
+        loss = MatrixLoss([[0.0, 3.0, 1.0, 2.0], [2.5, 0.0, 1.0, -1.0], [1.0, 1.0, 0.0, 0.5]])
+        rng = np.random.default_rng(9)
+        posteriors = rng.dirichlet(np.ones(3), size=30)
+        per_predictor = [loss.bayes_actions(rng.dirichlet(np.ones(3), size=30)),
+                         loss.bayes_actions(posteriors),
+                         np.full(30, 3), rng.integers(0, 4, 30)]
+        self._rows(loss, posteriors, per_predictor)
