@@ -12,17 +12,26 @@ informed, and any alternative prediction schemes.
   probability (zero-probability branches are pruned; they carry no
   expectation mass), merging histories whose state is bitwise identical.
   Expectations are exact weighted sums; the work budget counts visited
-  (merged) nodes.
+  (merged) nodes.  Each level's history matrix is built only with
+  ``collect_records``: ``LevelRecord.histories`` is its only reader.
 * ``monte_carlo_evaluate`` samples paths from the true measure and averages.
   Per-step conditionals along each path are computed exactly, so randomness
   enters only through path selection; standard errors come from the sample
   variance across paths (per step, and of per-path cumulative sums for the
-  cumulative series).  Symbols go into one preallocated (samples, horizon)
-  buffer and every series' mean and standard errors are one reduction per
-  step, so S paths of length n cost O(S·n) time and memory.
+  cumulative series).  Only the walk is sequential: per step, the
+  conditionals, one draw of ``samples`` uniforms, the log-marginal update
+  and the extension of every carried state and key.  The rest runs once per
+  block of ``max(1, BLOCK_ROWS // samples)`` steps: one ``evaluate`` over the
+  block's rows, then the means and standard errors of every series as one
+  reduction over the last axis of a (series, steps, samples) array, with the
+  running sums added step by step in place.  A block closes early when a
+  scheme key changes width (whole-history keys grow every step).  No path
+  history is kept: S paths of length n cost O(S·n) time, and the memory the
+  paths hold does not grow with n when every state and key has a fixed
+  width.
 
-Each level is one pass of ``_StepEvaluator.step`` over all its histories,
-with one numpy call per layer:
+Each level (or block) is one pass of ``_StepEvaluator.conditionals`` and
+``evaluate`` over all its rows, with one numpy call per layer:
 
 * the K components' log-conditionals are stacked component-major, (K, M, N)
   for M histories and N symbols, so the mixture's log-sum-exp reduces over
@@ -32,16 +41,19 @@ with one numpy call per layer:
   stacked together, and ``expected_losses`` once on a (P, M) action array
   holding the mixture, informed and every scheme's actions (P = 2 + schemes).
 
-``step`` returns every series as one (series, M) array.
+``evaluate`` returns every series as one (series, M) array.
 
-Both engines carry each scheme's key beside the per-component
-log-marginals: they start from ``initial_key``, extend it by one symbol per
-step with ``extend_key`` and pass it to ``actions(keys, loss)``, so a scheme
-never rescans a history.  The default key is the whole history; majority
-vote carries its symbol counts and a constant scheme carries nothing.
+Both engines carry, beside the per-component log-marginals, each
+component's state and each scheme's key.  They start from ``initial_state``
+and ``initial_key``, extend them by one symbol per step with
+``extend_state`` and ``extend_key``, and pass them to ``_step_matrix(states,
+t)`` and ``actions(keys, loss)``, so nothing rescans a history.  The default
+state and key are the whole history.  Bernoulli, time-varying and
+deterministic measures and constant schemes carry nothing, a Markov chain
+its last ``order`` symbols and majority vote its symbol counts.
 
 The state of a history is the int64 bit pattern of its per-component
-log-marginals together with the ``state_key`` of every component and the
+log-marginals together with the carried state of every component and the
 carried key of every scheme.  Every per-node value and every later state is
 a function of it, so after each tree extension the exact engine keeps one
 node per distinct state, in order of first occurrence, with an
@@ -72,6 +84,8 @@ from .mixture import MixtureModel
 from .schemes import PredictionScheme
 
 DEFAULT_NODE_BUDGET = 2**24
+# rows of one Monte Carlo block: samples x steps evaluated in one pass
+BLOCK_ROWS = 4096
 
 DISTANCE_KEYS = DISTANCE_NAMES + ("ratio_term",)
 
@@ -185,18 +199,22 @@ class _StepEvaluator:
         self.log_weights = mixture.log_weights
         self.keys = _series_keys(losses, self.schemes)
 
-    def step(self, histories: np.ndarray, t: int, comp_logm: np.ndarray,
-             scheme_keys: Sequence[np.ndarray]):
-        """Conditional matrices and per-history values at one level.
+    def conditionals(self, states: Sequence[np.ndarray], t: int):
+        """The true measure's (M, N) conditional matrix at step t and the
+        component-major (K, M, N) stack of log-conditionals; ``states`` holds
+        each component's carried state, one row per history."""
+        mats = [c._step_matrix(s, t) for c, s in zip(self.components, states)]
+        return mats[self.true_index], log_or_neg_inf(np.stack(mats))
 
-        ``scheme_keys`` holds each scheme's carried key, one row per history.
-        Returns (true_cond, log_cond, mix_cond, values): ``log_cond`` is the
-        component-major (K, M, N) stack of log-conditionals and ``values`` one
+    def evaluate(self, true_cond: np.ndarray, log_cond: np.ndarray, comp_logm: np.ndarray,
+                 scheme_keys: Sequence[np.ndarray]):
+        """Per-history values of M rows, which may come from several steps.
+
+        ``comp_logm`` holds each row's component log-marginals and
+        ``scheme_keys`` each scheme's carried key, one row per history.
+        Returns (mix_cond, values): the (M, N) mixture conditionals and one
         (series, M) array whose rows follow ``self.keys``.
         """
-        mats = [c._step_matrix(histories, t) for c in self.components]
-        true_cond = mats[self.true_index]
-        log_cond = log_or_neg_inf(np.stack(mats))                       # (K, M, N)
         prior_terms = self.log_weights[None, :] + comp_logm              # (M, K)
         log_mix_h = log_sum_exp_over_axis(prior_terms, axis=1)           # (M,)
         log_mix_hx = log_sum_exp_over_axis(prior_terms.T[:, :, None] + log_cond, axis=0)  # (M, N)
@@ -216,15 +234,14 @@ class _StepEvaluator:
                                  *(s.actions(k, loss) for s, k in zip(self.schemes, scheme_keys))])
             values[row:row + actions.shape[0]] = loss.expected_losses(true_cond, actions)
             row += actions.shape[0]
-        return true_cond, log_cond, mix_cond, values
+        return mix_cond, values
 
-    def state_keys(self, histories: np.ndarray, t: int, comp_logm: np.ndarray,
-                   scheme_keys: Sequence[np.ndarray]) -> np.ndarray:
-        """One int64 row per history: everything its later values depend on."""
-        cols = [comp_logm.view(np.int64)]
-        cols += [c.state_key(histories, t) for c in self.components]
-        cols += scheme_keys
-        return np.concatenate(cols, axis=1, dtype=np.int64, casting="same_kind")
+
+def _merge_keys(comp_logm: np.ndarray, states: Sequence[np.ndarray],
+                scheme_keys: Sequence[np.ndarray]) -> np.ndarray:
+    """One int64 row per history: everything its later values depend on."""
+    return np.concatenate([comp_logm.view(np.int64), *states, *scheme_keys], axis=1,
+                          dtype=np.int64, casting="same_kind")
 
 
 def _merge_equal_rows(keys: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,19 +317,22 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
     per_step = np.zeros((len(ev.keys), horizon))
     records: list[LevelRecord] | None = [] if collect_records else None
 
-    histories = np.zeros((1, 0), dtype=np.int64)
     comp_logm = np.zeros((1, len(mixture.components)))
+    states = [c.initial_state(1) for c in ev.components]
     scheme_keys = [s.initial_key(1) for s in ev.schemes]
+    # whole histories, built only for the records (their only reader)
+    histories = np.zeros((1, 0), dtype=np.int64) if collect_records else None
     # histories per node, as integer-valued float64: exact below 2**53, and
     # unlike int64 it does not overflow past horizon 62 on binary trees
     mult = np.ones(1)
     visits = 0
 
     for t in range(horizon):
-        visits += histories.shape[0]
+        visits += mult.shape[0]
         if visits > node_budget:
             raise BudgetExceededError(visits, node_budget, suggested_samples=100_000)
-        true_cond, log_cond, mix_cond, values = ev.step(histories, t, comp_logm, scheme_keys)
+        true_cond, log_cond = ev.conditionals(states, t)
+        _mix_cond, values = ev.evaluate(true_cond, log_cond, comp_logm, scheme_keys)
         weights = mult * np.exp(comp_logm[:, true_index])
         for row, series in enumerate(values):
             per_step[row, t] = weights @ series
@@ -322,28 +342,34 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
         # extend to the next level, pruning zero-probability branches,
         # symbol-major order so output layout is traversal-independent
         parts_h, parts_cm, parts_m = [], [], []
+        parts_s = [[] for _ in ev.components]
         parts_k = [[] for _ in ev.schemes]
         for x in range(n_sym):
             mask = true_cond[:, x] > 0.0
             if not mask.any():
                 continue
             ext = np.full(int(mask.sum()), x, dtype=np.int64)
-            parts_h.append(np.hstack([histories[mask], ext[:, None]]))
             parts_cm.append(comp_logm[mask] + log_cond[:, mask, x].T)
             parts_m.append(mult[mask])
+            for parts, comp, st in zip(parts_s, ev.components, states):
+                parts.append(comp.extend_state(st[mask], ext))
             for parts, scheme, k in zip(parts_k, ev.schemes, scheme_keys):
                 parts.append(scheme.extend_key(k[mask], ext))
-        histories = np.vstack(parts_h)
+            if histories is not None:
+                parts_h.append(np.hstack([histories[mask], ext[:, None]]))
         comp_logm = np.vstack(parts_cm)
+        states = [np.concatenate(parts) for parts in parts_s]
         scheme_keys = [np.concatenate(parts) for parts in parts_k]
-        keep, mult = _merge_equal_rows(ev.state_keys(histories, t + 1, comp_logm, scheme_keys),
+        keep, mult = _merge_equal_rows(_merge_keys(comp_logm, states, scheme_keys),
                                        np.concatenate(parts_m))
-        histories = histories[keep]
         comp_logm = comp_logm[keep]
+        states = [st[keep] for st in states]
         scheme_keys = [k[keep] for k in scheme_keys]
+        if histories is not None:
+            histories = np.vstack(parts_h)[keep]
 
     # leaf level: expectation of the full-string log-ratio
-    visits += histories.shape[0]
+    visits += mult.shape[0]
     if visits > node_budget:
         raise BudgetExceededError(visits, node_budget, suggested_samples=100_000)
     log_true = comp_logm[:, true_index]
@@ -356,10 +382,10 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
 
 
 def _standard_errors(vals: np.ndarray) -> np.ndarray:
-    """Standard error of the mean of each row of a (series, samples) matrix;
-    inf for a row that holds a non-finite value (its std is NaN)."""
+    """Standard error of the mean over the last axis (the samples); inf where
+    a row holds a non-finite value (its std is NaN)."""
     with np.errstate(invalid="ignore"):
-        se = vals.std(axis=1, ddof=1) / math.sqrt(vals.shape[1])
+        se = vals.std(axis=-1, ddof=1) / math.sqrt(vals.shape[-1])
     se[~np.isfinite(se)] = math.inf
     return se
 
@@ -381,6 +407,7 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
     ev = _StepEvaluator(mixture, true_index, labelled, schemes)
     keys = ev.keys
     rng = np.random.default_rng(seed)
+    block_steps = max(1, BLOCK_ROWS // samples)
 
     # one row per series: per-step means and standard errors, and each
     # path's running sum for the standard error of the cumulative series
@@ -389,28 +416,39 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
     se_cum = np.empty((len(keys), horizon))
     running = np.zeros((len(keys), samples))
 
-    histories = np.empty((samples, horizon), dtype=np.int64)
+    states = [c.initial_state(samples) for c in ev.components]
     scheme_keys = [s.initial_key(samples) for s in ev.schemes]
-    log_true_path = np.zeros(samples)
     comp_logm = np.zeros((samples, len(mixture.components)))
     rows = np.arange(samples)
 
-    for t in range(horizon):
-        true_cond, log_cond, _mix_cond, vals = ev.step(histories[:, :t], t, comp_logm,
-                                                       scheme_keys)
-        means[:, t] = vals.mean(axis=1)
-        se_step[:, t] = _standard_errors(vals)
-        running += vals
-        se_cum[:, t] = _standard_errors(running)
-        # draw next symbols from the true conditionals
-        nxt = draw_symbols(true_cond, rng.random(samples))
-        log_true_path = log_true_path + np.log(true_cond[rows, nxt])
-        comp_logm = comp_logm + log_cond[:, rows, nxt].T
-        histories[:, t] = nxt
-        scheme_keys = [s.extend_key(k, nxt) for s, k in zip(ev.schemes, scheme_keys)]
+    t = 0
+    while t < horizon:
+        # walk the paths one block of steps ahead, keeping what evaluate needs
+        start, block = t, []
+        widths = [k.shape[1] for k in scheme_keys]
+        while (t < horizon and t - start < block_steps
+               and [k.shape[1] for k in scheme_keys] == widths):
+            true_cond, log_cond = ev.conditionals(states, t)
+            block.append((true_cond, log_cond, comp_logm, *scheme_keys))
+            nxt = draw_symbols(true_cond, rng.random(samples))
+            comp_logm = comp_logm + log_cond[:, rows, nxt].T
+            states = [c.extend_state(st, nxt) for c, st in zip(ev.components, states)]
+            scheme_keys = [s.extend_key(k, nxt) for s, k in zip(ev.schemes, scheme_keys)]
+            t += 1
+        # every block array has its rows on axis -2; free the per-step parts first
+        true_b, log_b, logm_b, *keys_b = [np.concatenate(part, axis=-2) for part in zip(*block)]
+        del block
+        vals = ev.evaluate(true_b, log_b, logm_b, keys_b)[1].reshape(len(keys), t - start, samples)
+        means[:, start:t] = vals.mean(axis=-1)
+        se_step[:, start:t] = _standard_errors(vals)
+        # running sums step by step, in place: the bits of ``running += vals``
+        for j in range(t - start):
+            running = np.add(running, vals[:, j], out=vals[:, j])
+        se_cum[:, start:t] = _standard_errors(vals)
+        running = running.copy()               # lets the block's buffer go
 
     log_mix_full = log_sum_exp_over_axis(mixture.log_weights[None, :] + comp_logm, axis=1)
-    ratios = log_true_path - log_mix_full
+    ratios = comp_logm[:, true_index] - log_mix_full
     kl_direct = float(ratios.mean())
 
     return _build_report("monte-carlo", mixture, true_index, labelled, ev.schemes, horizon,
@@ -442,17 +480,19 @@ def ratio_trace(mixture: MixtureModel, true_index: int, path, horizon: int | Non
     if symbol is not None:
         symbol = mixture.alphabet.check(symbol)
     ev = _StepEvaluator(mixture, true_index, {}, ())
-    histories = np.array([symbols[:horizon]], dtype=np.int64)
+    states = [c.initial_state(1) for c in ev.components]
     comp_logm = np.zeros((1, len(mixture.components)))
     out = np.empty(horizon)
     for t in range(horizon):
         x = symbols[t]
         at = x if symbol is None else symbol
-        true_cond, log_cond, mix_cond, _ = ev.step(histories[:, :t], t, comp_logm, ())
+        true_cond, log_cond = ev.conditionals(states, t)
+        mix_cond, _ = ev.evaluate(true_cond, log_cond, comp_logm, ())
         if true_cond[0, x] <= 0.0:
             raise ValueError(f"path symbol {x} at step {t + 1} has zero true-measure probability")
         if true_cond[0, at] <= 0.0:
             raise ValueError(f"symbol {at} at step {t + 1} has zero true-measure probability")
         out[t] = mix_cond[0, at] / true_cond[0, at]
         comp_logm = comp_logm + log_cond[:, :, x].T
+        states = [c.extend_state(st, np.array([x])) for c, st in zip(ev.components, states)]
     return out

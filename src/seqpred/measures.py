@@ -92,11 +92,20 @@ class SequenceMeasure:
     """Base class for probability measures over symbol sequences.
 
     Subclasses implement ``_step_distribution(history)``: the next-symbol
-    distribution given a *possible* history.  ``_step_matrix`` is the
-    vectorized form used by the evaluation engines; the default loops over
-    rows, and families whose conditionals have closed forms override it.
-    ``state_key`` names the part of a history that all later conditionals
-    depend on; the exact engine merges histories that agree on it.
+    distribution given a *possible* history.
+
+    The evaluation engines see a history only through its *state*: one int64
+    row per history that they start with ``initial_state`` and extend by one
+    symbol per step with ``extend_state``, the protocol prediction schemes
+    follow for their keys.  ``_step_matrix(states, t)`` maps a batch of
+    states at step t to next-symbol distributions.  The default state is
+    the whole history and the default ``_step_matrix`` loops over its rows,
+    so a subclass that only implements ``_step_distribution`` receives
+    histories.  Families whose conditionals depend on less carry less:
+    Bernoulli, time-varying and deterministic measures carry nothing, and a
+    Markov chain its last ``order`` symbols.  The state must fix every later
+    conditional, because the exact engine merges histories that agree on it
+    (and on their log-marginals).
     """
 
     is_deterministic = False
@@ -108,21 +117,21 @@ class SequenceMeasure:
     def _step_distribution(self, history: tuple[int, ...]) -> np.ndarray:
         raise NotImplementedError
 
-    def _step_matrix(self, histories: np.ndarray, t: int) -> np.ndarray:
-        """Next-symbol distributions for a (K, t) batch of histories."""
+    def initial_state(self, n: int) -> np.ndarray:
+        """States of ``n`` empty histories: one int64 row each."""
+        return np.zeros((n, 0), dtype=np.int64)
+
+    def extend_state(self, states: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+        """States of the histories ``states`` stand for, each followed by its
+        symbol.  The default appends the symbol, so the state is the history."""
+        return np.concatenate([states, symbols[:, None]], axis=1)
+
+    def _step_matrix(self, states: np.ndarray, t: int) -> np.ndarray:
+        """Next-symbol distributions for a batch of states at step t (histories
+        of t symbols), one row per state."""
         if t == 0:
-            return np.tile(self._step_distribution(()), (histories.shape[0], 1))
-        return np.stack([self._step_distribution(tuple(int(s) for s in row)) for row in histories])
-
-    def state_key(self, histories: np.ndarray, t: int) -> np.ndarray:
-        """Integer columns that fix every later conditional of each history.
-
-        Histories of one level that agree on this key (and on their
-        log-marginals) have identical futures.  The default is the whole
-        history, which merges nothing; families that depend on less override
-        it.
-        """
-        return histories
+            return np.tile(self._step_distribution(()), (states.shape[0], 1))
+        return np.stack([self._step_distribution(tuple(int(s) for s in row)) for row in states])
 
     # -- public API -------------------------------------------------------------
     def log_marginal(self, string) -> float:
@@ -192,11 +201,11 @@ class BernoulliMeasure(SequenceMeasure):
     def _step_distribution(self, history):
         return self._vec
 
-    def _step_matrix(self, histories, t):
-        return np.tile(self._vec, (histories.shape[0], 1))
+    def _step_matrix(self, states, t):
+        return np.tile(self._vec, (states.shape[0], 1))
 
-    def state_key(self, histories, t):
-        return histories[:, :0]
+    def extend_state(self, states, symbols):
+        return states
 
     def __repr__(self):
         return f"BernoulliMeasure({self.theta})"
@@ -238,14 +247,15 @@ class MarkovMeasure(SequenceMeasure):
             return self.initial
         return self.transitions[tuple(history[-self.order:])]
 
-    def _step_matrix(self, histories, t):
-        if t < self.order:
-            return np.tile(self.initial, (histories.shape[0], 1))
-        ctx = tuple(histories[:, t - self.order + j] for j in range(self.order))
-        return self.transitions[ctx]
+    def extend_state(self, states, symbols):
+        # the last ``order`` symbols; fewer before step ``order``
+        return np.concatenate([states, symbols[:, None]], axis=1)[:, -self.order:]
 
-    def state_key(self, histories, t):
-        return histories[:, max(t - self.order, 0):]
+    def _step_matrix(self, states, t):
+        # context columns counted from the end: a carried state or a whole history
+        if t < self.order:
+            return np.tile(self.initial, (states.shape[0], 1))
+        return self.transitions[tuple(states[:, j - self.order] for j in range(self.order))]
 
     def __repr__(self):
         return f"MarkovMeasure(order={self.order}, N={self.alphabet.size})"
@@ -282,11 +292,11 @@ class DeterministicMeasure(SequenceMeasure):
         vec[self.alphabet.check(self.generator(len(history) + 1))] = 1.0
         return vec
 
-    def _step_matrix(self, histories, t):
-        return np.tile(self._step_distribution((0,) * t), (histories.shape[0], 1))
+    def _step_matrix(self, states, t):
+        return np.tile(self._step_distribution((0,) * t), (states.shape[0], 1))
 
-    def state_key(self, histories, t):
-        return histories[:, :0]
+    def extend_state(self, states, symbols):
+        return states
 
     def log_marginal(self, string) -> float:
         xs = as_symbols(string, self.alphabet)
@@ -332,12 +342,12 @@ class TimeVaryingBinaryMeasure(SequenceMeasure):
         p = self._p(len(history) + 1)
         return np.array([1.0 - p, p])
 
-    def _step_matrix(self, histories, t):
+    def _step_matrix(self, states, t):
         p = self._p(t + 1)
-        return np.tile(np.array([1.0 - p, p]), (histories.shape[0], 1))
+        return np.tile(np.array([1.0 - p, p]), (states.shape[0], 1))
 
-    def state_key(self, histories, t):
-        return histories[:, :0]
+    def extend_state(self, states, symbols):
+        return states
 
     def __repr__(self):
         return "TimeVaryingBinaryMeasure"

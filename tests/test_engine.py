@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from seqpred.engine import (
+    BLOCK_ROWS,
     BudgetExceededError,
     _StepEvaluator,
     _merge_equal_rows,
@@ -32,6 +33,7 @@ from seqpred.measures import (
     MarkovMeasure,
     SequenceMeasure,
     TimeVaryingBinaryMeasure,
+    draw_symbols,
 )
 from seqpred.mixture import MixtureModel
 from seqpred.schemes import ConstantScheme, MajorityVoteScheme, PredictionScheme
@@ -276,8 +278,8 @@ def _brute_force_totals(mixture, true_index, loss, horizon):
     return tot, kl_direct
 
 
-class _CoinWithoutStateKey(SequenceMeasure):
-    """A coin that keeps the base-class ``state_key`` (the whole history)."""
+class _HistoryStateCoin(SequenceMeasure):
+    """A coin that keeps the base-class state (the whole history)."""
 
     def __init__(self, theta):
         super().__init__(BernoulliMeasure(theta).alphabet)
@@ -336,7 +338,7 @@ class TestStateMerging:
             return exact_evaluate(mix, 0, [ErrorLoss(), QuadraticLoss()], 8,
                                   schemes=[ConstantScheme(0)])
 
-        plain, merged = run(_CoinWithoutStateKey(0.2)), run(BernoulliMeasure(0.2))
+        plain, merged = run(_HistoryStateCoin(0.2)), run(BernoulliMeasure(0.2))
         assert plain.node_visits == 2**9 - 1
         assert merged.node_visits < plain.node_visits
         for key in plain.cumulative:
@@ -344,11 +346,11 @@ class TestStateMerging:
                                        rtol=0, atol=1e-12)
 
     def test_float_state_key_is_rejected(self):
-        class FloatKeyCoin(_CoinWithoutStateKey):
-            def state_key(self, histories, t):
-                return histories.astype(float)
+        class FloatStateCoin(_HistoryStateCoin):
+            def extend_state(self, states, symbols):
+                return super().extend_state(states, symbols).astype(float)
 
-        mix = MixtureModel([FloatKeyCoin(0.2), BernoulliMeasure(0.5)], [0.5, 0.5])
+        mix = MixtureModel([FloatStateCoin(0.2), BernoulliMeasure(0.5)], [0.5, 0.5])
         with pytest.raises(TypeError):
             exact_evaluate(mix, 0, [ErrorLoss()], 3)
 
@@ -498,7 +500,8 @@ def _kernel_levels(ev, n_sym, depth):
 
 
 class TestFusedStepKernel:
-    """``_StepEvaluator.step`` gives the bits of the per-predictor kernel."""
+    """``_StepEvaluator.conditionals`` and ``evaluate`` give the bits of the
+    per-predictor kernel."""
 
     CASES = ("binary", "ternary", "twelve-coins", "nine-symbol")
 
@@ -509,7 +512,9 @@ class TestFusedStepKernel:
         widths = []
         for histories, t, comp_logm, keys, ref in _kernel_levels(ev, mix.alphabet.size, depth):
             ref_log_cond, ref_mix, ref_values = ref
-            true_cond, log_cond, mix_cond, values = ev.step(histories, t, comp_logm, keys)
+            # every shipped measure reads its state from a whole history too
+            true_cond, log_cond = ev.conditionals([histories] * len(mix.components), t)
+            mix_cond, values = ev.evaluate(true_cond, log_cond, comp_logm, keys)
             assert log_cond.shape == (len(mix.components),) + true_cond.shape
             assert np.array_equal(log_cond.transpose(1, 0, 2).view(np.int64),
                                   ref_log_cond.view(np.int64))
@@ -608,6 +613,110 @@ class TestCarriedSchemeKeys:
                            schemes=[FloatKeyScheme(2)])
 
 
+def _per_step_monte_carlo(mixture, true_index, losses, horizon, samples, seed, schemes):
+    """The Monte Carlo loop before blocking: one ``evaluate`` call per step,
+    whole histories from a (samples, horizon) buffer as every component's
+    state, running sums added per step and the true path's log-probability
+    summed on its own.  Returns (series names, {field: (series, horizon)},
+    kl_direct, kl_direct_se)."""
+    ev = _StepEvaluator(mixture, true_index, losses, schemes)
+    rng = np.random.default_rng(seed)
+    histories = np.empty((samples, horizon), dtype=np.int64)
+    keys = [s.initial_key(samples) for s in ev.schemes]
+    comp_logm = np.zeros((samples, len(ev.components)))
+    log_true_path = np.zeros(samples)
+    running = np.zeros((len(ev.keys), samples))
+    rows = np.arange(samples)
+    out = {"per_step": [], "se_per_step": [], "se_cumulative": []}
+    for t in range(horizon):
+        true_cond, log_cond = ev.conditionals([histories[:, :t]] * len(ev.components), t)
+        vals = ev.evaluate(true_cond, log_cond, comp_logm, keys)[1]
+        out["per_step"].append(vals.mean(axis=1))
+        out["se_per_step"].append(_standard_errors(vals))
+        running += vals
+        out["se_cumulative"].append(_standard_errors(running))
+        nxt = draw_symbols(true_cond, rng.random(samples))
+        log_true_path = log_true_path + np.log(true_cond[rows, nxt])
+        comp_logm = comp_logm + log_cond[:, rows, nxt].T
+        histories[:, t] = nxt
+        keys = [s.extend_key(k, nxt) for s, k in zip(ev.schemes, keys)]
+    ratios = log_true_path - log_sum_exp_over_axis(ev.log_weights[None, :] + comp_logm, axis=1)
+    return (ev.keys, {k: np.array(v).T for k, v in out.items()}, float(ratios.mean()),
+            float(_standard_errors(ratios[None, :])[0]))
+
+
+def _blocked_case(name):
+    """(mixture, true index, {label: loss}, schemes) of one blocking case."""
+    losses = {"error": ErrorLoss(), "log": LogLoss(),
+              "wide": MatrixLoss([[0.0, 1.0, 0.4], [1.0, 0.0, 0.45]])}
+    schemes = [ConstantScheme(0), MajorityVoteScheme(2)]
+    # the order-2 chain's state widens to two symbols by step 2
+    chain = MarkovMeasure([[[0.9, 0.1], [0.0, 1.0]], [[0.35, 0.65], [0.6, 0.4]]],
+                          initial=[0.5, 0.5], order=2)
+    comps = [chain, BernoulliMeasure(0.3), TimeVaryingBinaryMeasure.from_power_law(0.5, 1.0),
+             DeterministicMeasure.from_pattern([0, 1, 1])]
+    if name == "table":
+        table = _random_table(np.random.default_rng(23), 2, 7, zero_at=(0, 1))
+        comps = [ExplicitTableMeasure(table, 2), *comps]
+    if name == "history-key":
+        schemes.append(_HistoryMajority(2))
+    return MixtureModel(comps, np.full(len(comps), 1.0 / len(comps))), 0, losses, schemes
+
+
+class TestBlockedMonteCarlo:
+    """Blocks of steps give the bits of the per-step loop."""
+
+    # (case, samples, horizon, rows of each evaluate call): 40, 13 and 1
+    # steps per block; whole-history scheme keys widen every step, which
+    # closes every block after one step
+    CASES = [("mixed", 100, 50, [4000, 1000]),
+             ("mixed", 300, 50, [3900] * 3 + [3300]),
+             ("mixed", 5000, 12, [5000] * 12),
+             ("table", 100, 7, [700]),
+             ("history-key", 300, 20, [300] * 20)]
+
+    @pytest.mark.parametrize("case, samples, horizon, block_rows", CASES,
+                             ids=[f"{c[0]}-{c[1]}" for c in CASES])
+    def test_matches_the_per_step_loop_bit_for_bit(self, monkeypatch, case, samples, horizon,
+                                                   block_rows):
+        assert BLOCK_ROWS == 4096
+        mix, true_index, losses, schemes = _blocked_case(case)
+        seen = []
+        evaluate = _StepEvaluator.evaluate
+
+        def counting(ev, true_cond, *args):
+            seen.append(true_cond.shape[0])
+            return evaluate(ev, true_cond, *args)
+
+        monkeypatch.setattr(_StepEvaluator, "evaluate", counting)
+        mc = monte_carlo_evaluate(mix, true_index, losses, horizon, samples=samples, seed=8,
+                                  schemes=schemes)
+        assert seen == block_rows
+        names, want, kl_direct, kl_direct_se = _per_step_monte_carlo(
+            mix, true_index, losses, horizon, samples, 8, schemes)
+        assert list(mc.per_step) == names
+        for field, rows in want.items():
+            for key, row in zip(names, rows):
+                assert _hex(getattr(mc, field)[key]) == _hex(row), (field, key)
+        assert float(mc.kl_direct).hex() == kl_direct.hex()
+        assert float(mc.kl_direct_se).hex() == kl_direct_se.hex()
+        # the constant scheme's log loss is infinite on every path
+        assert np.isposinf(mc.se_cumulative["scheme_loss[constant-0|log]"]).all()
+
+    def test_bernoulli_paths_carry_no_history(self, monkeypatch):
+        """Bernoulli components carry no state: no array grows with the horizon."""
+        widths = []
+        step_matrix = BernoulliMeasure._step_matrix
+
+        def recording(measure, states, t):
+            widths.append(states.shape[1])
+            return step_matrix(measure, states, t)
+
+        monkeypatch.setattr(BernoulliMeasure, "_step_matrix", recording)
+        monte_carlo_evaluate(three_coin_mixture(), 0, [ErrorLoss()], 30, samples=100, seed=1)
+        assert widths == [0] * 90
+
+
 class TestMonteCarlo:
     def test_degenerate_truth_is_zero_variance_and_exact(self):
         mix = MixtureModel([DeterministicMeasure.from_pattern([0, 1]), BernoulliMeasure(0.5)],
@@ -680,6 +789,8 @@ class TestMonteCarlo:
         assert se[1] == se[2] == math.inf
         for row in (0, 3):
             assert se[row] == float(vals[row].std(ddof=1) / math.sqrt(150))
+        # a (series, steps, samples) block reduces over its last axis alike
+        assert np.array_equal(_standard_errors(vals.reshape(2, 2, 150)), se.reshape(2, 2))
 
     def test_counterexample_run_is_finite_and_on_the_zero_path(self):
         mix = MixtureModel([TimeVaryingBinaryMeasure.from_power_law(0.5, 3.0),
@@ -722,7 +833,9 @@ class TestRatioTrace:
         want = []
         for t, x in enumerate(path):
             at = x if symbol is None else symbol
-            true_cond, log_cond, mix_cond, _ = ev.step(np.array([path[:t]]), t, comp_logm, ())
+            history = np.array([path[:t]])
+            true_cond, log_cond = ev.conditionals([history, history], t)
+            mix_cond, _ = ev.evaluate(true_cond, log_cond, comp_logm, ())
             want.append(mix_cond[0, at] / true_cond[0, at])
             comp_logm = comp_logm + log_cond[:, :, x].T
         assert np.array_equal(ratio_trace(mix, 0, path, symbol=symbol), want)
