@@ -34,7 +34,6 @@ from .losses import (
 from .schemes import ConstantScheme, MajorityVoteScheme, PredictionScheme
 from .engine import (
     BudgetExceededError,
-    LevelRecord,
     TotalsReport,
     exact_evaluate,
     monte_carlo_evaluate,
@@ -43,6 +42,7 @@ from .engine import (
 from .bounds import (
     BoundCheckResult,
     InequalityPoint,
+    InstantChecks,
     check_convergence_bounds,
     check_finite_loss_plateau,
     check_instant_bounds,

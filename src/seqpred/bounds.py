@@ -24,10 +24,11 @@ Certified families:
 * log-loss: the exact regret == cumulative-KL identity.
 * instantaneous: per-history regret chains (through the absolute distance
   and through the KL with the informed loss) and the aggregated
-  squared-regret budget.  They read the exact engine's LevelRecords: each
-  chain's sides are arrays over one tree level's nodes, and the reported
-  location is the first node, in level then node order, with the smallest
-  slack.
+  squared-regret budget.  An ``InstantChecks`` accumulator observes the
+  exact walk level by level: each chain's sides are arrays over one tree
+  level's nodes, it keeps only each chain's running minimum and each loss's
+  running squared-regret sum, and the reported location is the first node,
+  in level then node order, with the smallest slack.
 * proof inequalities: the two reduced binary inequality functions f1, f2
   (and their reduced polynomial forms g1, g2) verified over (A, y, z) grids
   for a given B(A) rule.
@@ -40,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import LevelRecord, TotalsReport
+from .engine import TotalsReport
 
 EXACT_TOL = 1e-9
 GRID_TOL = 1e-12
@@ -254,61 +255,83 @@ def _sqrt_pos(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(x, 0.0))
 
 
-def _min_slacks(records: Sequence[LevelRecord], chains, tolerance: float) -> list[BoundCheckResult]:
-    """One result per chain, at its first node in level then node order with
-    the smallest rhs - lhs; ``chains(level)`` maps bound ids to (lhs, rhs)
-    arrays over the level's nodes."""
-    best = {}
-    for rec in records:
-        for bound_id, (lhs, rhs) in chains(rec).items():
+class InstantChecks:
+    """Per-history instantaneous chains, accumulated while the exact engine
+    walks the tree: pass it as ``exact_evaluate``'s ``observer``.
+
+    Per chain it keeps the smallest slack with its lhs, rhs and location;
+    within a level the first node with the smallest slack counts, and a
+    later level replaces it only with a strictly smaller slack.  Per loss it
+    keeps the squared-regret sum, added left to right in level then node
+    order.  ``len()`` is the number of levels observed.
+    """
+
+    def __init__(self, labels: Sequence[str]):
+        self.labels = tuple(labels)
+        self.levels = 0
+        self._best: dict[str, tuple] = {}      # bound id -> (slack, lhs, rhs, location)
+        self._squared = {label: 0.0 for label in self.labels}
+
+    def __len__(self) -> int:
+        return self.levels
+
+    def __call__(self, step, weights, multiplicity, values, history) -> None:
+        self.levels += 1
+        d, a = values["kl"], values["absolute"]
+        chains = {"instant-absdiv-minus-kl<=abs": (values["abs_divergence"] - d, a),
+                  "instant-abs<=sqrt-2kl": (a, _sqrt_pos(2.0 * d))}
+        for label in self.labels:
+            l_inf = values[f"informed_loss[{label}]"]
+            gap = values[f"mixture_loss[{label}]"] - l_inf
+            chains[f"instant-regret-nonneg[{label}]"] = (np.zeros(gap.size), gap)
+            chains[f"instant-regret<=abs[{label}]"] = (gap, a)
+            chains[f"instant-regret<=kl-form[{label}]"] = (gap, 2.0 * d + 2.0 * _sqrt_pos(l_inf * d))
+            # cumsum adds left to right, where sum and @ add pairwise and
+            # would change the last bits
+            self._squared[label] = np.cumsum(
+                np.concatenate([[self._squared[label]], weights * gap * gap]))[-1]
+        for bound_id, (lhs, rhs) in chains.items():
             slack = rhs - lhs
             i = int(np.argmin(slack))
-            if bound_id not in best or slack[i] < best[bound_id][0]:
-                h = "".join(map(str, rec.histories[i].tolist())) or "(empty)"
-                best[bound_id] = (slack[i], float(lhs[i]), float(rhs[i]), f"t={rec.step} history={h}")
-    return [BoundCheckResult(bound_id, lhs, rhs, tolerance, "exact", location=location)
-            for bound_id, (_, lhs, rhs, location) in best.items()]
+            best = self._best.get(bound_id)
+            if best is None or slack[i] < best[0]:
+                h = "".join(map(str, history(i))) or "(empty)"
+                self._best[bound_id] = (slack[i], float(lhs[i]), float(rhs[i]), f"t={step} history={h}")
+
+    def result(self, chain: str, tolerance: float, bound_id: str | None = None) -> BoundCheckResult:
+        """One chain at its minimal-slack history, reported as ``bound_id``."""
+        _, lhs, rhs, location = self._best[chain]
+        return BoundCheckResult(bound_id or chain, lhs, rhs, tolerance, "exact", location=location)
+
+    def squared_regret_sum(self, label: str) -> float:
+        return float(self._squared[label])
 
 
-def check_instant_bounds(records: Sequence[LevelRecord], report: TotalsReport,
+def check_instant_bounds(records: InstantChecks, report: TotalsReport,
                          label: str, *, tolerance: float = EXACT_TOL) -> list[BoundCheckResult]:
     """Per-history regret chains for one bounded loss, plus the aggregated
-    squared-regret budget.  Each chain is reported at its minimal-slack
-    history so near-violations are reproducible."""
+    squared-regret budget, from the accumulator that observed the exact
+    walk.  Each chain is reported at its minimal-slack history so
+    near-violations are reproducible."""
     loss = report.losses[label]
     if not loss.bounded:
         raise ValueError(f"loss {label!r} is unbounded; instantaneous chains assume losses in [0, 1]")
-    mix_key, inf_key = f"mixture_loss[{label}]", f"informed_loss[{label}]"
-
-    def chains(rec):
-        v = rec.values
-        l_inf, d, a = v[inf_key], v["kl"], v["absolute"]
-        gap = v[mix_key] - l_inf
-        return {f"instant-regret-nonneg[{label}]": (np.zeros(gap.size), gap),
-                f"instant-regret<=abs[{label}]": (gap, a),
-                f"instant-abs<=sqrt-2kl[{label}]": (a, _sqrt_pos(2.0 * d)),
-                f"instant-regret<=kl-form[{label}]": (gap, 2.0 * d + 2.0 * _sqrt_pos(l_inf * d))}
-
-    results = _min_slacks(records, chains, tolerance)
-    # a left-to-right running sum in node order: cumsum adds sequentially,
-    # where sum and @ add pairwise and would change the last bits
-    gaps = [rec.values[mix_key] - rec.values[inf_key] for rec in records]
-    terms = [rec.weights * gap * gap for rec, gap in zip(records, gaps)]
-    agg = float(np.cumsum(np.concatenate([[0.0], *terms]))[-1])
-    results.append(BoundCheckResult(f"squared-regret-sum<=2kl[{label}]", agg,
+    # the abs <= sqrt(2 kl) chain is loss-free; each loss reports it under its own id
+    results = [records.result(f"instant-regret-nonneg[{label}]", tolerance),
+               records.result(f"instant-regret<=abs[{label}]", tolerance),
+               records.result("instant-abs<=sqrt-2kl", tolerance, f"instant-abs<=sqrt-2kl[{label}]"),
+               records.result(f"instant-regret<=kl-form[{label}]", tolerance)]
+    results.append(BoundCheckResult(f"squared-regret-sum<=2kl[{label}]",
+                                    records.squared_regret_sum(label),
                                     2.0 * report.total("kl"), tolerance, "exact"))
     return results
 
 
-def check_instant_distance_bounds(records: Sequence[LevelRecord], *,
+def check_instant_distance_bounds(records: InstantChecks, *,
                                   tolerance: float = EXACT_TOL) -> list[BoundCheckResult]:
     """Per-history absolute-distance sandwich (loss-free form)."""
-    def chains(rec):
-        v = rec.values
-        return {"instant-absdiv-minus-kl<=abs": (v["abs_divergence"] - v["kl"], v["absolute"]),
-                "instant-abs<=sqrt-2kl": (v["absolute"], _sqrt_pos(2.0 * v["kl"]))}
-
-    return _min_slacks(records, chains, tolerance)
+    return [records.result("instant-absdiv-minus-kl<=abs", tolerance),
+            records.result("instant-abs<=sqrt-2kl", tolerance)]
 
 
 # -- proof inequalities ------------------------------------------------------------

@@ -29,12 +29,15 @@ EXIT_FAIL = 2
 
 def run_experiment(config: ExperimentConfig) -> tuple[TotalsReport, list[BoundCheckResult]]:
     """Execute the configured engine and checks; no file output."""
-    want_records = "instant-bounds" in config.checks
+    instant = None
+    if "instant-bounds" in config.checks:
+        instant = bound_checks.InstantChecks(
+            [label for label, loss in config.losses.items() if loss.bounded])
     if config.engine == "exact":
         report = exact_evaluate(config.mixture, config.true_index, config.losses,
                                 config.horizon, schemes=config.schemes,
-                                node_budget=config.node_budget,
-                                collect_records=want_records)
+                                node_budget=config.node_budget, observer=instant)
+        report.records = instant
     else:
         report = monte_carlo_evaluate(config.mixture, config.true_index, config.losses,
                                       config.horizon, samples=config.samples,

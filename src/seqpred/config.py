@@ -265,7 +265,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if name not in KNOWN_CHECKS:
             raise ConfigError(f"checks[{i}]", f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
     if "instant-bounds" in checks and engine != "exact":
-        raise ConfigError("checks", "instant-bounds needs per-history records (exact engine only)")
+        raise ConfigError("checks", "instant-bounds needs the exact engine")
 
     grid_raw = raw.get("proof_grid", {})
     _require_keys(grid_raw, "proof_grid", (),

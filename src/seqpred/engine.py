@@ -12,8 +12,10 @@ informed, and any alternative prediction schemes.
   probability (zero-probability branches are pruned; they carry no
   expectation mass), merging histories whose state is bitwise identical.
   Expectations are exact weighted sums; the work budget counts visited
-  (merged) nodes.  Each level's history matrix is built only with
-  ``collect_records``: ``LevelRecord.histories`` is its only reader.
+  (merged) nodes.  An ``observer`` sees each level as it is walked: its
+  weights, multiplicities and per-node values, and the first-seen history
+  of any node, rebuilt from per-level parent links.  The links are the
+  only per-level data kept, and only when an observer is given.
 * ``monte_carlo_evaluate`` samples paths from the true measure and averages.
   Per-step conditionals along each path are computed exactly, so randomness
   enters only through path selection; standard errors come from the sample
@@ -72,7 +74,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -82,6 +85,9 @@ from .losses import LossSpec
 from .measures import as_symbols, draw_symbols
 from .mixture import MixtureModel
 from .schemes import PredictionScheme
+
+if TYPE_CHECKING:
+    from .bounds import InstantChecks
 
 DEFAULT_NODE_BUDGET = 2**24
 # rows of one Monte Carlo block: samples x steps evaluated in one pass
@@ -101,25 +107,6 @@ class BudgetExceededError(RuntimeError):
         )
 
 
-@dataclass(frozen=True, eq=False)
-class LevelRecord:
-    """The nodes of one tree level as row-aligned arrays (exact engine only).
-
-    Row i is one node.  It stands for ``multiplicity[i]`` histories with one
-    bitwise-identical state, hence identical per-history values;
-    ``histories[i]`` is the first of them in enumeration order and
-    ``weights[i]`` their summed true-measure probability.  ``values`` maps
-    the engine's series names (DISTANCE_KEYS and the loss series) to
-    per-node arrays.
-    """
-
-    step: int                    # 1-based; histories have step - 1 symbols
-    histories: np.ndarray        # (nodes, step - 1) int64
-    weights: np.ndarray
-    multiplicity: np.ndarray     # integer-valued float64
-    values: dict[str, np.ndarray]
-
-
 @dataclass
 class TotalsReport:
     """Per-step expectations and their cumulative totals over the horizon.
@@ -129,9 +116,11 @@ class TotalsReport:
     ``mixture_loss[<label>]``, ``informed_loss[<label>]`` and
     ``scheme_loss[<scheme>|<label>]``.  ``kl_direct`` is the expectation of
     the full-string log-ratio log(true/mixture), which must telescope to the
-    cumulative kl series (exact engine).  ``records`` holds one LevelRecord
-    per step when the exact engine ran with ``collect_records``; the
-    per-history checks read it.
+    cumulative kl series (exact engine).  ``records`` holds the
+    ``bounds.InstantChecks`` that observed the exact walk when the instant
+    checks run, else None.  It keeps no per-level data; the field is still
+    called ``records`` because the benchmark counts ``len(report.records)``,
+    and the accumulator's ``len()`` is the number of levels it observed.
     """
 
     horizon: int
@@ -152,7 +141,7 @@ class TotalsReport:
     se_per_step: dict[str, np.ndarray] | None = None
     se_cumulative: dict[str, np.ndarray] | None = None
     kl_direct_se: float | None = None
-    records: list[LevelRecord] | None = field(default=None, repr=False)
+    records: InstantChecks | None = field(default=None, repr=False)
 
     @property
     def log_inv_true_weight(self) -> float:
@@ -206,6 +195,13 @@ class _StepEvaluator:
         mats = [c._step_matrix(s, t) for c, s in zip(self.components, states)]
         return mats[self.true_index], log_or_neg_inf(np.stack(mats))
 
+    def mixture_conditionals(self, log_cond: np.ndarray, comp_logm: np.ndarray) -> np.ndarray:
+        """The (M, N) mixture conditionals: a ratio of mixture marginals."""
+        prior_terms = self.log_weights[None, :] + comp_logm              # (M, K)
+        log_mix_h = log_sum_exp_over_axis(prior_terms, axis=1)           # (M,)
+        log_mix_hx = log_sum_exp_over_axis(prior_terms.T[:, :, None] + log_cond, axis=0)  # (M, N)
+        return np.exp(log_mix_hx - log_mix_h[:, None])
+
     def evaluate(self, true_cond: np.ndarray, log_cond: np.ndarray, comp_logm: np.ndarray,
                  scheme_keys: Sequence[np.ndarray]):
         """Per-history values of M rows, which may come from several steps.
@@ -215,11 +211,7 @@ class _StepEvaluator:
         Returns (mix_cond, values): the (M, N) mixture conditionals and one
         (series, M) array whose rows follow ``self.keys``.
         """
-        prior_terms = self.log_weights[None, :] + comp_logm              # (M, K)
-        log_mix_h = log_sum_exp_over_axis(prior_terms, axis=1)           # (M,)
-        log_mix_hx = log_sum_exp_over_axis(prior_terms.T[:, :, None] + log_cond, axis=0)  # (M, N)
-        mix_cond = np.exp(log_mix_hx - log_mix_h[:, None])
-
+        mix_cond = self.mixture_conditionals(log_cond, comp_logm)
         m = true_cond.shape[0]
         values = np.empty((len(self.keys), m))
         distances = distances_batch(true_cond, mix_cond)
@@ -303,25 +295,44 @@ def _build_report(engine: str, mixture, true_index, labelled, schemes, horizon,
     )
 
 
+def _first_history(links, depth: int, node: int) -> list[int]:
+    """The first-seen history of ``node`` at tree level ``depth``, followed
+    back through ``links[:depth]``: per level, each node's parent index in
+    the level above and its last symbol."""
+    symbols = []
+    for parents, last in reversed(links[:depth]):
+        symbols.append(int(last[node]))
+        node = parents[node]
+    return symbols[::-1]
+
+
 def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
                    horizon: int, *, schemes: Sequence[PredictionScheme] = (),
                    node_budget: int = DEFAULT_NODE_BUDGET,
-                   collect_records: bool = False) -> TotalsReport:
+                   observer: Callable | None = None) -> TotalsReport:
     """Exhaustively enumerate all positive-probability histories up to
-    ``horizon`` and return exact expectations of every per-step series."""
+    ``horizon`` and return exact expectations of every per-step series.
+
+    ``observer``, when given, is called once per level, before the level
+    is extended, as ``observer(step, weights, multiplicity, values,
+    history)``: the 1-based step, the nodes' weights and multiplicities,
+    ``values`` mapping each series name to its per-node array, and
+    ``history(i)``, the first-seen history of node i as a list of symbols.
+    The walk never writes to these arrays again, so an observer may keep
+    them.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     labelled = _label_losses(losses)
     ev = _StepEvaluator(mixture, true_index, labelled, schemes)
     n_sym = mixture.alphabet.size
     per_step = np.zeros((len(ev.keys), horizon))
-    records: list[LevelRecord] | None = [] if collect_records else None
 
     comp_logm = np.zeros((1, len(mixture.components)))
     states = [c.initial_state(1) for c in ev.components]
     scheme_keys = [s.initial_key(1) for s in ev.schemes]
-    # whole histories, built only for the records (their only reader)
-    histories = np.zeros((1, 0), dtype=np.int64) if collect_records else None
+    # per level, each node's parent and last symbol: built only for an observer
+    links: list[tuple[np.ndarray, np.ndarray]] = []
     # histories per node, as integer-valued float64: exact below 2**53, and
     # unlike int64 it does not overflow past horizon 62 on binary trees
     mult = np.ones(1)
@@ -336,12 +347,14 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
         weights = mult * np.exp(comp_logm[:, true_index])
         for row, series in enumerate(values):
             per_step[row, t] = weights @ series
-        if records is not None:
-            records.append(LevelRecord(t + 1, histories, weights, mult,
-                                       dict(zip(ev.keys, values))))
+        if observer is not None:
+            observer(t + 1, weights, mult, dict(zip(ev.keys, values)),
+                     partial(_first_history, links, t))
         # extend to the next level, pruning zero-probability branches,
-        # symbol-major order so output layout is traversal-independent
-        parts_h, parts_cm, parts_m = [], [], []
+        # symbol-major order so output layout is traversal-independent;
+        # link the new nodes to their parents unless no observer sees them
+        link = observer is not None and t + 1 < horizon
+        parts_cm, parts_m, parts_p, parts_x = [], [], [], []
         parts_s = [[] for _ in ev.components]
         parts_k = [[] for _ in ev.schemes]
         for x in range(n_sym):
@@ -355,8 +368,9 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
                 parts.append(comp.extend_state(st[mask], ext))
             for parts, scheme, k in zip(parts_k, ev.schemes, scheme_keys):
                 parts.append(scheme.extend_key(k[mask], ext))
-            if histories is not None:
-                parts_h.append(np.hstack([histories[mask], ext[:, None]]))
+            if link:
+                parts_p.append(np.flatnonzero(mask))
+                parts_x.append(ext)
         comp_logm = np.vstack(parts_cm)
         states = [np.concatenate(parts) for parts in parts_s]
         scheme_keys = [np.concatenate(parts) for parts in parts_k]
@@ -365,8 +379,8 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
         comp_logm = comp_logm[keep]
         states = [st[keep] for st in states]
         scheme_keys = [k[keep] for k in scheme_keys]
-        if histories is not None:
-            histories = np.vstack(parts_h)[keep]
+        if link:
+            links.append((np.concatenate(parts_p)[keep], np.concatenate(parts_x)[keep]))
 
     # leaf level: expectation of the full-string log-ratio
     visits += mult.shape[0]
@@ -377,8 +391,7 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
     kl_direct = float((mult * np.exp(log_true)) @ (log_true - log_mix_full))
 
     return _build_report("exact", mixture, true_index, labelled, ev.schemes, horizon,
-                         dict(zip(ev.keys, per_step)), kl_direct, node_visits=visits,
-                         records=records)
+                         dict(zip(ev.keys, per_step)), kl_direct, node_visits=visits)
 
 
 def _standard_errors(vals: np.ndarray) -> np.ndarray:
@@ -482,17 +495,20 @@ def ratio_trace(mixture: MixtureModel, true_index: int, path, horizon: int | Non
     ev = _StepEvaluator(mixture, true_index, {}, ())
     states = [c.initial_state(1) for c in ev.components]
     comp_logm = np.zeros((1, len(mixture.components)))
-    out = np.empty(horizon)
+    # walk the path, keeping each step's rows; evaluate them in one block
+    block = []
     for t in range(horizon):
         x = symbols[t]
         at = x if symbol is None else symbol
         true_cond, log_cond = ev.conditionals(states, t)
-        mix_cond, _ = ev.evaluate(true_cond, log_cond, comp_logm, ())
         if true_cond[0, x] <= 0.0:
             raise ValueError(f"path symbol {x} at step {t + 1} has zero true-measure probability")
         if true_cond[0, at] <= 0.0:
             raise ValueError(f"symbol {at} at step {t + 1} has zero true-measure probability")
-        out[t] = mix_cond[0, at] / true_cond[0, at]
+        block.append((true_cond, log_cond, comp_logm))
         comp_logm = comp_logm + log_cond[:, :, x].T
         states = [c.extend_state(st, np.array([x])) for c, st in zip(ev.components, states)]
-    return out
+    true_b, log_b, logm_b = [np.concatenate(part, axis=-2) for part in zip(*block)]
+    rows = np.arange(horizon)
+    cols = np.array(symbols[:horizon]) if symbol is None else np.full(horizon, symbol)
+    return ev.mixture_conditionals(log_b, logm_b)[rows, cols] / true_b[rows, cols]

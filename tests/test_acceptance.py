@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from seqpred.bounds import (
+    InstantChecks,
     check_convergence_bounds,
     check_instant_bounds,
     check_logloss_identity,
@@ -138,20 +139,33 @@ def test_criterion_06_instantaneous_chains(preset_runs):
     worst = math.inf
     total_histories = 0
     for name in BINARY_RECORD_PRESETS:
-        _, report, _ = preset_runs[name]
-        assert report.records is not None
-        assert [r.step for r in report.records] == list(range(1, report.horizon + 1))
-        histories = int(sum(r.multiplicity.sum() for r in report.records))
+        config, report, _ = preset_runs[name]
+        assert report.records is not None and len(report.records) == report.horizon
+        # the same walk again, with an observer that also counts the
+        # histories each level's nodes stand for
+        checks = InstantChecks(report.records.labels)
+        steps = []
+
+        def observer(step, weights, multiplicity, values, history):
+            steps.append((step, multiplicity.sum()))
+            checks(step, weights, multiplicity, values, history)
+
+        exact_evaluate(config.mixture, config.true_index, config.losses, config.horizon,
+                       schemes=config.schemes, node_budget=config.node_budget, observer=observer)
+        assert [step for step, _ in steps] == list(range(1, report.horizon + 1))
+        histories = int(sum(count for _, count in steps))
         if name == "three-bernoulli":
             # full binary tree: 2^(t-1) histories at step t, merged into nodes
-            for r in report.records:
-                assert r.multiplicity.sum() == 2**(r.step - 1)
+            for step, count in steps:
+                assert count == 2**(step - 1)
             assert histories == 2**report.horizon - 1
         total_histories += histories
         for label, loss in report.losses.items():
             if not loss.bounded:
                 continue
-            for r in check_instant_bounds(report.records, report, label):
+            results = check_instant_bounds(report.records, report, label)
+            assert results == check_instant_bounds(checks, report, label)
+            for r in results:
                 worst = min(worst, r.slack)
     ok = worst >= -1e-9
     _report(6, ok, f"per-history regret chains + aggregated squared-regret budget over "

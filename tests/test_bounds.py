@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from seqpred.bounds import (
     B_RULES,
     BoundCheckResult,
     InequalityPoint,
+    InstantChecks,
     check_convergence_bounds,
     check_finite_loss_plateau,
     check_instant_bounds,
@@ -20,7 +22,7 @@ from seqpred.bounds import (
 )
 from seqpred.distances import instant_distances
 from seqpred.cli import run_experiment
-from seqpred.engine import LevelRecord, exact_evaluate, monte_carlo_evaluate
+from seqpred.engine import _label_losses, exact_evaluate, monte_carlo_evaluate
 from seqpred.losses import ErrorLoss, LogLoss, MatrixLoss, QuadraticLoss
 from seqpred.measures import BernoulliMeasure, DeterministicMeasure
 from seqpred.mixture import MixtureModel
@@ -28,32 +30,61 @@ from seqpred.presets import load_preset
 from seqpred.schemes import ConstantScheme, MajorityVoteScheme
 
 
+class _KeepingChecks(InstantChecks):
+    """The instant checks, also keeping each level's arrays and every node's
+    rebuilt history for the per-node reference loop."""
+
+    def __init__(self, labels):
+        super().__init__(labels)
+        self.kept = []
+
+    def __call__(self, step, weights, multiplicity, values, history):
+        super().__call__(step, weights, multiplicity, values, history)
+        self.kept.append(SimpleNamespace(step=step, weights=weights, values=values,
+                                         histories=[history(i) for i in range(weights.size)]))
+
+
+def _observed(mixture, true_index, losses, horizon, **kwargs):
+    """An exact run whose ``records`` are the instant checks that observed it."""
+    labelled = _label_losses(losses)
+    checks = _KeepingChecks([label for label, loss in labelled.items() if loss.bounded])
+    report = exact_evaluate(mixture, true_index, labelled, horizon, observer=checks, **kwargs)
+    report.records = checks
+    return report
+
+
 @pytest.fixture(scope="module")
 def three_coin_report():
     mix = MixtureModel([BernoulliMeasure(0.2), BernoulliMeasure(0.5), BernoulliMeasure(0.8)],
                        [1 / 3, 1 / 3, 1 - 2 / 3])
-    return exact_evaluate(mix, 0, [ErrorLoss(), QuadraticLoss(), LogLoss()], 10,
-                          schemes=[ConstantScheme(0), MajorityVoteScheme(2)],
-                          collect_records=True)
+    return _observed(mix, 0, [ErrorLoss(), QuadraticLoss(), LogLoss()], 10,
+                     schemes=[ConstantScheme(0), MajorityVoteScheme(2)])
 
 
 @pytest.fixture(scope="module")
 def collapse_report():
     mix = MixtureModel([BernoulliMeasure(0.0), BernoulliMeasure(1.0)], [0.5, 0.5])
-    return exact_evaluate(mix, 1, [ErrorLoss(), LogLoss()], 12, collect_records=True)
+    return _observed(mix, 1, [ErrorLoss(), LogLoss()], 12)
 
 
 @pytest.fixture(scope="module")
 def plateau_report():
     mix = MixtureModel([DeterministicMeasure.from_pattern([0, 1]), BernoulliMeasure(0.5)],
                        [0.1, 0.9])
-    return exact_evaluate(mix, 0, [MatrixLoss([[0, 1], [3, 0]]), LogLoss()], 30,
-                          collect_records=True)
+    return _observed(mix, 0, [MatrixLoss([[0, 1], [3, 0]]), LogLoss()], 30)
 
 
 @pytest.fixture(scope="module")
 def three_symbol_report():
-    report, _ = run_experiment(load_preset("three-symbol"))
+    config = load_preset("three-symbol")
+    report = _observed(config.mixture, config.true_index, config.losses, config.horizon,
+                       schemes=config.schemes)
+    _, results = run_experiment(config)
+    # the CLI's own run certifies the same instant checks
+    instant = [r for r in results if r.bound_id.startswith(("instant-", "squared-regret"))]
+    labels = [lab for lab, loss in report.losses.items() if loss.bounded]
+    want = [r for lab in labels for r in check_instant_bounds(report.records, report, lab)]
+    assert instant == want + check_instant_distance_bounds(report.records)
     return report
 
 
@@ -193,11 +224,11 @@ class TestInstantChecks:
         values = {k: np.array([v]) for k, v in dataclasses.asdict(dist).items()}
         values.update({"ratio_term": np.zeros(1), "mixture_loss[error]": np.array([0.5]),
                        "informed_loss[error]": np.array([0.5])})
-        rec = LevelRecord(step=1, histories=np.zeros((1, 0), dtype=np.int64),
-                          weights=np.ones(1), multiplicity=np.ones(1), values=values)
+        checks = InstantChecks(["error"])
+        checks(1, np.ones(1), np.ones(1), values, lambda i: [])
         mix = MixtureModel([BernoulliMeasure(0.5)], [1.0])
         rep = exact_evaluate(mix, 0, [ErrorLoss()], 1)
-        results = check_instant_bounds([rec], rep, "error")
+        results = check_instant_bounds(checks, rep, "error")
         by_id = {r.bound_id: r for r in results}
         assert by_id["instant-regret-nonneg[error]"].rhs == pytest.approx(0.0, abs=1e-15)
         assert by_id["instant-regret<=abs[error]"].rhs == pytest.approx(0.5, abs=1e-15)
@@ -218,6 +249,7 @@ class TestInstantChecks:
                  check_instant_bounds(collapse_report.records, collapse_report, "error")}
         # at t=1 the regret equals the absolute distance exactly (both 1)
         assert abs(by_id["instant-regret<=abs[error]"].slack) <= 1e-12
+        assert by_id["instant-regret<=abs[error]"].location == "t=1 history=(empty)"
 
     def test_distance_sandwich(self, three_coin_report):
         results = check_instant_distance_bounds(three_coin_report.records)
@@ -228,12 +260,12 @@ class TestInstantChecks:
             check_instant_bounds(three_coin_report.records, three_coin_report, "log")
 
 
-def _reference_instant_checks(records, labels):
-    """The per-node loop in Python floats over the rows of each level: each
-    chain's (lhs, rhs, location) at its first minimal-slack node, and each
-    label's left-to-right squared-regret sum."""
+def _reference_instant_checks(levels, labels):
+    """The per-node loop in Python floats over the rows of each kept level:
+    each chain's (lhs, rhs, location) at its first minimal-slack node, and
+    each label's left-to-right squared-regret sum."""
     best, agg = {}, {label: 0.0 for label in labels}
-    for rec in records:
+    for rec in levels:
         for i in range(rec.weights.size):
             v = {k: float(a[i]) for k, a in rec.values.items()}
             hist = "".join(str(int(s)) for s in rec.histories[i]) or "(empty)"
@@ -261,7 +293,7 @@ class TestInstantChecksMatchPerNodeLoop:
     def test_bit_for_bit(self, fixture, request):
         report = request.getfixturevalue(fixture)
         labels = [lab for lab, loss in report.losses.items() if loss.bounded]
-        chains, agg = _reference_instant_checks(report.records, labels)
+        chains, agg = _reference_instant_checks(report.records.kept, labels)
         results = check_instant_distance_bounds(report.records)
         for label in labels:
             got = check_instant_bounds(report.records, report, label)
@@ -273,21 +305,21 @@ class TestInstantChecksMatchPerNodeLoop:
             assert (r.lhs.hex(), r.rhs.hex(), r.location) == (lhs.hex(), rhs.hex(), location), r.bound_id
 
     def test_ties_go_to_the_first_node_of_the_earliest_level(self):
-        # regret slacks: 0.25 | 0.5 0.125 0.125 | 0.125 0.1875
-        def level(step, gaps):
+        # regret slacks: 0.25 | 0.5 0.125 0.125 | 0.125 0.1875, fed straight
+        # to the accumulator; node i's history is i repeated
+        checks = _KeepingChecks(["error"])
+        for step, gaps in ((1, [0.25]), (2, [0.5, 0.125, 0.125]), (3, [0.125, 0.1875])):
             n = len(gaps)
             values = {k: np.full(n, 0.5) for k in ("absolute", "kl", "abs_divergence")}
             values["mixture_loss[error]"] = np.array(gaps)
             values["informed_loss[error]"] = np.zeros(n)
-            histories = np.repeat(np.arange(n)[:, None], step - 1, axis=1)
-            return LevelRecord(step, histories, np.full(n, 1.0 / n), np.ones(n), values)
-
-        records = [level(1, [0.25]), level(2, [0.5, 0.125, 0.125]), level(3, [0.125, 0.1875])]
+            checks(step, np.full(n, 1.0 / n), np.ones(n), values, lambda i, step=step: [i] * (step - 1))
+        assert len(checks) == 3
         rep = exact_evaluate(MixtureModel([BernoulliMeasure(0.5)], [1.0]), 0, [ErrorLoss()], 1)
-        by_id = {r.bound_id: r for r in check_instant_bounds(records, rep, "error")}
+        by_id = {r.bound_id: r for r in check_instant_bounds(checks, rep, "error")}
         assert by_id["instant-regret-nonneg[error]"].location == "t=2 history=1"
         assert by_id["instant-regret<=abs[error]"].location == "t=2 history=0"
-        chains, _ = _reference_instant_checks(records, ["error"])
+        chains, _ = _reference_instant_checks(checks.kept, ["error"])
         for bound_id, r in by_id.items():
             if bound_id in chains:
                 assert (r.lhs, r.rhs, r.location) == chains[bound_id], bound_id

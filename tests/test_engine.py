@@ -1,16 +1,19 @@
 import math
 import warnings
+from types import SimpleNamespace
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
+from seqpred.bounds import InstantChecks, check_instant_bounds, check_instant_distance_bounds
 from seqpred.engine import (
     BLOCK_ROWS,
     BudgetExceededError,
     _StepEvaluator,
     _merge_equal_rows,
+    _merge_keys,
     _standard_errors,
     exact_evaluate,
     monte_carlo_evaluate,
@@ -196,39 +199,128 @@ class TestExactEngine:
         assert r1.kl_direct == r2.kl_direct
 
 
+def _keep_levels(levels):
+    """A test-side observer: appends every level it sees to ``levels``,
+    with each node's rebuilt history."""
+    def observer(step, weights, multiplicity, values, history):
+        levels.append(SimpleNamespace(step=step, weights=weights, multiplicity=multiplicity,
+                                      values=values,
+                                      histories=[history(i) for i in range(weights.size)]))
+    return observer
+
+
 @pytest.fixture(scope="module")
 def records_report():
-    return exact_evaluate(three_coin_mixture(), 0, [ErrorLoss()], 8,
-                          collect_records=True, schemes=[ConstantScheme(0)])
+    levels = []
+    report = exact_evaluate(three_coin_mixture(), 0, [ErrorLoss()], 8,
+                            schemes=[ConstantScheme(0)], observer=_keep_levels(levels))
+    return report, levels
 
 
 class TestHistoryRecords:
     def test_record_count_is_full_binary_tree(self, records_report):
-        # one LevelRecord per step; a row stands for `multiplicity` histories
-        # sharing one state
-        records = records_report.records
-        assert [r.step for r in records] == list(range(1, 9))
-        for r in records:
+        # the observer sees every step; a row stands for `multiplicity`
+        # histories sharing one state
+        _, levels = records_report
+        assert [r.step for r in levels] == list(range(1, 9))
+        for r in levels:
             assert r.multiplicity.sum() == 2**(r.step - 1)
-            assert r.histories.shape == (r.weights.size, r.step - 1)
-        assert sum(r.multiplicity.sum() for r in records) == 2**8 - 1
+            assert len(r.histories) == r.weights.size
+            assert all(len(h) == r.step - 1 for h in r.histories)
+        assert sum(r.multiplicity.sum() for r in levels) == 2**8 - 1
 
     def test_weights_sum_to_one_per_step(self, records_report):
-        for r in records_report.records:
+        for r in records_report[1]:
             assert r.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_level_arrays_give_the_per_step_series(self, records_report):
-        for r in records_report.records:
-            for key, series in records_report.per_step.items():
+        report, levels = records_report
+        for r in levels:
+            for key, series in report.per_step.items():
                 assert r.values[key].shape == r.weights.shape
                 assert float(r.weights @ r.values[key]) == series[r.step - 1]
 
     def test_per_history_distance_sandwich(self, records_report):
         # absdiv - kl <= abs <= sqrt(2 kl) for every enumerated history
-        for rec in records_report.records:
+        for rec in records_report[1]:
             v = rec.values
             assert (v["abs_divergence"] - v["kl"] <= v["absolute"] + 1e-12).all()
             assert (v["absolute"] <= np.sqrt(np.maximum(2 * v["kl"], 0.0)) + 1e-12).all()
+
+
+def _first_seen_histories(mixture, true_index, schemes, depth):
+    """Brute force over whole histories: every positive-probability history
+    of ``depth`` symbols, in the unmerged walk's order (last symbol slowest),
+    each walked alone from the empty history to its merge key.  Returns the
+    first history of each distinct key, in order of first appearance, and
+    how many histories share each key."""
+    ev = _StepEvaluator(mixture, true_index, {}, schemes)
+    first, count = {}, {}
+    for reversed_history in product(range(mixture.alphabet.size), repeat=depth):
+        history = list(reversed_history[::-1])
+        comp_logm = np.zeros((1, len(ev.components)))
+        states = [c.initial_state(1) for c in ev.components]
+        keys = [s.initial_key(1) for s in ev.schemes]
+        for t, x in enumerate(history):
+            true_cond, log_cond = ev.conditionals(states, t)
+            if true_cond[0, x] <= 0.0:
+                break
+            comp_logm = comp_logm + log_cond[:, :, x].T
+            states = [c.extend_state(st, np.array([x])) for c, st in zip(ev.components, states)]
+            keys = [s.extend_key(k, np.array([x])) for s, k in zip(ev.schemes, keys)]
+        else:
+            key = _merge_keys(comp_logm, states, keys).tobytes()
+            first.setdefault(key, history)
+            count[key] = count.get(key, 0) + 1
+    return list(first.values()), [count[key] for key in first]
+
+
+class TestParentLinks:
+    H = 8
+
+    @staticmethod
+    def _components(with_table):
+        rng = np.random.default_rng(9)
+        table = {h: [1.0 - p, p] for t in range(TestParentLinks.H)
+                 for h in product((0, 1), repeat=t) for p in [float(rng.uniform(0.05, 0.95))]}
+        comps = [
+            # zero transitions prune the tree; dyadic rows merge many paths
+            MarkovMeasure([[[0.75, 0.25], [0.5, 0.5]], [[0.5, 0.5], [1.0, 0.0]]],
+                          initial=[0.5, 0.5], order=2),
+            TimeVaryingBinaryMeasure(lambda t: 0.25 if t % 2 else 0.5),
+        ]
+        return comps + [ExplicitTableMeasure(table, 2)] if with_table else comps
+
+    @pytest.mark.parametrize("with_table", [False, True], ids=["no-table", "with-table"])
+    def test_rebuilt_histories_are_the_first_seen_ones(self, with_table):
+        comps = self._components(with_table)
+        mix = MixtureModel(comps, np.full(len(comps), 1.0 / len(comps)))
+        schemes = [MajorityVoteScheme(2)]
+        levels = []
+        checks = InstantChecks(["m"])
+
+        def observer(*level):
+            _keep_levels(levels)(*level)
+            checks(*level)
+
+        rep = exact_evaluate(mix, 0, {"m": TestStateMerging.LOSS}, self.H, schemes=schemes,
+                             observer=observer)
+        assert [r.step for r in levels] == list(range(1, self.H + 1))
+        assert levels[0].histories == [[]]
+        merged = False
+        for r in levels:
+            want, counts = _first_seen_histories(mix, 0, schemes, r.step - 1)
+            assert r.histories == want, r.step
+            assert r.multiplicity.tolist() == counts, r.step
+            merged |= max(counts) > 1
+        assert merged != with_table   # the table keys on the whole history
+        # every reported location is a rebuilt history of its level, and
+        # the empty history renders as "(empty)"
+        locations = {f"t={r.step} history={''.join(map(str, h)) or '(empty)'}"
+                     for r in levels for h in r.histories}
+        results = check_instant_bounds(checks, rep, "m")[:-1] + check_instant_distance_bounds(checks)
+        assert {r.location for r in results} <= locations
+        assert "t=1 history=(empty)" in locations
 
 
 def _brute_force_totals(mixture, true_index, loss, horizon):
