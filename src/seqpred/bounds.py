@@ -54,6 +54,22 @@ B_RULES: dict[str, Callable[[float], float]] = {
 }
 
 
+@dataclass
+class ProofGridConfig:
+    """The proof-inequality grid; its defaults are those of
+    ``grid_verify_proof_inequalities`` and ``seqpred check-inequalities``."""
+
+    b_rules: tuple = tuple(B_RULES)
+    a_min: float = 0.1
+    a_max: float = 10.0
+    a_count: int = 41
+    grid_points: int = 201
+    edge_margin: float = 1e-4
+
+    def a_values(self) -> np.ndarray:
+        return np.geomspace(self.a_min, self.a_max, self.a_count)
+
+
 @dataclass(frozen=True)
 class BoundCheckResult:
     """Outcome of one certified inequality lhs <= rhs."""
@@ -403,8 +419,8 @@ def proof_inequality_values(point: InequalityPoint) -> dict[str, float]:
 
 def grid_verify_proof_inequalities(b_rule, *,
                                    a_values: Sequence[float] | None = None,
-                                   grid_points: int = 201,
-                                   edge_margin: float = 1e-4,
+                                   grid_points: int = ProofGridConfig.grid_points,
+                                   edge_margin: float = ProofGridConfig.edge_margin,
                                    tolerance: float = GRID_TOL) -> list[BoundCheckResult]:
     """Verify min f1 >= 0 (z <= 1/2) and min f2 >= 0 (z >= 1/2) over grids.
 
@@ -422,7 +438,7 @@ def grid_verify_proof_inequalities(b_rule, *,
         const = float(b_rule)
         rule_name, rule = f"B={const}", lambda a: const
     if a_values is None:
-        a_values = np.geomspace(0.1, 10.0, 41)
+        a_values = ProofGridConfig().a_values()
     if len(a_values) == 0:
         raise ValueError("a_values must not be empty")
     bad = [float(a) for a in a_values if not 0.0 < float(a) < math.inf]

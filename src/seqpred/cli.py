@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bound_checks
-from .bounds import B_RULES, BoundCheckResult, grid_verify_proof_inequalities
+from .bounds import B_RULES, BoundCheckResult, ProofGridConfig, grid_verify_proof_inequalities
 from .config import ConfigError, ExperimentConfig, load_config
 from .engine import BudgetExceededError, TotalsReport, exact_evaluate, monte_carlo_evaluate
 from .reporting import describe_columns, report_json, report_text, write_series_csv
@@ -141,11 +141,12 @@ def main(argv=None) -> int:
                        help="B(A) rule; 'fixed' uses --b-value as a constant")
     p_chk.add_argument("--b-value", type=float, default=None, help="constant B for --b-rule fixed")
     p_chk.add_argument("--a-value", type=float, default=None, help="check a single A instead of the A grid")
-    p_chk.add_argument("--a-min", type=float, default=0.1)
-    p_chk.add_argument("--a-max", type=float, default=10.0)
-    p_chk.add_argument("--a-count", type=int, default=41)
-    p_chk.add_argument("--grid", type=int, default=201, help="points per axis of the (y, z) grid")
-    p_chk.add_argument("--edge-margin", type=float, default=1e-4)
+    p_chk.add_argument("--a-min", type=float, default=ProofGridConfig.a_min)
+    p_chk.add_argument("--a-max", type=float, default=ProofGridConfig.a_max)
+    p_chk.add_argument("--a-count", type=int, default=ProofGridConfig.a_count)
+    p_chk.add_argument("--grid", type=int, default=ProofGridConfig.grid_points,
+                       help="points per axis of the (y, z) grid")
+    p_chk.add_argument("--edge-margin", type=float, default=ProofGridConfig.edge_margin)
     p_chk.set_defaults(func=_cmd_check_inequalities)
 
     p_desc = sub.add_parser("describe-columns", help="document the series CSV columns")

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
+from .bounds import B_RULES, DEFAULT_DEVIATION_EPSILON, ProofGridConfig
+from .engine import DEFAULT_NODE_BUDGET
 from .losses import NAMED_LOSSES, AlphaLoss, LossSpec, MatrixLoss
 from .measures import (BernoulliMeasure, DeterministicMeasure, ExplicitTableMeasure,
                        MarkovMeasure, SequenceMeasure, TimeVaryingBinaryMeasure)
@@ -136,7 +136,10 @@ def loss_from_spec(spec: dict, alphabet_size: int, path: str) -> tuple[str, Loss
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(path, str(exc)) from exc
-    return spec.get("label", kind), loss
+    label = spec.get("label", kind)
+    if not isinstance(label, str):
+        raise ConfigError(f"{path}.label", "expected a string")
+    return label, loss
 
 
 def scheme_from_spec(spec: dict, alphabet_size: int, path: str,
@@ -158,19 +161,6 @@ def scheme_from_spec(spec: dict, alphabet_size: int, path: str,
         _require_keys(spec, path, ("kind",))
         return MajorityVoteScheme(alphabet_size)
     raise ConfigError(f"{path}.kind", f"unknown scheme kind {kind!r}")
-
-
-@dataclass
-class ProofGridConfig:
-    b_rules: tuple = ("1/A+1", "A/4+1/A")
-    a_min: float = 0.1
-    a_max: float = 10.0
-    a_count: int = 41
-    grid_points: int = 201
-    edge_margin: float = 1e-4
-
-    def a_values(self) -> np.ndarray:
-        return np.geomspace(self.a_min, self.a_max, self.a_count)
 
 
 @dataclass
@@ -275,8 +265,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         rules = grid_raw["b_rules"]
         if not isinstance(rules, list) or not rules:
             raise ConfigError("proof_grid.b_rules", "expected a non-empty list")
-        from .bounds import B_RULES
         for i, r in enumerate(rules):
+            if not isinstance(r, str):
+                raise ConfigError(f"proof_grid.b_rules[{i}]", "expected a rule name string")
             if r not in B_RULES:
                 raise ConfigError(f"proof_grid.b_rules[{i}]",
                                   f"unknown rule {r!r}; known: {', '.join(B_RULES)}")
@@ -313,9 +304,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         samples=samples,
         seed=seed,
         checks=list(checks),
-        deviation_epsilon=_number(raw.get("deviation_epsilon", 0.1), "deviation_epsilon",
-                                  minimum=1e-9, maximum=1.0),
-        node_budget=_integer(raw.get("node_budget", 2**24), "node_budget", minimum=1),
+        deviation_epsilon=_number(raw.get("deviation_epsilon", DEFAULT_DEVIATION_EPSILON),
+                                  "deviation_epsilon", minimum=1e-9, maximum=1.0),
+        node_budget=_integer(raw.get("node_budget", DEFAULT_NODE_BUDGET), "node_budget", minimum=1),
         proof_grid=grid,
         outputs=outputs,
     )

@@ -45,22 +45,30 @@ Each level (or block) is one pass of ``_StepEvaluator.conditionals`` and
 
 ``evaluate`` returns every series as one (series, M) array.
 
-Both engines carry, beside the per-component log-marginals, each
-component's state and each scheme's key.  They start from ``initial_state``
-and ``initial_key``, extend them by one symbol per step with
-``extend_state`` and ``extend_key``, and pass them to ``_step_matrix(states,
-t)`` and ``actions(keys, loss)``, so nothing rescans a history.  The default
-state and key are the whole history.  Bernoulli, time-varying and
-deterministic measures and constant schemes carry nothing, a Markov chain
-its last ``order`` symbols and majority vote its symbol counts.
+The state of a history is one ``_Rows`` row: its per-component
+log-marginals, each component's carried state and each scheme's carried
+key.  ``_Rows`` holds M of them; ``take(idx)`` selects rows.  The three
+walks -- the exact tree, the Monte Carlo paths and ``ratio_trace`` -- start
+from ``_StepEvaluator.start(n)`` and grow by one rule,
+``_StepEvaluator.extend(rows, log_p, symbols)``: add each row's component
+log-conditionals of its symbol, then ``extend_state`` and ``extend_key``
+with that symbol.  The caller picks the parents first: the exact engine
+takes every (parent, symbol) of positive true probability, symbol-major
+(all children by symbol 0, then by symbol 1, ...); Monte Carlo extends each
+path by its drawn symbol, the trace by the path's next symbol.  States and
+keys feed ``_step_matrix(states, t)`` and ``actions(keys, loss)``, so
+nothing rescans a history.  The default state and key are the whole
+history.  Bernoulli, time-varying and deterministic measures and constant
+schemes carry nothing, a Markov chain its last ``order`` symbols and
+majority vote its symbol counts.  ``log_ratio(rows)`` gives each row's
+full-history log(true/mixture), the ``kl_direct`` of both engines.
 
-The state of a history is the int64 bit pattern of its per-component
-log-marginals together with the carried state of every component and the
-carried key of every scheme.  Every per-node value and every later state is
-a function of it, so after each tree extension the exact engine keeps one
-node per distinct state, in order of first occurrence, with an
-integer-valued multiplicity; merged nodes give bit-identical values and only
-the order of the weighted sum changes.  The key is bitwise and not
+``_Rows.merge_key`` packs a row into int64s: the bit pattern of the
+log-marginals, then every carried state and key.  Every per-node value and
+every later state is a function of it, so after each tree extension the
+exact engine keeps one node per distinct key, in order of first occurrence,
+with an integer-valued multiplicity; merged nodes give bit-identical values
+and only the order of the weighted sum changes.  The key is bitwise and not
 count-based: log-marginals summed along different orderings of the same
 counts may round differently, and on threshold losses a one-ulp difference
 can flip the Bayes action of a posterior sitting on the threshold, so
@@ -75,7 +83,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -173,6 +181,29 @@ def _series_keys(loss_labels, schemes):
     return keys
 
 
+class _Rows(NamedTuple):
+    """The state of M histories, one row each: ``comp_logm`` holds the (M, K)
+    component log-marginals, ``states`` each component's carried state and
+    ``keys`` each scheme's carried key.
+
+    States and keys are built as ``tuple([...])``: a tuple built from a
+    generator is allocated long and shrunk, and freeing it grows the tuple
+    free list, by two entries per Monte Carlo step."""
+
+    comp_logm: np.ndarray
+    states: tuple[np.ndarray, ...]
+    keys: tuple[np.ndarray, ...]
+
+    def take(self, idx: np.ndarray) -> _Rows:
+        return _Rows(self.comp_logm[idx], tuple([s[idx] for s in self.states]),
+                     tuple([k[idx] for k in self.keys]))
+
+    def merge_key(self) -> np.ndarray:
+        """One int64 row per history: everything its later values depend on."""
+        return np.concatenate([self.comp_logm.view(np.int64), *self.states, *self.keys],
+                              axis=1, dtype=np.int64, casting="same_kind")
+
+
 class _StepEvaluator:
     """Shared per-level computation for both engines."""
 
@@ -187,6 +218,25 @@ class _StepEvaluator:
         self.components = mixture.components
         self.log_weights = mixture.log_weights
         self.keys = _series_keys(losses, self.schemes)
+
+    def start(self, n: int) -> _Rows:
+        """The rows of n empty histories."""
+        return _Rows(np.zeros((n, len(self.components))),
+                     tuple([c.initial_state(n) for c in self.components]),
+                     tuple([s.initial_key(n) for s in self.schemes]))
+
+    def extend(self, rows: _Rows, log_p: np.ndarray, symbols: np.ndarray) -> _Rows:
+        """Each row's history extended by its symbol; ``log_p`` holds the
+        (M, K) component log-conditionals of the symbols."""
+        return _Rows(rows.comp_logm + log_p,
+                     tuple([c.extend_state(st, symbols)
+                            for c, st in zip(self.components, rows.states)]),
+                     tuple([s.extend_key(k, symbols) for s, k in zip(self.schemes, rows.keys)]))
+
+    def log_ratio(self, rows: _Rows) -> np.ndarray:
+        """log(true / mixture) of each row's whole history."""
+        log_mix = log_sum_exp_over_axis(self.log_weights[None, :] + rows.comp_logm, axis=1)
+        return rows.comp_logm[:, self.true_index] - log_mix
 
     def conditionals(self, states: Sequence[np.ndarray], t: int):
         """The true measure's (M, N) conditional matrix at step t and the
@@ -227,13 +277,6 @@ class _StepEvaluator:
             values[row:row + actions.shape[0]] = loss.expected_losses(true_cond, actions)
             row += actions.shape[0]
         return mix_cond, values
-
-
-def _merge_keys(comp_logm: np.ndarray, states: Sequence[np.ndarray],
-                scheme_keys: Sequence[np.ndarray]) -> np.ndarray:
-    """One int64 row per history: everything its later values depend on."""
-    return np.concatenate([comp_logm.view(np.int64), *states, *scheme_keys], axis=1,
-                          dtype=np.int64, casting="same_kind")
 
 
 def _merge_equal_rows(keys: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,12 +368,9 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
         raise ValueError("horizon must be >= 1")
     labelled = _label_losses(losses)
     ev = _StepEvaluator(mixture, true_index, labelled, schemes)
-    n_sym = mixture.alphabet.size
     per_step = np.zeros((len(ev.keys), horizon))
 
-    comp_logm = np.zeros((1, len(mixture.components)))
-    states = [c.initial_state(1) for c in ev.components]
-    scheme_keys = [s.initial_key(1) for s in ev.schemes]
+    rows = ev.start(1)
     # per level, each node's parent and last symbol: built only for an observer
     links: list[tuple[np.ndarray, np.ndarray]] = []
     # histories per node, as integer-valued float64: exact below 2**53, and
@@ -342,53 +382,29 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
         visits += mult.shape[0]
         if visits > node_budget:
             raise BudgetExceededError(visits, node_budget, suggested_samples=100_000)
-        true_cond, log_cond = ev.conditionals(states, t)
-        _mix_cond, values = ev.evaluate(true_cond, log_cond, comp_logm, scheme_keys)
-        weights = mult * np.exp(comp_logm[:, true_index])
+        true_cond, log_cond = ev.conditionals(rows.states, t)
+        _mix_cond, values = ev.evaluate(true_cond, log_cond, rows.comp_logm, rows.keys)
+        weights = mult * np.exp(rows.comp_logm[:, true_index])
         for row, series in enumerate(values):
             per_step[row, t] = weights @ series
         if observer is not None:
             observer(t + 1, weights, mult, dict(zip(ev.keys, values)),
                      partial(_first_history, links, t))
-        # extend to the next level, pruning zero-probability branches,
-        # symbol-major order so output layout is traversal-independent;
-        # link the new nodes to their parents unless no observer sees them
-        link = observer is not None and t + 1 < horizon
-        parts_cm, parts_m, parts_p, parts_x = [], [], [], []
-        parts_s = [[] for _ in ev.components]
-        parts_k = [[] for _ in ev.schemes]
-        for x in range(n_sym):
-            mask = true_cond[:, x] > 0.0
-            if not mask.any():
-                continue
-            ext = np.full(int(mask.sum()), x, dtype=np.int64)
-            parts_cm.append(comp_logm[mask] + log_cond[:, mask, x].T)
-            parts_m.append(mult[mask])
-            for parts, comp, st in zip(parts_s, ev.components, states):
-                parts.append(comp.extend_state(st[mask], ext))
-            for parts, scheme, k in zip(parts_k, ev.schemes, scheme_keys):
-                parts.append(scheme.extend_key(k[mask], ext))
-            if link:
-                parts_p.append(np.flatnonzero(mask))
-                parts_x.append(ext)
-        comp_logm = np.vstack(parts_cm)
-        states = [np.concatenate(parts) for parts in parts_s]
-        scheme_keys = [np.concatenate(parts) for parts in parts_k]
-        keep, mult = _merge_equal_rows(_merge_keys(comp_logm, states, scheme_keys),
-                                       np.concatenate(parts_m))
-        comp_logm = comp_logm[keep]
-        states = [st[keep] for st in states]
-        scheme_keys = [k[keep] for k in scheme_keys]
-        if link:
-            links.append((np.concatenate(parts_p)[keep], np.concatenate(parts_x)[keep]))
+        # extend every (parent, symbol) of positive probability, symbol-major
+        # so the layout is traversal-independent; link the new nodes to their
+        # parents only when an observer sees them
+        symbols, parents = np.nonzero(true_cond.T > 0.0)
+        rows = ev.extend(rows.take(parents), log_cond[:, parents, symbols].T, symbols)
+        keep, mult = _merge_equal_rows(rows.merge_key(), mult[parents])
+        rows = rows.take(keep)
+        if observer is not None and t + 1 < horizon:
+            links.append((parents[keep], symbols[keep]))
 
     # leaf level: expectation of the full-string log-ratio
     visits += mult.shape[0]
     if visits > node_budget:
         raise BudgetExceededError(visits, node_budget, suggested_samples=100_000)
-    log_true = comp_logm[:, true_index]
-    log_mix_full = log_sum_exp_over_axis(mixture.log_weights[None, :] + comp_logm, axis=1)
-    kl_direct = float((mult * np.exp(log_true)) @ (log_true - log_mix_full))
+    kl_direct = float((mult * np.exp(rows.comp_logm[:, true_index])) @ ev.log_ratio(rows))
 
     return _build_report("exact", mixture, true_index, labelled, ev.schemes, horizon,
                          dict(zip(ev.keys, per_step)), kl_direct, node_visits=visits)
@@ -429,24 +445,20 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
     se_cum = np.empty((len(keys), horizon))
     running = np.zeros((len(keys), samples))
 
-    states = [c.initial_state(samples) for c in ev.components]
-    scheme_keys = [s.initial_key(samples) for s in ev.schemes]
-    comp_logm = np.zeros((samples, len(mixture.components)))
+    paths = ev.start(samples)
     rows = np.arange(samples)
 
     t = 0
     while t < horizon:
         # walk the paths one block of steps ahead, keeping what evaluate needs
         start, block = t, []
-        widths = [k.shape[1] for k in scheme_keys]
+        widths = [k.shape[1] for k in paths.keys]
         while (t < horizon and t - start < block_steps
-               and [k.shape[1] for k in scheme_keys] == widths):
-            true_cond, log_cond = ev.conditionals(states, t)
-            block.append((true_cond, log_cond, comp_logm, *scheme_keys))
+               and [k.shape[1] for k in paths.keys] == widths):
+            true_cond, log_cond = ev.conditionals(paths.states, t)
+            block.append((true_cond, log_cond, paths.comp_logm, *paths.keys))
             nxt = draw_symbols(true_cond, rng.random(samples))
-            comp_logm = comp_logm + log_cond[:, rows, nxt].T
-            states = [c.extend_state(st, nxt) for c, st in zip(ev.components, states)]
-            scheme_keys = [s.extend_key(k, nxt) for s, k in zip(ev.schemes, scheme_keys)]
+            paths = ev.extend(paths, log_cond[:, rows, nxt].T, nxt)
             t += 1
         # every block array has its rows on axis -2; free the per-step parts first
         true_b, log_b, logm_b, *keys_b = [np.concatenate(part, axis=-2) for part in zip(*block)]
@@ -460,8 +472,7 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
         se_cum[:, start:t] = _standard_errors(vals)
         running = running.copy()               # lets the block's buffer go
 
-    log_mix_full = log_sum_exp_over_axis(mixture.log_weights[None, :] + comp_logm, axis=1)
-    ratios = comp_logm[:, true_index] - log_mix_full
+    ratios = ev.log_ratio(paths)
     kl_direct = float(ratios.mean())
 
     return _build_report("monte-carlo", mixture, true_index, labelled, ev.schemes, horizon,
@@ -493,22 +504,20 @@ def ratio_trace(mixture: MixtureModel, true_index: int, path, horizon: int | Non
     if symbol is not None:
         symbol = mixture.alphabet.check(symbol)
     ev = _StepEvaluator(mixture, true_index, {}, ())
-    states = [c.initial_state(1) for c in ev.components]
-    comp_logm = np.zeros((1, len(mixture.components)))
+    rows = ev.start(1)
     # walk the path, keeping each step's rows; evaluate them in one block
     block = []
     for t in range(horizon):
         x = symbols[t]
         at = x if symbol is None else symbol
-        true_cond, log_cond = ev.conditionals(states, t)
+        true_cond, log_cond = ev.conditionals(rows.states, t)
         if true_cond[0, x] <= 0.0:
             raise ValueError(f"path symbol {x} at step {t + 1} has zero true-measure probability")
         if true_cond[0, at] <= 0.0:
             raise ValueError(f"symbol {at} at step {t + 1} has zero true-measure probability")
-        block.append((true_cond, log_cond, comp_logm))
-        comp_logm = comp_logm + log_cond[:, :, x].T
-        states = [c.extend_state(st, np.array([x])) for c, st in zip(ev.components, states)]
+        block.append((true_cond, log_cond, rows.comp_logm))
+        rows = ev.extend(rows, log_cond[:, :, x].T, np.array([x]))
     true_b, log_b, logm_b = [np.concatenate(part, axis=-2) for part in zip(*block)]
-    rows = np.arange(horizon)
+    steps = np.arange(horizon)
     cols = np.array(symbols[:horizon]) if symbol is None else np.full(horizon, symbol)
-    return ev.mixture_conditionals(log_b, logm_b)[rows, cols] / true_b[rows, cols]
+    return ev.mixture_conditionals(log_b, logm_b)[steps, cols] / true_b[steps, cols]

@@ -77,6 +77,24 @@ class TestRunCommand:
         assert code == 1
         assert "horizont" in err
 
+    @pytest.mark.parametrize("label", [[1], {"x": 1}, 5], ids=["list", "object", "int"])
+    def test_non_string_loss_label_exit_1(self, in_tmp, tmp_path, capsys, label):
+        cfg = load_preset_dict("collapse")
+        cfg["losses"][0]["label"] = label
+        p = tmp_path / "label.json"
+        p.write_text(json.dumps(cfg))
+        assert run_cli("run", str(p)) == 1
+        assert "losses[0].label" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rule", [[1], {"x": 1}, 5], ids=["list", "object", "int"])
+    def test_non_string_b_rule_exit_1(self, in_tmp, tmp_path, capsys, rule):
+        cfg = load_preset_dict("collapse")
+        cfg["proof_grid"] = {"b_rules": ["1/A+1", rule]}
+        p = tmp_path / "rule.json"
+        p.write_text(json.dumps(cfg))
+        assert run_cli("run", str(p)) == 1
+        assert "proof_grid.b_rules[1]" in capsys.readouterr().err
+
     def test_budget_exhaustion_exit_1_names_fallback(self, in_tmp, tmp_path, capsys):
         cfg = load_preset_dict("three-bernoulli")
         cfg["node_budget"] = 32

@@ -11,9 +11,9 @@ from seqpred.bounds import InstantChecks, check_instant_bounds, check_instant_di
 from seqpred.engine import (
     BLOCK_ROWS,
     BudgetExceededError,
+    _Rows,
     _StepEvaluator,
     _merge_equal_rows,
-    _merge_keys,
     _standard_errors,
     exact_evaluate,
     monte_carlo_evaluate,
@@ -269,7 +269,7 @@ def _first_seen_histories(mixture, true_index, schemes, depth):
             states = [c.extend_state(st, np.array([x])) for c, st in zip(ev.components, states)]
             keys = [s.extend_key(k, np.array([x])) for s, k in zip(ev.schemes, keys)]
         else:
-            key = _merge_keys(comp_logm, states, keys).tobytes()
+            key = _Rows(comp_logm, states, keys).merge_key().tobytes()
             first.setdefault(key, history)
             count[key] = count.get(key, 0) + 1
     return list(first.values()), [count[key] for key in first]
@@ -277,9 +277,20 @@ def _first_seen_histories(mixture, true_index, schemes, depth):
 
 class TestParentLinks:
     H = 8
+    TERNARY_LOSS = MatrixLoss([[0.0, 0.8, 0.4], [0.9, 0.1, 0.5], [0.3, 0.7, 0.05]])
 
     @staticmethod
-    def _components(with_table):
+    def _case(case):
+        """(components, loss, alphabet size, horizon) of one input."""
+        if case == "ternary":
+            # order-1 chains over three symbols: the zero transitions 0 -> 1
+            # (the middle symbol) and 2 -> 0 prune the tree; dyadic rows merge
+            return [
+                MarkovMeasure([[0.5, 0.0, 0.5], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]],
+                              initial=[0.25, 0.5, 0.25]),
+                MarkovMeasure([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5], [0.5, 0.25, 0.25]],
+                              initial=[0.5, 0.25, 0.25]),
+            ], TestParentLinks.TERNARY_LOSS, 3, 6
         rng = np.random.default_rng(9)
         table = {h: [1.0 - p, p] for t in range(TestParentLinks.H)
                  for h in product((0, 1), repeat=t) for p in [float(rng.uniform(0.05, 0.95))]}
@@ -289,13 +300,15 @@ class TestParentLinks:
                           initial=[0.5, 0.5], order=2),
             TimeVaryingBinaryMeasure(lambda t: 0.25 if t % 2 else 0.5),
         ]
-        return comps + [ExplicitTableMeasure(table, 2)] if with_table else comps
+        if case == "with-table":
+            comps.append(ExplicitTableMeasure(table, 2))
+        return comps, TestStateMerging.LOSS, 2, TestParentLinks.H
 
-    @pytest.mark.parametrize("with_table", [False, True], ids=["no-table", "with-table"])
-    def test_rebuilt_histories_are_the_first_seen_ones(self, with_table):
-        comps = self._components(with_table)
+    @pytest.mark.parametrize("case", ["no-table", "with-table", "ternary"])
+    def test_rebuilt_histories_are_the_first_seen_ones(self, case):
+        comps, loss, n_sym, horizon = self._case(case)
         mix = MixtureModel(comps, np.full(len(comps), 1.0 / len(comps)))
-        schemes = [MajorityVoteScheme(2)]
+        schemes = [MajorityVoteScheme(n_sym)]
         levels = []
         checks = InstantChecks(["m"])
 
@@ -303,9 +316,8 @@ class TestParentLinks:
             _keep_levels(levels)(*level)
             checks(*level)
 
-        rep = exact_evaluate(mix, 0, {"m": TestStateMerging.LOSS}, self.H, schemes=schemes,
-                             observer=observer)
-        assert [r.step for r in levels] == list(range(1, self.H + 1))
+        rep = exact_evaluate(mix, 0, {"m": loss}, horizon, schemes=schemes, observer=observer)
+        assert [r.step for r in levels] == list(range(1, horizon + 1))
         assert levels[0].histories == [[]]
         merged = False
         for r in levels:
@@ -313,7 +325,7 @@ class TestParentLinks:
             assert r.histories == want, r.step
             assert r.multiplicity.tolist() == counts, r.step
             merged |= max(counts) > 1
-        assert merged != with_table   # the table keys on the whole history
+        assert merged != (case == "with-table")   # the table keys on the whole history
         # every reported location is a rebuilt history of its level, and
         # the empty history renders as "(empty)"
         locations = {f"t={r.step} history={''.join(map(str, h)) or '(empty)'}"
