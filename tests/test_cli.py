@@ -1,10 +1,15 @@
+import copy
 import json
+import math
 import re
+from pathlib import Path
 
 import pytest
 
+from seqpred.bounds import B_RULES
 from seqpred.cli import main
-from seqpred.config import ConfigError, load_config, parse_config
+from seqpred.config import SCHEMA, ConfigError, load_config, parse_config, validate
+from seqpred.losses import NAMED_LOSSES
 from seqpred.presets import PRESET_NAMES, load_preset, load_preset_dict, preset_path
 from seqpred.reporting import describe_columns
 
@@ -312,3 +317,198 @@ class TestConfigValidation:
         }
         with pytest.raises(ConfigError, match="table horizon"):
             parse_config(cfg)  # run horizon 12 > table horizon 2
+
+
+def edited_preset(name, where, value):
+    """Preset ``name`` with the field at key path ``where`` set to ``value``."""
+    cfg = load_preset_dict(name)
+    parent = cfg
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    return cfg
+
+
+class TestConfigNarrowings:
+    """Configs outside the schema that the hand-written parser used to accept
+    (or crash on); each now exits 1 naming its field."""
+
+    @pytest.mark.parametrize("preset, where, value, field", [
+        ("deterministic-plateau", ("mixture", "components", 0, "pattern"), [5],
+         "mixture.components[0].pattern"),
+        ("deterministic-plateau", ("mixture", "components", 0, "pattern"), [1.5],
+         "mixture.components[0].pattern[0]"),
+        ("deterministic-plateau", ("mixture", "components", 0, "pattern"), ["1"],
+         "mixture.components[0].pattern[0]"),
+        ("collapse", ("schemes",), 5, "schemes"),
+        ("collapse", ("schemes",), {}, "schemes"),
+        ("collapse", ("schemes",), "", "schemes"),
+        ("collapse", ("checks",), None, "checks"),
+        ("markov-binary", ("mixture", "components", 0, "initial"), [True, False],
+         "mixture.components[0].initial[0]"),
+        ("three-symbol", ("losses", 0, "matrix"), [[False, True, True], [1, 0, 1], [1, 1, 0]],
+         "losses[0].matrix[0][0]"),
+    ], ids=["pattern-out-of-alphabet", "pattern-float", "pattern-string", "schemes-int",
+            "schemes-object", "schemes-string", "checks-null", "initial-bool", "matrix-bool"])
+    def test_exit_1_naming_the_field(self, in_tmp, tmp_path, capsys, preset, where, value, field):
+        cfg = edited_preset(preset, where, value)
+        cfg["output"] = {}
+        p = tmp_path / "narrowed.json"
+        p.write_text(json.dumps(cfg))
+        assert run_cli("run", str(p)) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+HANDLED_KEYWORDS = {"type", "properties", "required", "additionalProperties", "const", "enum",
+                    "minimum", "maximum", "exclusiveMinimum", "minLength", "minItems", "items",
+                    "$ref", "oneOf"}
+ANNOTATIONS = {"$schema", "title", "description", "$defs"}
+
+
+def subschemas(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    nested = [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values(),
+              *schema.get("oneOf", ())]
+    if "items" in schema:
+        nested.append(schema["items"])
+    for sub in nested:
+        yield from subschemas(sub)
+
+
+class TestSchema:
+    def test_is_a_valid_draft_2020_12_schema(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.Draft202012Validator.check_schema(SCHEMA)
+
+    def test_every_keyword_is_validated_or_an_annotation(self):
+        for schema in subschemas(SCHEMA):
+            assert set(schema) <= HANDLED_KEYWORDS | ANNOTATIONS, schema
+            # the forms validate() reads: closed objects, oneOf chosen by kind
+            assert schema.get("additionalProperties", False) is False
+            for branch in schema.get("oneOf", ()):
+                assert "kind" in branch["required"]
+                assert {"const", "enum"} & set(branch["properties"]["kind"])
+
+    @pytest.mark.parametrize("preset, where, value, field", [
+        ("collapse", ("alphabet_size",), 2.0, "alphabet_size"),
+        ("collapse", ("mixture", "components", 0, "theta"), math.nan,
+         "mixture.components[0].theta"),
+        ("collapse", ("mixture", "weights", 0), math.inf, "mixture.weights[0]"),
+        ("collapse", ("mixture", "weights", 0), 10**400, "mixture.weights[0]"),
+    ], ids=["integral-float", "nan", "inf", "int-beyond-float"])
+    def test_stricter_than_json_schema_only_on_ints_and_finiteness(self, preset, where, value,
+                                                                   field):
+        jsonschema = pytest.importorskip("jsonschema")
+        cfg = edited_preset(preset, where, value)
+        assert jsonschema.Draft202012Validator(SCHEMA).is_valid(cfg)
+        with pytest.raises(ConfigError) as exc:
+            validate(cfg)
+        assert exc.value.field_path == field
+
+    @pytest.mark.parametrize("where, value, field", [
+        (("deviation_epsilon",), 1e-10, "deviation_epsilon"),
+        (("proof_grid",), {"a_min": 1e-10}, "proof_grid.a_min"),
+        (("proof_grid",), {"edge_margin": 1e-13}, "proof_grid.edge_margin"),
+        (("output", "csv"), "", "output.csv"),
+    ], ids=["deviation-epsilon", "a-min", "edge-margin", "empty-output"])
+    def test_schema_states_the_parsers_ranges(self, where, value, field):
+        jsonschema = pytest.importorskip("jsonschema")
+        cfg = edited_preset("collapse", where, value)
+        assert not jsonschema.Draft202012Validator(SCHEMA).is_valid(cfg)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert exc.value.field_path == field
+
+    def test_names_match_the_code(self):
+        named = [b["properties"]["kind"]["enum"] for b in SCHEMA["$defs"]["loss"]["oneOf"]
+                 if "enum" in b["properties"]["kind"]]
+        assert named == [list(NAMED_LOSSES)]
+        rules = SCHEMA["properties"]["proof_grid"]["properties"]["b_rules"]["items"]["enum"]
+        assert rules == list(B_RULES)
+
+
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
+FUZZ_CONFIGS = ([load_preset_dict(name) for name in PRESET_NAMES]
+                + [json.loads(p.read_text()) for p in sorted(BENCH_CONFIGS.glob("*.json"))])
+ADDED_KEYS = ("extra", "kind", "label", "order", "seed", "samples", "schemes", "checks",
+              "a_max", "csv")
+VALUES = (None, True, False, -1, 0, 1, 2, 3, 0.0, 0.5, 1.0, 2.0, 1.5, -0.5, 1e-13, "", "x",
+          "exact", "error", "1", [], [0], [0.5, 0.5], ["x"], {}, {"kind": "exact"})
+
+
+def nodes(value, path="config"):
+    """(dotted path, value) of ``value`` and of everything nested in it."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from nodes(item, key if path == "config" else f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from nodes(item, f"{path}[{i}]")
+
+
+def mutations(hypothesis):
+    """A shipped config with one field deleted, added or retyped, and the
+    paths a ConfigError may name: every node of the result, plus the parent
+    of a deleted field."""
+    st = hypothesis.strategies
+
+    @st.composite
+    def mutated(draw):
+        cfg = copy.deepcopy(draw(st.sampled_from(FUZZ_CONFIGS)))
+        containers = [(path, node) for path, node in nodes(cfg)
+                      if isinstance(node, (dict, list)) and node]
+        path, node = draw(st.sampled_from(containers))
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        op = draw(st.sampled_from(["delete", "add", "retype"]))
+        value = copy.deepcopy(draw(st.sampled_from(VALUES)))
+        if op == "delete":
+            del node[key]
+        elif op == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(ADDED_KEYS))] = value
+        elif op == "add":
+            node.append(value)
+        else:
+            node[key] = value
+        return cfg, {p for p, _ in nodes(cfg)} | {path}
+
+    return mutated()
+
+
+class TestMutationFuzz:
+    def test_parse_raises_only_config_errors_naming_a_field(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(mutations(hypothesis))
+        def check(case):
+            cfg, paths = case
+            try:
+                parse_config(cfg)
+            except ConfigError as exc:
+                assert exc.field_path in paths, str(exc)
+
+        check()
+
+    def test_validate_agrees_with_jsonschema(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        jsonschema = pytest.importorskip("jsonschema")
+        reference = jsonschema.Draft202012Validator(SCHEMA)
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(mutations(hypothesis))
+        def check(case):
+            cfg, _ = case
+            try:
+                validate(cfg)
+            except ConfigError as exc:
+                if reference.is_valid(cfg):
+                    # only the two stricter rules: integers are ints, numbers finite
+                    node = dict(nodes(cfg))[exc.field_path]
+                    assert isinstance(node, float), str(exc)
+                    assert node.is_integer() or not math.isfinite(node), str(exc)
+            else:
+                assert reference.is_valid(cfg), next(reference.iter_errors(cfg)).message
+
+        check()
