@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -399,6 +399,45 @@ def _f2(ap, bp, y, z, rel):
         return bp * rel + ap * (1.0 - y) - y * (1.0 - z) / z
 
 
+class _GridBranch(NamedTuple):
+    """One inequality's columns of the (y, z) grid and its A-free arrays."""
+
+    y: np.ndarray
+    z: np.ndarray
+    rel: np.ndarray
+    one_minus_y: np.ndarray
+    one_minus_z: np.ndarray
+    y_term: np.ndarray                 # f2's y (1 - z) / z
+
+
+def _grid_branch(ys, zs):
+    y, z = np.meshgrid(ys, zs, indexing="ij")
+    return _GridBranch(y, z, _binary_relative_entropy(y, z), 1.0 - y, 1.0 - z, y * (1.0 - z) / z)
+
+
+# _f1 and _f2 over one branch for one A, adding the same terms in the same
+# association into ``out`` (``tmp`` holds the A term): the same bits
+
+def _f1_on_grid(ap, bp, g: _GridBranch, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore"):
+        np.multiply(bp, g.rel, out=out)
+        np.multiply(ap, g.one_minus_y, out=tmp)
+        tmp *= g.z
+        tmp /= g.one_minus_z
+        out += tmp
+        out -= g.y
+    return out
+
+
+def _f2_on_grid(ap, bp, g: _GridBranch, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore"):
+        np.multiply(bp, g.rel, out=out)
+        np.multiply(ap, g.one_minus_y, out=tmp)
+        out += tmp
+        out -= g.y_term
+    return out
+
+
 def proof_inequality_values(point: InequalityPoint) -> dict[str, float]:
     """Evaluate f1, f2 and the reduced forms g1, g2 at one point.
 
@@ -453,20 +492,20 @@ def grid_verify_proof_inequalities(b_rule, *,
     # each inequality only on its own z columns; zs is increasing, so row-major
     # order on a column subset keeps argmin's first minimum of the full grid
     branches = []
-    for name, f, cols in (("f1", _f1, zs <= 0.5), ("f2", _f2, zs >= 0.5)):
-        y_mat, z_mat = np.meshgrid(ys, zs[cols], indexing="ij")
-        branches.append((name, f, zs[cols], y_mat, z_mat, _binary_relative_entropy(y_mat, z_mat)))
+    for name, f, cols in (("f1", _f1_on_grid, zs <= 0.5), ("f2", _f2_on_grid, zs >= 0.5)):
+        g = _grid_branch(ys, zs[cols])
+        branches.append((name, f, g, np.empty_like(g.rel), np.empty_like(g.rel)))
 
     best = {"f1": (math.inf, None), "f2": (math.inf, None)}
     for a in a_values:
         ap, bp = float(a) + 1.0, rule(float(a)) + 1.0
-        for name, f, z_cols, y_mat, z_mat, rel in branches:
-            vals = f(ap, bp, y_mat, z_mat, rel)
+        for name, f, g, out, tmp in branches:
+            vals = f(ap, bp, g, out, tmp)
             idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
             v = float(vals[idx])
             # argmin stops at the first NaN; a NaN must fail, so it beats every number
             if v < best[name][0] or (math.isnan(v) and not math.isnan(best[name][0])):
-                best[name] = (v, (float(a), float(ys[idx[0]]), float(z_cols[idx[1]])))
+                best[name] = (v, (float(a), float(g.y[idx]), float(g.z[idx])))
 
     results = []
     for name, branch in (("f1", "z<=1/2"), ("f2", "z>=1/2")):

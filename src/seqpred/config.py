@@ -25,8 +25,9 @@ from pathlib import Path
 from .bounds import DEFAULT_DEVIATION_EPSILON, ProofGridConfig
 from .engine import DEFAULT_NODE_BUDGET
 from .losses import NAMED_LOSSES, AlphaLoss, LossSpec, MatrixLoss
-from .measures import (BernoulliMeasure, DeterministicMeasure, ExplicitTableMeasure,
-                       MarkovMeasure, SequenceMeasure, TimeVaryingBinaryMeasure)
+from .measures import (BernoulliMeasure, DeterministicMeasure, DistributionError,
+                       ExplicitTableMeasure, MarkovMeasure, SequenceMeasure,
+                       TimeVaryingBinaryMeasure)
 from .mixture import MixtureModel
 from .schemes import ConstantScheme, MajorityVoteScheme, PredictionScheme
 
@@ -133,6 +134,8 @@ def measure_from_spec(spec: dict, alphabet_size: int, path: str) -> SequenceMeas
             return ExplicitTableMeasure(spec["table"], alphabet_size)
         # markov, the one kind left
         m = MarkovMeasure(spec["transitions"], spec["initial"], order=spec.get("order", 1))
+    except DistributionError as exc:
+        raise ConfigError(f"{path}.{exc.field}", str(exc)) from exc
     except (ValueError, TypeError) as exc:
         raise ConfigError(path, str(exc)) from exc
     if m.alphabet.size != alphabet_size:

@@ -68,11 +68,17 @@ log-marginals, then every carried state and key.  Every per-node value and
 every later state is a function of it, so after each tree extension the
 exact engine keeps one node per distinct key, in order of first occurrence,
 with an integer-valued multiplicity; merged nodes give bit-identical values
-and only the order of the weighted sum changes.  The key is bitwise and not
-count-based: log-marginals summed along different orderings of the same
-counts may round differently, and on threshold losses a one-ulp difference
-can flip the Bayes action of a posterior sitting on the threshold, so
-merging by counts would move the totals by far more than rounding.
+and only the order of the weighted sum changes.  ``_merge_equal_rows``
+groups the keys with one sort of uint64 values: each row's 64-bit hash with
+its low bits replaced by the row's index, so a group's first value is its
+first row.  Every row is then compared exactly with its group's first row;
+a hash collision fails that check and the level is hashed again with the
+next salt, so the groups are those of the keys, not of their hashes.  The
+key is bitwise and not count-based: log-marginals summed along different
+orderings of the same counts may round differently, and on threshold losses
+a one-ulp difference can flip the Bayes action of a posterior sitting on
+the threshold, so merging by counts would move the totals by far more than
+rounding.
 
 Everything is vectorized across the nodes of a level / across sample
 paths, in fixed construction order, so outputs are reproducible bit for bit
@@ -279,24 +285,70 @@ class _StepEvaluator:
         return mix_cond, values
 
 
+# _row_hash's odd multiplier and shift, and the salt step (splitmix64's).  The
+# constants are 0-d uint64 arrays: uint64 with uint64 stays wrapping uint64 on
+# every numpy version, and unlike a numpy scalar a 0-d array is not converted
+# on every call, which counts on levels of a few dozen rows.
+_HASH_MULTIPLIER = np.array(0xBF58476D1CE4E5B9, dtype=np.uint64)
+_SHIFT = np.array(31, dtype=np.uint64)
+_SALT_STEP = 0x9E3779B97F4A7C15
+_MERGE_ATTEMPTS = 64
+
+
+def _row_hash(keys: np.ndarray, attempt: int) -> np.ndarray:
+    """A uint64 hash of each int64 row, salted by ``attempt``.
+
+    Each column is mixed in nonlinearly (xor, multiply, xor-shift): a linear
+    hash ``keys @ odd`` maps two columns that each differ by 2**63 to one
+    value for every choice of odd multipliers.
+    """
+    h = np.full(keys.shape[0], (attempt + 1) * _SALT_STEP % 2**64, dtype=np.uint64)
+    for column in keys.view(np.uint64).T:
+        h ^= column
+        h *= _HASH_MULTIPLIER
+        h ^= h >> _SHIFT
+    return h
+
+
 def _merge_equal_rows(keys: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the first row of each distinct key, in order of first
     occurrence, and the summed multiplicities of the rows they stand for.
 
-    The lexsort is stable, so each run of equal keys starts at its first
-    row; bincount then adds every group's multiplicities in row order.
+    One sort groups the rows: each row's hash with its low ``bits`` bits
+    replaced by its index, ``bits`` being enough for any index.  The
+    values are distinct, so a plain sort orders them; a run of equal high
+    bits is one group, and its first value holds the group's first row.
+    The grouping is then checked exactly, every row against its group's
+    first row.  A hash collision fails the check, and the rows are hashed
+    again with the next salt.  bincount adds every group's multiplicities
+    in row order.
     """
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    starts = np.concatenate(([True], np.any(ranked[1:] != ranked[:-1], axis=1)))
-    group = np.cumsum(starts) - 1                  # sorted group of each sorted row
-    first = order[starts]
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
-    row_rank = np.empty_like(order)
-    row_rank[order] = rank[group]
-    return first[by_first], np.bincount(row_rank, weights=mult, minlength=by_first.size)
+    n = keys.shape[0]
+    bits = max(1, (n - 1).bit_length())
+    # the index bits and the hash bits, both from Python ints: ``~low`` would
+    # load numpy's uint64 invert loop, whose code pages alone raise the peak
+    # resident memory of a small run by ~60 KB
+    low = np.array(2**bits - 1, dtype=np.uint64)
+    high = np.array(2**64 - 2**bits, dtype=np.uint64)
+    pos = np.arange(n, dtype=np.int64)
+    for attempt in range(_MERGE_ATTEMPTS):
+        packed = np.sort(_row_hash(keys, attempt) & high | pos.view(np.uint64))
+        rows = (packed & low).view(np.int64)
+        starts = np.empty(n, dtype=bool)
+        starts[0] = True
+        np.greater(packed[1:] ^ packed[:-1], low, out=starts[1:])
+        first = rows[np.maximum.accumulate(pos * starts)]      # per sorted row
+        dup = ~starts
+        if (keys.take(rows[dup], axis=0) == keys.take(first[dup], axis=0)).all():
+            break
+    else:
+        raise RuntimeError(f"rows collided under {_MERGE_ATTEMPTS} hash salts")
+    row_first = np.empty(n, dtype=np.int64)
+    row_first[rows] = first
+    keep = (row_first == pos).nonzero()[0]
+    rank = np.empty(n, dtype=np.int64)
+    rank[keep] = np.arange(keep.size)
+    return keep, np.bincount(rank[row_first], weights=mult, minlength=keep.size)
 
 
 def _label_losses(losses) -> dict[str, LossSpec]:

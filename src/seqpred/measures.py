@@ -175,14 +175,25 @@ class SequenceMeasure:
         return out
 
 
-def _check_distribution(vec: np.ndarray, what: str) -> np.ndarray:
+class DistributionError(ValueError):
+    """A malformed probability vector; ``field`` names the argument that holds it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def _check_distribution(vec: np.ndarray, what: str, field: str) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1:
-        raise ValueError(f"{what} must be a probability vector")
+        raise DistributionError(field, f"{what} must be a probability vector")
+    # every comparison below is false for NaN
+    if not np.isfinite(vec).all():
+        raise DistributionError(field, f"{what} entries must be finite")
     if (vec < 0).any() or (vec > 1).any():
-        raise ValueError(f"{what} entries must lie in [0, 1]")
+        raise DistributionError(field, f"{what} entries must lie in [0, 1]")
     if abs(float(vec.sum()) - 1.0) > SUM_TOL:
-        raise ValueError(f"{what} must sum to 1 within {SUM_TOL}, got {vec.sum()!r}")
+        raise DistributionError(field, f"{what} must sum to 1 within {SUM_TOL}, got {vec.sum()!r}")
     return vec
 
 
@@ -235,10 +246,10 @@ class MarkovMeasure(SequenceMeasure):
         super().__init__(Alphabet(n))
         flat = transitions.reshape(-1, n)
         for i, row in enumerate(flat):
-            _check_distribution(row, f"transition row {i}")
+            _check_distribution(row, f"transition row {i}", "transitions")
         self.order = order
         self.transitions = transitions
-        self.initial = _check_distribution(np.asarray(initial, dtype=float), "initial distribution")
+        self.initial = _check_distribution(initial, "initial distribution", "initial")
         if self.initial.shape != (n,):
             raise ValueError("initial distribution must match the alphabet")
 
@@ -370,7 +381,7 @@ class ExplicitTableMeasure(SequenceMeasure):
         norm: dict[tuple[int, ...], np.ndarray] = {}
         for key, vec in table.items():
             h = as_symbols(key, self.alphabet)
-            norm[h] = _check_distribution(np.asarray(vec, dtype=float), f"table row {key!r}")
+            norm[h] = _check_distribution(vec, f"table row {key!r}", "table")
         if () not in norm:
             raise ValueError("table must define the empty history")
         self.horizon = 1 + max(len(k) for k in norm)

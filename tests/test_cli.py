@@ -71,6 +71,27 @@ class TestRunCommand:
         assert code == 1
         assert "mixture.weights" in err
 
+    @pytest.mark.parametrize("component, field", [
+        ({"kind": "markov", "transitions": [[math.nan, math.nan], [0.1, 0.9]],
+          "initial": [0.5, 0.5]}, "transitions"),
+        ({"kind": "markov", "transitions": [[0.7, 0.3], [math.inf, 0.9]],
+          "initial": [0.5, 0.5]}, "transitions"),
+        ({"kind": "explicit-table", "table": {"": [0.5, 0.5], "0": [math.nan, 1.0],
+                                              "1": [0.5, 0.5]}}, "table"),
+    ], ids=["markov-nan-row", "markov-inf-row", "table-nan-row"])
+    def test_non_finite_probability_exit_1(self, in_tmp, tmp_path, capsys, component, field):
+        # json.dumps writes NaN and Infinity, and json.loads reads them back
+        cfg = load_preset_dict("markov-binary")
+        cfg["mixture"]["components"][0] = component
+        cfg["horizon"] = 2
+        p = tmp_path / "non-finite.json"
+        p.write_text(json.dumps(cfg))
+        assert run_cli("run", str(p)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: mixture.components[0].{field}: ")
+        assert "finite" in err
+        assert "Traceback" not in err
+
     def test_unknown_field_exit_1(self, in_tmp, tmp_path, capsys):
         cfg = load_preset_dict("collapse")
         cfg["horizont"] = 5

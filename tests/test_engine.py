@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from seqpred import engine
 from seqpred.bounds import InstantChecks, check_instant_bounds, check_instant_distance_bounds
 from seqpred.engine import (
     BLOCK_ROWS,
@@ -478,6 +479,9 @@ def _merge_cases():
     zeros = np.array([[0.0, 1.5], [-0.0, 1.5], [0.0, 1.5], [-0.0, 1.5]]).view(np.int64)
     distinct = rng.permutation(40)[:, None] - 20
     return {
+        # the witness against a linear row hash: rows (x, INT64_MIN, INT64_MAX)
+        # and (x, 0, -1) differ by 2**63 in two columns, so ``keys @ odd``
+        # gives them one value for every choice of odd multipliers and salt
         "heavy-duplication": (dup, rng.uniform(0.0, 1e6, dup.shape[0])),
         "signed-zero-bits": (zeros, np.array([1.0, 2.0, 4.0, 8.0])),
         "one-column": (rng.integers(-4, 4, size=(200, 1)), np.ones(200)),
@@ -502,6 +506,56 @@ class TestMergeEqualRows:
         first, merged = _merge_equal_rows(keys, mult)
         assert first.tolist() == [0, 1]
         assert merged.tolist() == [5.0, 10.0]
+
+    def test_a_failed_check_rehashes_with_the_next_salt(self, monkeypatch):
+        keys, mult = _merge_cases()["heavy-duplication"]
+        row_hash, attempts = engine._row_hash, []
+
+        def colliding_first_salt(keys, attempt):
+            # the first salt puts every row in one group; the exact check fails
+            attempts.append(attempt)
+            h = row_hash(keys, attempt)
+            return np.zeros_like(h) if attempt == 0 else h
+
+        monkeypatch.setattr(engine, "_row_hash", colliding_first_salt)
+        first, merged = _merge_equal_rows(keys, mult)
+        want_first, want_merged = _unique_merge(keys, mult)
+        assert attempts == [0, 1]
+        assert np.array_equal(first, want_first)
+        assert merged.tobytes() == want_merged.tobytes()
+
+    def test_collisions_under_every_salt_raise(self, monkeypatch):
+        keys, mult = _merge_cases()["heavy-duplication"]
+        monkeypatch.setattr(engine, "_row_hash",
+                            lambda keys, attempt: np.zeros(keys.shape[0], dtype=np.uint64))
+        with pytest.raises(RuntimeError, match="collided"):
+            _merge_equal_rows(keys, mult)
+
+    def test_matches_the_unique_merge_on_random_keys(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        # the extremes, and the bit patterns of +0.0 and -0.0 (-0.0 is INT64_MIN)
+        special = np.array([lo, hi, lo + 1, hi - 1, 0, -1, 1,
+                            *np.array([0.0, -0.0, 1.5, -1.5]).view(np.int64)])
+
+        @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.integers(1, 3000), st.integers(1, 8), st.integers(1, 3000),
+                          st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+        def check(n, cols, distinct, special_frac, seed):
+            rng = np.random.default_rng(seed)
+            pool = rng.integers(lo, hi, size=(min(distinct, n), cols), endpoint=True)
+            is_special = rng.random(pool.shape) < special_frac
+            pool[is_special] = rng.choice(special, size=int(is_special.sum()))
+            keys = pool[rng.integers(0, pool.shape[0], size=n)]      # forced duplicates
+            mult = rng.uniform(0.0, 1e6, n)
+            first, merged = _merge_equal_rows(keys, mult)
+            want_first, want_merged = _unique_merge(keys, mult)
+            assert np.array_equal(first, want_first)
+            assert merged.dtype == np.float64
+            assert merged.tobytes() == want_merged.tobytes()
+
+        check()
 
 
 def _per_predictor_step(ev, histories, t, comp_logm, scheme_keys):
