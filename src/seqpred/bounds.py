@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -386,55 +387,30 @@ def _binary_relative_entropy(y, z):
     return y * np.log(y / z) + (1.0 - y) * np.log((1.0 - y) / (1.0 - z))
 
 
-# In f1 and f2 an infinite B meets rel = 0 on the y = z diagonal, and
-# inf * 0 is NaN.  A NaN fails the check, so it needs no numpy warning.
+# f1 and f2 for one A into ``out``, with ``tmp`` holding the A term.  The
+# A-free arrays come in precomputed, so the proof grid builds them once per
+# branch; on 0-d arrays the same association gives a single point's value.
+# An infinite B meets rel = 0 on the y = z diagonal, and inf * 0 is NaN.
+# A NaN fails the check, so it needs no numpy warning.
 
-def _f1(ap, bp, y, z, rel):
+def _f1(ap, bp, *, y, z, rel, one_minus_y, one_minus_z, out, tmp):
     with np.errstate(invalid="ignore"):
-        return bp * rel + ap * (1.0 - y) * z / (1.0 - z) - y
-
-
-def _f2(ap, bp, y, z, rel):
-    with np.errstate(invalid="ignore"):
-        return bp * rel + ap * (1.0 - y) - y * (1.0 - z) / z
-
-
-class _GridBranch(NamedTuple):
-    """One inequality's columns of the (y, z) grid and its A-free arrays."""
-
-    y: np.ndarray
-    z: np.ndarray
-    rel: np.ndarray
-    one_minus_y: np.ndarray
-    one_minus_z: np.ndarray
-    y_term: np.ndarray                 # f2's y (1 - z) / z
-
-
-def _grid_branch(ys, zs):
-    y, z = np.meshgrid(ys, zs, indexing="ij")
-    return _GridBranch(y, z, _binary_relative_entropy(y, z), 1.0 - y, 1.0 - z, y * (1.0 - z) / z)
-
-
-# _f1 and _f2 over one branch for one A, adding the same terms in the same
-# association into ``out`` (``tmp`` holds the A term): the same bits
-
-def _f1_on_grid(ap, bp, g: _GridBranch, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    with np.errstate(invalid="ignore"):
-        np.multiply(bp, g.rel, out=out)
-        np.multiply(ap, g.one_minus_y, out=tmp)
-        tmp *= g.z
-        tmp /= g.one_minus_z
+        np.multiply(bp, rel, out=out)
+        np.multiply(ap, one_minus_y, out=tmp)
+        tmp *= z
+        tmp /= one_minus_z
         out += tmp
-        out -= g.y
+        out -= y
     return out
 
 
-def _f2_on_grid(ap, bp, g: _GridBranch, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _f2(ap, bp, *, rel, one_minus_y, y_term, out, tmp):
+    """``y_term`` is y (1 - z) / z."""
     with np.errstate(invalid="ignore"):
-        np.multiply(bp, g.rel, out=out)
-        np.multiply(ap, g.one_minus_y, out=tmp)
+        np.multiply(bp, rel, out=out)
+        np.multiply(ap, one_minus_y, out=tmp)
         out += tmp
-        out -= g.y_term
+        out -= y_term
     return out
 
 
@@ -449,8 +425,10 @@ def proof_inequality_values(point: InequalityPoint) -> dict[str, float]:
     """
     ap, bp, y, z = point.a_prime, point.b_prime, point.y, point.z
     rel = float(_binary_relative_entropy(y, z))
-    f1 = _f1(ap, bp, y, z, rel)
-    f2 = _f2(ap, bp, y, z, rel)
+    f1 = float(_f1(ap, bp, y=y, z=z, rel=rel, one_minus_y=1.0 - y, one_minus_z=1.0 - z,
+                   out=np.empty(()), tmp=np.empty(())))
+    f2 = float(_f2(ap, bp, rel=rel, one_minus_y=1.0 - y, y_term=y * (1.0 - z) / z,
+                   out=np.empty(()), tmp=np.empty(())))
     g1 = 2.0 * bp * ap**2 * z * (1.0 - z) + ((ap - 1.0) * bp * (1.0 - z) - ap) * (bp + ap * z / (1.0 - z))
     g2 = ((ap - 1.0) * bp * z - ap + 2.0 * z * (1.0 - z)) * (bp + 1.0 - 1.0 / z) + 2.0 * (1.0 - z) ** 2
     return {"f1": f1, "f2": f2, "g1": g1, "g2": g2}
@@ -490,22 +468,29 @@ def grid_verify_proof_inequalities(b_rule, *,
     ys = np.linspace(edge_margin, 1.0 - edge_margin, grid_points)
     zs = np.linspace(edge_margin, 1.0 - edge_margin, grid_points)
     # each inequality only on its own z columns; zs is increasing, so row-major
-    # order on a column subset keeps argmin's first minimum of the full grid
-    branches = []
-    for name, f, cols in (("f1", _f1_on_grid, zs <= 0.5), ("f2", _f2_on_grid, zs >= 0.5)):
-        g = _grid_branch(ys, zs[cols])
-        branches.append((name, f, g, np.empty_like(g.rel), np.empty_like(g.rel)))
+    # order on a column subset keeps argmin's first minimum of the full grid;
+    # each branch binds only the A-free arrays its inequality reads
+    y1, z1 = np.meshgrid(ys, zs[zs <= 0.5], indexing="ij")
+    y2, z2 = np.meshgrid(ys, zs[zs >= 0.5], indexing="ij")
+    branches = (
+        ("f1", y1, z1, partial(_f1, y=y1, z=z1, rel=_binary_relative_entropy(y1, z1),
+                               one_minus_y=1.0 - y1, one_minus_z=1.0 - z1,
+                               out=np.empty_like(y1), tmp=np.empty_like(y1))),
+        ("f2", y2, z2, partial(_f2, rel=_binary_relative_entropy(y2, z2),
+                               one_minus_y=1.0 - y2, y_term=y2 * (1.0 - z2) / z2,
+                               out=np.empty_like(y2), tmp=np.empty_like(y2))),
+    )
 
     best = {"f1": (math.inf, None), "f2": (math.inf, None)}
     for a in a_values:
         ap, bp = float(a) + 1.0, rule(float(a)) + 1.0
-        for name, f, g, out, tmp in branches:
-            vals = f(ap, bp, g, out, tmp)
+        for name, y, z, f in branches:
+            vals = f(ap, bp)
             idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
             v = float(vals[idx])
             # argmin stops at the first NaN; a NaN must fail, so it beats every number
             if v < best[name][0] or (math.isnan(v) and not math.isnan(best[name][0])):
-                best[name] = (v, (float(a), float(g.y[idx]), float(g.z[idx])))
+                best[name] = (v, (float(a), float(y[idx]), float(z[idx])))
 
     results = []
     for name, branch in (("f1", "z<=1/2"), ("f2", "z>=1/2")):

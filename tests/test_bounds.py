@@ -441,12 +441,12 @@ class TestHalfGridMatchesFullGrid:
     def test_ties_go_to_the_first_cell_in_y_major_order(self, monkeypatch):
         ys = np.linspace(1e-4, 1.0 - 1e-4, 11)
 
-        def tied_f1(ap, bp, g, out, tmp):
+        def tied_f1(ap, bp, *, y, z, **_):
             # (y0, z2) is the first minimum in y-major order, (y1, z0) in z-major order
-            hit = ((g.y == ys[0]) & (g.z == ys[2])) | ((g.y == ys[1]) & (g.z == ys[0]))
+            hit = ((y == ys[0]) & (z == ys[2])) | ((y == ys[1]) & (z == ys[0]))
             return np.where(hit, -1.0, 0.0)
 
-        monkeypatch.setattr(bounds, "_f1_on_grid", tied_f1)
+        monkeypatch.setattr(bounds, "_f1", tied_f1)
         f1 = grid_verify_proof_inequalities("1/A+1", a_values=[1.0, 2.0], grid_points=11)[0]
         assert f1.location == f"A=1 y={ys[0]:.6g} z={ys[2]:.6g} (z<=1/2)"
 
