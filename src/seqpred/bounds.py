@@ -2,11 +2,19 @@
 
 Every check is an inequality lhs <= rhs evaluated on concrete run output and
 reported with its signed slack (rhs - lhs).  A check passes when
-slack >= -tolerance.  Exact-engine checks use an absolute tolerance of 1e-9
-(roundoff accumulated over up to 2^24 node visits); direct closed-form grid
-checks use 1e-12.  Checks applied to Monte Carlo reports widen the tolerance
-by three standard errors of the estimated sides and are flagged
-"statistical".
+slack >= -tolerance.  Exact-engine checks use an absolute tolerance of
+EXACT_TOL = 1e-9 (roundoff accumulated over up to 2^24 node visits); direct
+closed-form grid checks use GRID_TOL = 1e-12 and the plateau check
+PLATEAU_TOL = 1e-12.
+
+Checks applied to Monte Carlo reports are flagged "statistical", and one
+rule, ``_tolerance``, widens them: EXACT_TOL plus 3 standard errors (SE) of
+every estimated total that enters a side with slope +-1, plus, for a side
+that is a nonlinear function of estimated totals, how far that function
+moves (up for an rhs, down for an lhs) over the corners of the +-3 SE box
+around them.  The regret-bound form chain compares two forms of the same
+estimates, and form1 <= form2 holds for every estimate, so estimation error
+cannot fail it: it keeps EXACT_TOL on every report.
 
 Certified families:
 
@@ -35,6 +43,7 @@ Certified families:
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -110,145 +119,132 @@ class BoundCheckResult:
         }
 
 
-def _stat(report: TotalsReport, base_tol: float, *keys: str) -> tuple[float, str]:
-    """Tolerance and mode, widened by 3 SE of the named cumulative series."""
+def _se(report: TotalsReport, key: str) -> float:
+    return report.kl_direct_se if key == "kl_direct" else report.total_se(key)
+
+
+def _tolerance(report: TotalsReport, linear: Sequence[str] = (), *curves) -> tuple[float, str]:
+    """Tolerance and mode of one check on ``report``.
+
+    ``linear`` names the totals that enter a side with slope +-1
+    (``"kl_direct"`` is the full-string log-ratio estimate).  A curve
+    ``(side, fn, keys)`` is a side, "lhs" or "rhs", computed as ``fn`` of the
+    named totals; its range is taken over the 2^k corners of their +-3 SE
+    box: how far ``fn`` rises above its value for an rhs, falls below it for
+    an lhs, clamped at 0.
+    """
     if not report.is_statistical:
-        return base_tol, "exact"
-    se = sum(report.total_se(k) for k in keys if k in (report.se_cumulative or {}))
-    return base_tol + 3.0 * se, "statistical"
+        return EXACT_TOL, "exact"
+    ranges = 0.0
+    for side, fn, keys in curves:
+        totals = [report.total(k) for k in keys]
+        shifts = [3.0 * _se(report, k) for k in keys]
+        value = fn(*totals)
+        corners = [fn(*(t + s * d for t, s, d in zip(totals, signs, shifts)))
+                   for signs in itertools.product((-1.0, 1.0), repeat=len(keys))]
+        ranges += max(0.0, max(corners) - value if side == "rhs" else value - min(corners))
+    return EXACT_TOL + (ranges + 3.0 * sum(_se(report, k) for k in linear)), "statistical"
+
+
+def _sqrt_2n(n: int, kl: float) -> float:
+    return math.sqrt(max(2.0 * n * kl, 0.0))
+
+
+def _form1(d: float, l: float) -> float:
+    """The regret bound d + sqrt(4 l d + d^2) of KL total d and informed loss l."""
+    return d + math.sqrt(max(4.0 * l * d + d * d, 0.0))
+
+
+def _form2(d: float, l: float) -> float:
+    """The looser regret bound 2 d + 2 sqrt(l d)."""
+    return 2.0 * d + 2.0 * math.sqrt(max(l * d, 0.0))
+
+
+def _certificate(lm: float, d: float) -> float:
+    """No scheme's loss falls below lm - 2 sqrt(lm d), lm the mixture loss."""
+    return lm - 2.0 * math.sqrt(max(lm * d, 0.0))
 
 
 # -- convergence ----------------------------------------------------------------
 
 def check_convergence_bounds(report: TotalsReport, *,
-                             deviation_epsilon: float = DEFAULT_DEVIATION_EPSILON,
-                             tolerance: float = EXACT_TOL) -> list[BoundCheckResult]:
+                             deviation_epsilon: float = DEFAULT_DEVIATION_EPSILON
+                             ) -> list[BoundCheckResult]:
     """Certify the distance-total bounds and identities on one report."""
-    n = report.horizon
-    kl = report.total("kl")
-    results = []
-
-    tol, mode = _stat(report, tolerance, "square", "kl")
-    results.append(BoundCheckResult("square-total<=kl-total", report.total("square"), kl, tol, mode))
-    tol, mode = _stat(report, tolerance, "kl")
-    results.append(BoundCheckResult("kl-total<=log-inv-weight", kl, report.log_inv_true_weight, tol, mode))
-    tol, mode = _stat(report, tolerance, "ratio_term", "hellinger")
-    results.append(BoundCheckResult("ratio-sum<=hellinger-total", report.total("ratio_term"),
-                                    report.total("hellinger"), tol, mode))
-    tol, mode = _stat(report, tolerance, "hellinger", "kl")
-    results.append(BoundCheckResult("hellinger-total<=kl-total", report.total("hellinger"), kl, tol, mode))
-    tol, mode = _stat(report, tolerance, "abs_divergence", "kl", "absolute")
-    results.append(BoundCheckResult("absdiv-minus-kl<=abs-total",
-                                    report.total("abs_divergence") - kl, report.total("absolute"), tol, mode))
-    # sqrt(2 n KL) is nonlinear in the estimated KL: widen by re-evaluating
-    # the (monotone) rhs at the 3-SE-shifted estimate
-    rhs = math.sqrt(max(2.0 * n * kl, 0.0))
-    rhs_hi = math.sqrt(max(2.0 * n * (kl + 3.0 * report.total_se("kl")), 0.0))
-    tol = tolerance + (rhs_hi - rhs) + 3.0 * report.total_se("absolute")
-    mode = "statistical" if report.is_statistical else "exact"
-    results.append(BoundCheckResult("abs-total<=sqrt-2nkl", report.total("absolute"), rhs,
-                                    tol if report.is_statistical else tolerance, mode))
-
-    # telescoping identity: summed per-step KL == expected full-string log-ratio
-    ident_tol = tolerance
-    if report.is_statistical:
-        ident_tol += 3.0 * (report.total_se("kl") + (report.kl_direct_se or 0.0))
-    results.append(BoundCheckResult("kl-telescoping-identity",
-                                    abs(kl - report.kl_direct), 0.0, ident_tol, mode))
-
-    # deviation-count rate: #{t : E[square_t] > eps^2} <= KL/eps^2
+    total, kl = report.total, report.total("kl")
+    sqrt_2n = partial(_sqrt_2n, report.horizon)
     eps2 = deviation_epsilon**2
     count = float((report.per_step["square"] > eps2).sum())
-    dev_tol = tolerance + (3.0 * report.total_se("kl") / eps2 if report.is_statistical else 0.0)
-    results.append(BoundCheckResult("deviation-count", count, kl / eps2, dev_tol,
-                                    mode, location=f"eps={deviation_epsilon}"))
-    return results
+    return [
+        BoundCheckResult("square-total<=kl-total", total("square"), kl,
+                         *_tolerance(report, ("square", "kl"))),
+        BoundCheckResult("kl-total<=log-inv-weight", kl, report.log_inv_true_weight,
+                         *_tolerance(report, ("kl",))),
+        BoundCheckResult("ratio-sum<=hellinger-total", total("ratio_term"), total("hellinger"),
+                         *_tolerance(report, ("ratio_term", "hellinger"))),
+        BoundCheckResult("hellinger-total<=kl-total", total("hellinger"), kl,
+                         *_tolerance(report, ("hellinger", "kl"))),
+        BoundCheckResult("absdiv-minus-kl<=abs-total", total("abs_divergence") - kl, total("absolute"),
+                         *_tolerance(report, ("abs_divergence", "kl", "absolute"))),
+        BoundCheckResult("abs-total<=sqrt-2nkl", total("absolute"), sqrt_2n(kl),
+                         *_tolerance(report, ("absolute",), ("rhs", sqrt_2n, ("kl",)))),
+        # telescoping identity: summed per-step KL == expected full-string log-ratio
+        BoundCheckResult("kl-telescoping-identity", abs(kl - report.kl_direct), 0.0,
+                         *_tolerance(report, ("kl", "kl_direct"))),
+        # deviation-count rate: #{t : E[square_t] > eps^2} <= KL/eps^2
+        BoundCheckResult("deviation-count", count, kl / eps2,
+                         *_tolerance(report, (), ("rhs", lambda d: d / eps2, ("kl",))),
+                         location=f"eps={deviation_epsilon}"),
+    ]
 
 
 # -- loss bounds ------------------------------------------------------------------
 
-def check_loss_bounds(report: TotalsReport, label: str, *,
-                      tolerance: float = EXACT_TOL) -> list[BoundCheckResult]:
+def check_loss_bounds(report: TotalsReport, label: str) -> list[BoundCheckResult]:
     """Certify the regret bounds for one bounded loss in the report."""
     loss = report.losses[label]
     if not loss.bounded:
         raise ValueError(f"loss {label!r} is unbounded; use check_logloss_identity")
-    n = report.horizon
     kl = report.total("kl")
-    l_mix = report.total(f"mixture_loss[{label}]")
-    l_inf = report.total(f"informed_loss[{label}]")
-    gap = l_mix - l_inf
     mix_key, inf_key = f"mixture_loss[{label}]", f"informed_loss[{label}]"
-    results = []
-
-    tol, mode = _stat(report, tolerance, mix_key, inf_key)
-    results.append(BoundCheckResult(f"regret-nonneg[{label}]", l_inf, l_mix, tol, mode))
-
-    def form1(d, li):
-        return d + math.sqrt(max(4.0 * li * d + d * d, 0.0))
-
-    def form2(d, li):
-        return 2.0 * d + 2.0 * math.sqrt(max(li * d, 0.0))
-
-    # the rhs forms are monotone in both estimated totals: widen statistical
-    # tolerances by re-evaluating them at the 3-SE-shifted estimates
-    se_kl, se_inf = report.total_se("kl"), report.total_se(inf_key)
-    se_gap = report.total_se(mix_key) + se_inf
-    statistical = report.is_statistical
-    mode = "statistical" if statistical else "exact"
-    for name, fn in ((f"regret-bound-sqrt-form[{label}]", form1),
-                     (f"regret-bound-2sqrt-form[{label}]", form2)):
-        rhs = fn(kl, l_inf)
-        tol = tolerance
-        if statistical:
-            tol += (fn(kl + 3.0 * se_kl, l_inf + 3.0 * se_inf) - rhs) + 3.0 * se_gap
-        results.append(BoundCheckResult(name, gap, rhs, tol, mode))
-    chain_tol = tolerance
-    if statistical:
-        chain_tol += (form2(kl + 3.0 * se_kl, l_inf + 3.0 * se_inf) - form2(kl, l_inf)) + \
-                     (form1(kl + 3.0 * se_kl, l_inf + 3.0 * se_inf) - form1(kl, l_inf))
-    results.append(BoundCheckResult(f"regret-bound-form-chain[{label}]",
-                                    form1(kl, l_inf), form2(kl, l_inf), chain_tol, mode))
-    tol, _ = _stat(report, tolerance, mix_key, inf_key, "absolute")
-    results.append(BoundCheckResult(f"regret<=abs-total[{label}]", gap, report.total("absolute"), tol, mode))
-    rhs = math.sqrt(max(2.0 * n * kl, 0.0))
-    tol = tolerance
-    if statistical:
-        tol += (math.sqrt(max(2.0 * n * (kl + 3.0 * se_kl), 0.0)) - rhs) + 3.0 * se_gap
-    results.append(BoundCheckResult(f"regret<=sqrt-2nkl[{label}]", gap, rhs, tol, mode))
-
-    def certificate(lm, d):
-        return lm - 2.0 * math.sqrt(max(lm * d, 0.0))
-
-    se_mix = report.total_se(mix_key)
+    l_mix, l_inf = report.total(mix_key), report.total(inf_key)
+    gap, gap_keys = l_mix - l_inf, (mix_key, inf_key)
+    sqrt_2n = partial(_sqrt_2n, report.horizon)
+    results = [BoundCheckResult(f"regret-nonneg[{label}]", l_inf, l_mix, *_tolerance(report, gap_keys))]
+    for name, form in (("sqrt-form", _form1), ("2sqrt-form", _form2)):
+        results.append(BoundCheckResult(f"regret-bound-{name}[{label}]", gap, form(kl, l_inf),
+                                        *_tolerance(report, gap_keys, ("rhs", form, ("kl", inf_key)))))
+    results += [
+        BoundCheckResult(f"regret-bound-form-chain[{label}]", _form1(kl, l_inf), _form2(kl, l_inf),
+                         *_tolerance(report)),
+        BoundCheckResult(f"regret<=abs-total[{label}]", gap, report.total("absolute"),
+                         *_tolerance(report, (*gap_keys, "absolute"))),
+        BoundCheckResult(f"regret<=sqrt-2nkl[{label}]", gap, sqrt_2n(kl),
+                         *_tolerance(report, gap_keys, ("rhs", sqrt_2n, ("kl",)))),
+    ]
     for scheme in report.scheme_labels:
         alt_key = f"scheme_loss[{scheme}|{label}]"
         l_alt = report.total(alt_key)
-        tol, _ = _stat(report, tolerance, inf_key, alt_key)
-        results.append(BoundCheckResult(f"informed-optimality[{label}|{scheme}]", l_inf, l_alt, tol, mode))
-        cert = certificate(l_mix, kl)
-        tol = tolerance
-        if statistical:
-            corners = [certificate(l_mix + s * 3.0 * se_mix, kl + r * 3.0 * se_kl)
-                       for s in (-1.0, 1.0) for r in (-1.0, 1.0)]
-            tol += max(0.0, cert - min(corners)) + 3.0 * report.total_se(alt_key)
+        results.append(BoundCheckResult(f"informed-optimality[{label}|{scheme}]", l_inf, l_alt,
+                                        *_tolerance(report, (inf_key, alt_key))))
         results.append(BoundCheckResult(f"no-scheme-much-better[{label}|{scheme}]",
-                                        cert, l_alt, tol, mode))
+                                        _certificate(l_mix, kl), l_alt,
+                                        *_tolerance(report, (alt_key,),
+                                                    ("lhs", _certificate, (mix_key, "kl")))))
 
     if report.mu_is_deterministic and loss.has_zero_loss_action():
-        results.extend(check_finite_loss_plateau(report, label, tolerance=tolerance))
+        results.extend(check_finite_loss_plateau(report, label))
     return results
 
 
-def check_finite_loss_plateau(report: TotalsReport, label: str, *,
-                              tolerance: float = EXACT_TOL) -> list[BoundCheckResult]:
+def check_finite_loss_plateau(report: TotalsReport, label: str) -> list[BoundCheckResult]:
     """Deterministic truth + a zero-loss action per outcome: the mixture
     predictor's total loss stays below twice log(1/true weight) and its
     series plateaus (finite-horizon surrogate for a finite-total claim)."""
     cum = report.cumulative[f"mixture_loss[{label}]"]
     cap = 2.0 * report.log_inv_true_weight
     worst_t = int(np.argmax(cum)) + 1
-    tol, mode = _stat(report, tolerance, f"mixture_loss[{label}]")
+    tol, mode = _tolerance(report, (f"mixture_loss[{label}]",))
     results = [BoundCheckResult(f"finite-loss-cap[{label}]", float(cum.max()), cap, tol, mode,
                                 location=f"t={worst_t}")]
     tail = math.ceil(report.horizon / 4)
@@ -258,12 +254,12 @@ def check_finite_loss_plateau(report: TotalsReport, label: str, *,
     return results
 
 
-def check_logloss_identity(report: TotalsReport, label: str, *,
-                           tolerance: float = EXACT_TOL) -> BoundCheckResult:
+def check_logloss_identity(report: TotalsReport, label: str) -> BoundCheckResult:
     """|mixture regret - cumulative KL| == 0 for the log score."""
-    gap = report.total(f"mixture_loss[{label}]") - report.total(f"informed_loss[{label}]")
-    tol, mode = _stat(report, tolerance, f"mixture_loss[{label}]", f"informed_loss[{label}]", "kl")
-    return BoundCheckResult(f"logloss-identity[{label}]", abs(gap - report.total("kl")), 0.0, tol, mode)
+    mix_key, inf_key = f"mixture_loss[{label}]", f"informed_loss[{label}]"
+    gap = report.total(mix_key) - report.total(inf_key)
+    return BoundCheckResult(f"logloss-identity[{label}]", abs(gap - report.total("kl")), 0.0,
+                            *_tolerance(report, (mix_key, inf_key, "kl")))
 
 
 # -- instantaneous (per-history) bounds -------------------------------------------
@@ -280,7 +276,10 @@ class InstantChecks:
     within a level the first node with the smallest slack counts, and a
     later level replaces it only with a strictly smaller slack.  Per loss it
     keeps the squared-regret sum, added left to right in level then node
-    order.  ``len()`` is the number of levels observed.
+    order.  ``len()`` is the number of levels observed.  A location reads
+    ``t=<step> history=<symbols>``: the symbols run together while each is
+    one digit and are joined by commas once one is 10 or more, so (1, 11)
+    and (11, 1) read apart.
     """
 
     def __init__(self, labels: Sequence[str]):
@@ -312,20 +311,21 @@ class InstantChecks:
             i = int(np.argmin(slack))
             best = self._best.get(bound_id)
             if best is None or slack[i] < best[0]:
-                h = "".join(map(str, history(i))) or "(empty)"
+                symbols = history(i)
+                h = ("," if max(symbols, default=0) >= 10 else "").join(map(str, symbols)) or "(empty)"
                 self._best[bound_id] = (slack[i], float(lhs[i]), float(rhs[i]), f"t={step} history={h}")
 
-    def result(self, chain: str, tolerance: float, bound_id: str | None = None) -> BoundCheckResult:
+    def result(self, chain: str, bound_id: str | None = None) -> BoundCheckResult:
         """One chain at its minimal-slack history, reported as ``bound_id``."""
         _, lhs, rhs, location = self._best[chain]
-        return BoundCheckResult(bound_id or chain, lhs, rhs, tolerance, "exact", location=location)
+        return BoundCheckResult(bound_id or chain, lhs, rhs, EXACT_TOL, "exact", location=location)
 
     def squared_regret_sum(self, label: str) -> float:
         return float(self._squared[label])
 
 
 def check_instant_bounds(records: InstantChecks, report: TotalsReport,
-                         label: str, *, tolerance: float = EXACT_TOL) -> list[BoundCheckResult]:
+                         label: str) -> list[BoundCheckResult]:
     """Per-history regret chains for one bounded loss, plus the aggregated
     squared-regret budget, from the accumulator that observed the exact
     walk.  Each chain is reported at its minimal-slack history so
@@ -334,21 +334,20 @@ def check_instant_bounds(records: InstantChecks, report: TotalsReport,
     if not loss.bounded:
         raise ValueError(f"loss {label!r} is unbounded; instantaneous chains assume losses in [0, 1]")
     # the abs <= sqrt(2 kl) chain is loss-free; each loss reports it under its own id
-    results = [records.result(f"instant-regret-nonneg[{label}]", tolerance),
-               records.result(f"instant-regret<=abs[{label}]", tolerance),
-               records.result("instant-abs<=sqrt-2kl", tolerance, f"instant-abs<=sqrt-2kl[{label}]"),
-               records.result(f"instant-regret<=kl-form[{label}]", tolerance)]
+    results = [records.result(f"instant-regret-nonneg[{label}]"),
+               records.result(f"instant-regret<=abs[{label}]"),
+               records.result("instant-abs<=sqrt-2kl", f"instant-abs<=sqrt-2kl[{label}]"),
+               records.result(f"instant-regret<=kl-form[{label}]")]
     results.append(BoundCheckResult(f"squared-regret-sum<=2kl[{label}]",
                                     records.squared_regret_sum(label),
-                                    2.0 * report.total("kl"), tolerance, "exact"))
+                                    2.0 * report.total("kl"), EXACT_TOL, "exact"))
     return results
 
 
-def check_instant_distance_bounds(records: InstantChecks, *,
-                                  tolerance: float = EXACT_TOL) -> list[BoundCheckResult]:
+def check_instant_distance_bounds(records: InstantChecks) -> list[BoundCheckResult]:
     """Per-history absolute-distance sandwich (loss-free form)."""
-    return [records.result("instant-absdiv-minus-kl<=abs", tolerance),
-            records.result("instant-abs<=sqrt-2kl", tolerance)]
+    return [records.result("instant-absdiv-minus-kl<=abs"),
+            records.result("instant-abs<=sqrt-2kl")]
 
 
 # -- proof inequalities ------------------------------------------------------------
@@ -437,8 +436,8 @@ def proof_inequality_values(point: InequalityPoint) -> dict[str, float]:
 def grid_verify_proof_inequalities(b_rule, *,
                                    a_values: Sequence[float] | None = None,
                                    grid_points: int = ProofGridConfig.grid_points,
-                                   edge_margin: float = ProofGridConfig.edge_margin,
-                                   tolerance: float = GRID_TOL) -> list[BoundCheckResult]:
+                                   edge_margin: float = ProofGridConfig.edge_margin
+                                   ) -> list[BoundCheckResult]:
     """Verify min f1 >= 0 (z <= 1/2) and min f2 >= 0 (z >= 1/2) over grids.
 
     ``b_rule`` is a named rule from B_RULES, a constant, or a callable
@@ -497,6 +496,6 @@ def grid_verify_proof_inequalities(b_rule, *,
         v, loc = best[name]
         a, y, z = loc
         results.append(BoundCheckResult(
-            f"proof-ineq-{name}[{rule_name}]", 0.0, v, tolerance, "exact",
+            f"proof-ineq-{name}[{rule_name}]", 0.0, v, GRID_TOL, "exact",
             location=f"A={a:.6g} y={y:.6g} z={z:.6g} ({branch})"))
     return results

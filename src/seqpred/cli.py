@@ -78,12 +78,17 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
     text = report_text(report, results)
     sys.stdout.write(text)
-    if "csv" in config.outputs:
-        write_series_csv(report, config.outputs["csv"])
-    if "report_json" in config.outputs:
-        Path(config.outputs["report_json"]).write_text(report_json(report, results))
-    if "report_text" in config.outputs:
-        Path(config.outputs["report_text"]).write_text(text)
+    writers = {"csv": lambda path: write_series_csv(report, path),
+               "report_json": lambda path: Path(path).write_text(report_json(report, results)),
+               "report_text": lambda path: Path(path).write_text(text)}
+    for key, write in writers.items():
+        if key in config.outputs:
+            try:
+                write(config.outputs[key])
+            except OSError as exc:
+                print(f"config error: output.{key}: cannot write {config.outputs[key]!r}: "
+                      f"{exc.strerror or exc}", file=sys.stderr)
+                return EXIT_CONFIG
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 

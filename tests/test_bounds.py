@@ -8,6 +8,8 @@ import pytest
 from seqpred import bounds
 from seqpred.bounds import (
     B_RULES,
+    EXACT_TOL,
+    PLATEAU_TOL,
     BoundCheckResult,
     InequalityPoint,
     InstantChecks,
@@ -22,7 +24,7 @@ from seqpred.bounds import (
 )
 from seqpred.distances import instant_distances
 from seqpred.cli import run_experiment
-from seqpred.engine import _label_losses, exact_evaluate, monte_carlo_evaluate
+from seqpred.engine import TotalsReport, _label_losses, exact_evaluate, monte_carlo_evaluate
 from seqpred.losses import ErrorLoss, LogLoss, MatrixLoss, QuadraticLoss
 from seqpred.measures import BernoulliMeasure, DeterministicMeasure
 from seqpred.mixture import MixtureModel
@@ -136,13 +138,106 @@ class TestConvergenceChecks:
         assert dev.lhs == manual
         assert dev.rhs == pytest.approx(three_coin_report.total("kl") / eps**2, abs=1e-12)
 
-    def test_statistical_mode_widens_tolerances(self):
+
+
+# per-step values of a hand-built Monte Carlo report over 4 steps: losses
+# "error" (bounded, with a zero-loss action) and "log", one scheme "const"
+_STEP_VALUES = {"square": 0.05, "kl": 0.1, "ratio_term": 0.02, "hellinger": 0.05,
+                "abs_divergence": 0.15, "absolute": 0.2, "mixture_loss[error]": 0.3,
+                "informed_loss[error]": 0.2, "scheme_loss[const|error]": 0.4,
+                "mixture_loss[log]": 0.8, "informed_loss[log]": 0.7, "scheme_loss[const|log]": 0.9}
+
+# the checks each total's SE widens: "linear" by exactly 3 SE, "curve" by the
+# range of a nonlinear side over the +-3 SE box (plus 3 SE where the total
+# also enters linearly)
+_WIDENS = {
+    "square": {"square-total<=kl-total": "linear"},
+    "kl": {"square-total<=kl-total": "linear", "kl-total<=log-inv-weight": "linear",
+           "hellinger-total<=kl-total": "linear", "absdiv-minus-kl<=abs-total": "linear",
+           "abs-total<=sqrt-2nkl": "curve", "kl-telescoping-identity": "linear",
+           "deviation-count": "curve", "regret-bound-sqrt-form[error]": "curve",
+           "regret-bound-2sqrt-form[error]": "curve", "regret<=sqrt-2nkl[error]": "curve",
+           "no-scheme-much-better[error|const]": "curve", "logloss-identity[log]": "linear"},
+    "ratio_term": {"ratio-sum<=hellinger-total": "linear"},
+    "hellinger": {"ratio-sum<=hellinger-total": "linear", "hellinger-total<=kl-total": "linear"},
+    "abs_divergence": {"absdiv-minus-kl<=abs-total": "linear"},
+    "absolute": {"absdiv-minus-kl<=abs-total": "linear", "abs-total<=sqrt-2nkl": "linear",
+                 "regret<=abs-total[error]": "linear"},
+    "mixture_loss[error]": {"regret-nonneg[error]": "linear", "regret-bound-sqrt-form[error]": "linear",
+                            "regret-bound-2sqrt-form[error]": "linear", "regret<=abs-total[error]": "linear",
+                            "regret<=sqrt-2nkl[error]": "linear",
+                            "no-scheme-much-better[error|const]": "curve",
+                            "finite-loss-cap[error]": "linear"},
+    "informed_loss[error]": {"regret-nonneg[error]": "linear", "regret-bound-sqrt-form[error]": "curve",
+                             "regret-bound-2sqrt-form[error]": "curve", "regret<=abs-total[error]": "linear",
+                             "regret<=sqrt-2nkl[error]": "linear",
+                             "informed-optimality[error|const]": "linear"},
+    "scheme_loss[const|error]": {"informed-optimality[error|const]": "linear",
+                                 "no-scheme-much-better[error|const]": "linear"},
+    "mixture_loss[log]": {"logloss-identity[log]": "linear"},
+    "informed_loss[log]": {"logloss-identity[log]": "linear"},
+    "scheme_loss[const|log]": {},
+    "kl_direct": {"kl-telescoping-identity": "linear"},
+}
+
+
+def _statistical_report(se_key, se):
+    """A Monte Carlo report whose only non-zero standard error is ``se_key``'s."""
+    per_step = {k: np.full(4, v) for k, v in _STEP_VALUES.items()}
+    se_cumulative = {k: np.full(4, se if k == se_key else 0.0) for k in per_step}
+    return TotalsReport(
+        horizon=4, alphabet_size=2, engine="monte-carlo", true_index=0, true_weight=0.5,
+        mu_is_deterministic=True, loss_labels=("error", "log"), scheme_labels=("const",),
+        losses={"error": ErrorLoss(), "log": LogLoss()}, per_step=per_step,
+        cumulative={k: np.cumsum(v) for k, v in per_step.items()}, kl_direct=0.4,
+        samples=100, seed=0, se_cumulative=se_cumulative,
+        kl_direct_se=se if se_key == "kl_direct" else 0.0)
+
+
+def _all_checks(report):
+    return (check_convergence_bounds(report) + check_loss_bounds(report, "error")
+            + [check_logloss_identity(report, "log")])
+
+
+class TestStatisticalWidening:
+    def test_each_total_widens_only_its_checks(self):
+        se = 0.01
+        assert set(_WIDENS) == {*_STEP_VALUES, "kl_direct"}
+        for key, widened in _WIDENS.items():
+            results = _all_checks(_statistical_report(key, se))
+            assert all(r.mode == "statistical" for r in results)
+            base = {r.bound_id: r.tolerance for r in results if r.tolerance in (EXACT_TOL, PLATEAU_TOL)}
+            assert {r.bound_id for r in results} - set(base) == set(widened), key
+            for r in results:
+                if widened.get(r.bound_id) == "linear":
+                    assert r.tolerance == EXACT_TOL + 3.0 * se, (key, r.bound_id)
+                elif widened.get(r.bound_id) == "curve":
+                    assert r.tolerance > EXACT_TOL, (key, r.bound_id)
+        # the same totals from an exact engine: the base tolerances
+        exact = _all_checks(dataclasses.replace(_statistical_report("kl", se), engine="exact",
+                                                se_cumulative=None))
+        assert {(r.tolerance, r.mode) for r in exact if not r.bound_id.startswith("loss-plateau")} == {
+            (EXACT_TOL, "exact")}
+        assert [(r.tolerance, r.mode) for r in exact if r.bound_id.startswith("loss-plateau")] == [
+            (PLATEAU_TOL, "exact")]
+        # an estimated report: every check is flagged statistical and passes
         mix = MixtureModel([BernoulliMeasure(0.2), BernoulliMeasure(0.8)], [0.5, 0.5])
         mc = monte_carlo_evaluate(mix, 0, [ErrorLoss()], 6, samples=500, seed=11)
-        results = check_convergence_bounds(mc)
-        assert all(r.mode == "statistical" for r in results)
-        assert all(r.passed for r in results)
-        assert any(r.tolerance > 1e-9 for r in results)
+        results = check_convergence_bounds(mc) + check_loss_bounds(mc, "error")
+        assert all(r.mode == "statistical" and r.passed for r in results)
+
+    def test_form_chain_holds_for_every_estimate(self):
+        # form1(d, l) <= form2(d, l) for all d, l >= 0: the chain compares two
+        # forms of the same estimates, so it keeps the exact tolerance
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.floats(0.0, 1e4), st.floats(0.0, 1e4))
+        def check(d, l):
+            assert bounds._form1(d, l) <= bounds._form2(d, l) + EXACT_TOL
+
+        check()
 
 
 class TestLossChecks:
@@ -251,6 +346,21 @@ class TestInstantChecks:
         assert abs(by_id["instant-regret<=abs[error]"].slack) <= 1e-12
         assert by_id["instant-regret<=abs[error]"].location == "t=1 history=(empty)"
 
+    def test_locations_on_large_alphabets_read_apart(self):
+        # (1, 11) and (11, 1) would both run together as "111"; node ``worst``
+        # has the smallest absdiv-minus-kl<=abs slack
+        histories = [[1, 11], [11, 1], [1, 2]]
+
+        def location(worst):
+            values = {k: np.full(3, 0.5) for k in ("absolute", "kl", "abs_divergence")}
+            values["abs_divergence"][worst] = 0.75
+            checks = InstantChecks([])
+            checks(3, np.full(3, 1 / 3), np.ones(3), values, histories.__getitem__)
+            return check_instant_distance_bounds(checks)[0].location
+
+        assert [location(i) for i in range(3)] == [
+            "t=3 history=1,11", "t=3 history=11,1", "t=3 history=12"]
+
     def test_distance_sandwich(self, three_coin_report):
         results = check_instant_distance_bounds(three_coin_report.records)
         assert all(r.passed for r in results)
@@ -268,7 +378,8 @@ def _reference_instant_checks(levels, labels):
     for rec in levels:
         for i in range(rec.weights.size):
             v = {k: float(a[i]) for k, a in rec.values.items()}
-            hist = "".join(str(int(s)) for s in rec.histories[i]) or "(empty)"
+            sep = "," if any(s >= 10 for s in rec.histories[i]) else ""
+            hist = sep.join(str(int(s)) for s in rec.histories[i]) or "(empty)"
             d, a = v["kl"], v["absolute"]
             chains = {"instant-absdiv-minus-kl<=abs": (v["abs_divergence"] - d, a),
                       "instant-abs<=sqrt-2kl": (a, math.sqrt(max(2.0 * d, 0.0)))}

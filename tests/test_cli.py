@@ -61,6 +61,19 @@ class TestRunCommand:
         assert payload["engine"] == "exact"
         assert {b["bound_id"] for b in payload["bounds"]} >= {"kl-total<=log-inv-weight"}
 
+    @pytest.mark.parametrize("key, path", [("csv", "missing/series.csv"),
+                                           ("report_json", "."),
+                                           ("report_text", "missing/report.txt")])
+    def test_unwritable_output_exits_1_naming_the_field(self, in_tmp, capsys, key, path):
+        cfg = load_preset_dict("collapse")
+        cfg["output"] = {key: path}
+        (in_tmp / "cfg.json").write_text(json.dumps(cfg))
+        code = run_cli("run", "cfg.json")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config error: output.{key}: cannot write")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_bad_weights_exit_1_with_field_name(self, in_tmp, tmp_path, capsys):
         cfg = load_preset_dict("collapse")
         cfg["mixture"]["weights"] = [0.45, 0.45]
