@@ -375,7 +375,7 @@ class InequalityPoint:
         return self.b_const + 1.0
 
     def __post_init__(self):
-        if self.a_const <= 0:
+        if not self.a_const > 0:  # false for NaN too
             raise ValueError("a_const must be > 0")
         if not (0.0 < self.y < 1.0 and 0.0 < self.z < 1.0):
             raise ValueError("y and z must lie strictly inside (0, 1): the "

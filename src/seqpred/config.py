@@ -33,7 +33,6 @@ from .schemes import ConstantScheme, MajorityVoteScheme, PredictionScheme
 
 SCHEMA = json.loads((Path(__file__).parent / "presets" / "config.schema.json").read_text())
 KNOWN_CHECKS = tuple(SCHEMA["properties"]["checks"]["items"]["enum"])
-WEIGHT_SUM_TOL = 1e-12
 # bound keywords of the schema: (holds, how a violation reads)
 _BOUNDS = {"minimum": (operator.ge, ">="), "maximum": (operator.le, "<="),
            "exclusiveMinimum": (operator.gt, ">")}
@@ -205,22 +204,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
     mix_raw = raw["mixture"]
     components = [measure_from_spec(c, alphabet_size, f"mixture.components[{i}]")
                   for i, c in enumerate(mix_raw["components"])]
-    weights = mix_raw["weights"]
-    if len(weights) != len(components):
-        raise ConfigError("mixture.weights", "expected one weight per component")
-    wsum = 0.0
-    for w in weights:
-        wsum += float(w)
-    if abs(wsum - 1.0) > WEIGHT_SUM_TOL:
-        raise ConfigError("mixture.weights", f"weights must sum to 1 (got {wsum!r})")
+    try:
+        mixture = MixtureModel(components, mix_raw["weights"])
+    except DistributionError as exc:
+        raise ConfigError(f"mixture.{exc.field}", str(exc)) from exc
+    except ValueError as exc:
+        raise ConfigError("mixture", str(exc)) from exc
     true_index = mix_raw["true_component_index"]
     if true_index >= len(components):
         raise ConfigError("mixture.true_component_index",
                           f"must be < number of components ({len(components)})")
-    try:
-        mixture = MixtureModel(components, weights)
-    except ValueError as exc:
-        raise ConfigError("mixture", str(exc)) from exc
     for i, comp in enumerate(components):
         if isinstance(comp, ExplicitTableMeasure) and comp.horizon < horizon:
             raise ConfigError(f"mixture.components[{i}]",

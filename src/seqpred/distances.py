@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-POSTERIOR_SUM_TOL = 1e-9
+from .measures import POSTERIOR_SUM_TOL, _check_distribution
+
 DISTANCE_NAMES = ("absolute", "square", "hellinger", "kl", "abs_divergence")
 
 
@@ -43,20 +44,10 @@ class StepDistances:
     abs_divergence: float
 
 
-def _validate(vec, name: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D probability vector")
-    if (v < 0).any():
-        raise ValueError(f"{name} has negative entries")
-    if abs(float(v.sum()) - 1.0) > POSTERIOR_SUM_TOL:
-        raise ValueError(f"{name} must sum to 1 within {POSTERIOR_SUM_TOL}, got {v.sum()!r}")
-    return v
-
-
 def _pair(true_vec, predicted_vec) -> tuple[np.ndarray, np.ndarray]:
-    y = _validate(true_vec, "true posterior")
-    z = _validate(predicted_vec, "predicted posterior")
+    y = _check_distribution(true_vec, "true posterior", "true_vec", POSTERIOR_SUM_TOL)
+    z = _check_distribution(predicted_vec, "predicted posterior", "predicted_vec",
+                            POSTERIOR_SUM_TOL)
     if y.shape != z.shape:
         raise ValueError("posterior vectors must have equal length")
     return y, z

@@ -113,11 +113,10 @@ DISTANCE_KEYS = DISTANCE_NAMES + ("ratio_term",)
 class BudgetExceededError(RuntimeError):
     """Exact enumeration ran past its node-visit budget."""
 
-    def __init__(self, visits: int, budget: int, suggested_samples: int):
-        self.suggested_samples = suggested_samples
+    def __init__(self, visits: int, budget: int):
         super().__init__(
             f"exact enumeration exceeded the work budget ({visits} node visits > {budget}); "
-            f"fall back to monte_carlo_evaluate with samples >= {suggested_samples}"
+            "fall back to monte_carlo_evaluate with samples >= 100000"
         )
 
 
@@ -172,9 +171,6 @@ class TotalsReport:
         if self.se_cumulative is None:
             return 0.0
         return float(self.se_cumulative[key][-1])
-
-    def series_names(self) -> list[str]:
-        return list(self.per_step)
 
 
 def _series_keys(loss_labels, schemes):
@@ -433,7 +429,7 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
     for t in range(horizon):
         visits += mult.shape[0]
         if visits > node_budget:
-            raise BudgetExceededError(visits, node_budget, suggested_samples=100_000)
+            raise BudgetExceededError(visits, node_budget)
         true_cond, log_cond = ev.conditionals(rows.states, t)
         _mix_cond, values = ev.evaluate(true_cond, log_cond, rows.comp_logm, rows.keys)
         weights = mult * np.exp(rows.comp_logm[:, true_index])
@@ -455,7 +451,7 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
     # leaf level: expectation of the full-string log-ratio
     visits += mult.shape[0]
     if visits > node_budget:
-        raise BudgetExceededError(visits, node_budget, suggested_samples=100_000)
+        raise BudgetExceededError(visits, node_budget)
     kl_direct = float((mult * np.exp(rows.comp_logm[:, true_index])) @ ev.log_ratio(rows))
 
     return _build_report("exact", mixture, true_index, labelled, ev.schemes, horizon,

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-POSTERIOR_SUM_TOL = 1e-9
+from .measures import POSTERIOR_SUM_TOL, _check_distribution
+
 # exp() overflow guard for the alpha-loss closed form; beyond this the
 # action saturates to exactly 0 or 1 (the threshold rule).
 _EXP_CLAMP = 700.0
@@ -50,8 +51,7 @@ class LossSpec:
 
     kind: str = "?"
     bounded: bool = True
-    continuous_actions: bool = True
-    binary_only: bool = True
+    n_outcomes: int = 2
 
     # -- elementwise loss -------------------------------------------------------
     def loss(self, x, y):
@@ -78,8 +78,7 @@ class LossSpec:
     # -- scalar conveniences ----------------------------------------------------
     def bayes_action(self, posterior):
         p = self._validated(posterior)
-        act = self.bayes_actions(p[None, :])[0]
-        return int(act) if not self.continuous_actions else float(act)
+        return self.bayes_actions(p[None, :])[0].item()
 
     def expected_loss(self, posterior, action) -> float:
         p = self._validated(posterior)
@@ -87,20 +86,20 @@ class LossSpec:
         return float(self.expected_losses(p[None, :], np.asarray([action]))[0])
 
     def _validated(self, posterior) -> np.ndarray:
-        p = np.asarray(posterior, dtype=float)
-        if p.ndim != 1 or (p < 0).any() or abs(float(p.sum()) - 1.0) > POSTERIOR_SUM_TOL:
-            raise ValueError(f"posterior must be non-negative and sum to 1 within {POSTERIOR_SUM_TOL}")
-        if self.binary_only and p.shape != (2,):
-            raise ValueError(f"{self.kind} loss is defined for the binary alphabet only")
+        p = _check_distribution(posterior, "posterior", "posterior", POSTERIOR_SUM_TOL)
+        if p.shape != (self.n_outcomes,):
+            raise ValueError(f"{self.kind} loss takes a posterior over {self.n_outcomes} "
+                             f"outcomes, got {p.shape[0]}")
         return p
 
     def _check_action(self, action) -> None:
-        if self.continuous_actions and not 0.0 <= float(action) <= 1.0:
+        if not 0.0 <= float(action) <= 1.0:
             raise ValueError(f"action {action} outside [0, 1]")
 
     def has_zero_loss_action(self) -> bool:
-        """True when every outcome admits a zero-loss action."""
-        raise NotImplementedError
+        """True when every outcome admits a zero-loss action, as it does for
+        every binary loss on y in [0, 1]: y = x."""
+        return True
 
     def __repr__(self):
         return f"{type(self).__name__}()"
@@ -114,8 +113,6 @@ class MatrixLoss(LossSpec):
     """
 
     kind = "matrix"
-    continuous_actions = False
-    binary_only = False
 
     def __init__(self, values):
         raw = np.asarray(values, dtype=float)
@@ -147,12 +144,6 @@ class MatrixLoss(LossSpec):
     def has_zero_loss_action(self) -> bool:
         return bool((self.matrix.min(axis=1) == 0.0).all())
 
-    def bayes_action(self, posterior):
-        p = self._validated(posterior)
-        if p.shape != (self.n_outcomes,):
-            raise ValueError(f"posterior length {p.shape[0]} != matrix outcomes {self.n_outcomes}")
-        return int(self.bayes_actions(p[None, :])[0])
-
     def _check_action(self, action) -> None:
         a = int(action)
         if not 0 <= a < self.n_actions:
@@ -177,9 +168,6 @@ class ErrorLoss(LossSpec):
 
     bayes_actions = staticmethod(_threshold_actions)
 
-    def has_zero_loss_action(self):
-        return True
-
 
 class AbsoluteLoss(LossSpec):
     """ell = |x - y| on y in [0, 1]; optimal actions sit at the endpoints."""
@@ -190,9 +178,6 @@ class AbsoluteLoss(LossSpec):
         return np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
 
     bayes_actions = staticmethod(_threshold_actions)
-
-    def has_zero_loss_action(self):
-        return True
 
 
 class AlphaLoss(LossSpec):
@@ -205,11 +190,12 @@ class AlphaLoss(LossSpec):
     degrades gracefully to the 0/1 threshold instead of overflowing.
     """
 
+    kind = "alpha"
+
     def __init__(self, alpha: float):
-        if alpha <= 0:
+        if not alpha > 0:  # false for NaN too
             raise ValueError("alpha must be > 0")
         self.alpha = float(alpha)
-        self.kind = "alpha"
 
     def loss(self, x, y):
         return np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) ** self.alpha
@@ -228,9 +214,6 @@ class AlphaLoss(LossSpec):
         out[mid] = 1.0 / (1.0 + np.exp(t[mid]))
         return out
 
-    def has_zero_loss_action(self):
-        return True
-
     def __repr__(self):
         return f"AlphaLoss({self.alpha})"
 
@@ -247,9 +230,6 @@ class QuadraticLoss(LossSpec):
     def bayes_actions(self, posteriors):
         return posteriors[:, 1].copy()
 
-    def has_zero_loss_action(self):
-        return True
-
 
 class HellingerLoss(LossSpec):
     """ell = 1 - sqrt(|1 - x - y|); Bayes action rho1^2 / (rho0^2 + rho1^2)."""
@@ -262,9 +242,6 @@ class HellingerLoss(LossSpec):
     def bayes_actions(self, posteriors):
         sq = posteriors * posteriors
         return sq[:, 1] / (sq[:, 0] + sq[:, 1])
-
-    def has_zero_loss_action(self):
-        return True
 
 
 class LogLoss(LossSpec):
@@ -295,9 +272,6 @@ class LogLoss(LossSpec):
                 out = out + np.where((mass > 0.0) & (prob <= 0.0), np.inf, term)
         return out
 
-    def has_zero_loss_action(self):
-        return True
-
 
 def threshold_gamma(matrix) -> float:
     """Threshold for the binary Bayes rule under a 2x2 matrix loss.
@@ -326,7 +300,7 @@ def grid_bayes_action(loss: LossSpec, posterior, resolution: float = 1e-5):
     y = 0, resolution, ..., 1.  Ties go to the first (smallest) candidate.
     Deliberately independent of the closed-form rules it is used to check.
     """
-    p = np.asarray(posterior, dtype=float)
+    p = loss._validated(posterior)
     if isinstance(loss, MatrixLoss):
         expected = p @ loss.matrix
         return int(np.argmin(expected))

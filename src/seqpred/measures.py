@@ -31,7 +31,10 @@ import numpy as np
 
 from .logdomain import NEG_INF
 
+# sum tolerance of a probability vector given as input, and of one computed
+# from other probabilities (a posterior)
 SUM_TOL = 1e-12
+POSTERIOR_SUM_TOL = 1e-9
 
 
 class InvalidSymbolError(ValueError):
@@ -183,7 +186,9 @@ class DistributionError(ValueError):
         self.field = field
 
 
-def _check_distribution(vec: np.ndarray, what: str, field: str) -> np.ndarray:
+def _check_distribution(vec, what: str, field: str, tol: float = SUM_TOL) -> np.ndarray:
+    """``vec`` as a float array, if it is a probability vector: 1-D, finite,
+    entries in [0, 1], summing to 1 within ``tol``."""
     vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1:
         raise DistributionError(field, f"{what} must be a probability vector")
@@ -192,15 +197,13 @@ def _check_distribution(vec: np.ndarray, what: str, field: str) -> np.ndarray:
         raise DistributionError(field, f"{what} entries must be finite")
     if (vec < 0).any() or (vec > 1).any():
         raise DistributionError(field, f"{what} entries must lie in [0, 1]")
-    if abs(float(vec.sum()) - 1.0) > SUM_TOL:
-        raise DistributionError(field, f"{what} must sum to 1 within {SUM_TOL}, got {vec.sum()!r}")
+    if abs(float(vec.sum()) - 1.0) > tol:
+        raise DistributionError(field, f"{what} must sum to 1 within {tol}, got {vec.sum()!r}")
     return vec
 
 
 class BernoulliMeasure(SequenceMeasure):
     """I.i.d. binary measure with P(x_t = 1) = theta."""
-
-    kind = "bernoulli"
 
     def __init__(self, theta: float):
         super().__init__(Alphabet(2))
@@ -231,8 +234,6 @@ class MarkovMeasure(SequenceMeasure):
     canonical start; this choice is part of the measure definition and is
     stated in every preset that uses it).
     """
-
-    kind = "markov"
 
     def __init__(self, transitions, initial, order: int = 1):
         transitions = np.asarray(transitions, dtype=float)
@@ -279,7 +280,6 @@ class DeterministicMeasure(SequenceMeasure):
     deviate from the generated prefix have probability zero.
     """
 
-    kind = "deterministic"
     is_deterministic = True
 
     def __init__(self, generator: Callable[[int], int], alphabet_size: int = 2):
@@ -309,18 +309,6 @@ class DeterministicMeasure(SequenceMeasure):
     def extend_state(self, states, symbols):
         return states
 
-    def log_marginal(self, string) -> float:
-        xs = as_symbols(string, self.alphabet)
-        for t, x in enumerate(xs, start=1):
-            if x != self.alphabet.check(self.generator(t)):
-                return NEG_INF
-        return 0.0
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError("horizon must be >= 1")
-        return np.array([self.alphabet.check(self.generator(t)) for t in range(1, n + 1)], dtype=np.int64)
-
     def __repr__(self):
         return f"DeterministicMeasure(N={self.alphabet.size})"
 
@@ -329,8 +317,6 @@ class TimeVaryingBinaryMeasure(SequenceMeasure):
     """Binary measure whose next-symbol law depends on the step index only:
     P(x_t = 1 | x_{<t}) = rule(t), t starting at 1."""
 
-    kind = "time-varying-binary"
-
     def __init__(self, rule: Callable[[int], float]):
         super().__init__(Alphabet(2))
         self.rule = rule
@@ -338,10 +324,7 @@ class TimeVaryingBinaryMeasure(SequenceMeasure):
     @classmethod
     def from_power_law(cls, coefficient: float, power: float) -> "TimeVaryingBinaryMeasure":
         """P(x_t = 1) = coefficient * t**(-power), clipped to [0, 1]."""
-        m = cls(lambda t: min(1.0, max(0.0, coefficient * float(t) ** -power)))
-        m.coefficient = float(coefficient)
-        m.power = float(power)
-        return m
+        return cls(lambda t: min(1.0, max(0.0, coefficient * float(t) ** -power)))
 
     def _p(self, t: int) -> float:
         p = float(self.rule(t))
@@ -373,8 +356,6 @@ class ExplicitTableMeasure(SequenceMeasure):
     itself an entry, up to the horizon (= 1 + longest key).  Conditionals
     beyond the horizon are undefined and raise.
     """
-
-    kind = "explicit-table"
 
     def __init__(self, table: Mapping, alphabet_size: int):
         super().__init__(Alphabet(alphabet_size))

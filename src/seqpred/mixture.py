@@ -22,14 +22,12 @@ from typing import Sequence
 import numpy as np
 
 from .logdomain import NEG_INF, log_sum_exp
-from .measures import (SUM_TOL, SequenceMeasure, UndefinedConditionalError, as_symbols,
-                       draw_symbols)
+from .measures import (DistributionError, SequenceMeasure, UndefinedConditionalError,
+                       _check_distribution, as_symbols, draw_symbols)
 
 
 class MixtureModel(SequenceMeasure):
     """Finite weighted family of candidate measures."""
-
-    kind = "mixture"
 
     def __init__(self, components: Sequence[SequenceMeasure], weights):
         if len(components) == 0:
@@ -38,13 +36,11 @@ class MixtureModel(SequenceMeasure):
         if len(sizes) != 1:
             raise ValueError(f"components disagree on alphabet size: {sorted(sizes)}")
         super().__init__(components[0].alphabet)
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(components),):
-            raise ValueError("need exactly one weight per component")
+        if np.shape(weights) != (len(components),):
+            raise DistributionError("weights", "need exactly one weight per component")
+        w = _check_distribution(weights, "prior weights", "weights")
         if (w <= 0).any():
-            raise ValueError("all prior weights must be > 0")
-        if abs(float(w.sum()) - 1.0) > SUM_TOL:
-            raise ValueError(f"prior weights must sum to 1 within {SUM_TOL}, got {w.sum()!r}")
+            raise DistributionError("weights", "all prior weights must be > 0")
         self.components = tuple(components)
         self.weights = w
         self.log_weights = np.log(w)

@@ -498,6 +498,11 @@ class TestProofInequalities:
         with pytest.raises(ValueError):
             InequalityPoint(-1.0, 2.0, 0.5, 0.5)
 
+    @pytest.mark.parametrize("a_const", [0.0, -1.0, math.nan])
+    def test_a_const_must_be_positive(self, a_const):
+        with pytest.raises(ValueError, match="a_const must be > 0"):
+            InequalityPoint(a_const, 2.0, 0.5, 0.5)
+
 
 def _full_grid_reference(rule, a_values, grid_points, edge_margin=1e-4):
     """The full-grid loop that masked each inequality's other half of z away;

@@ -286,6 +286,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="true_component_index"):
             parse_config(cfg)
 
+    def test_weight_count_names_the_weights(self):
+        cfg = self.base()
+        cfg["mixture"]["weights"] = cfg["mixture"]["weights"] + [0.25]
+        with pytest.raises(ConfigError, match="one weight per component") as exc:
+            parse_config(cfg)
+        assert exc.value.field_path == "mixture.weights"
+
     def test_engine_kind(self):
         cfg = self.base()
         cfg["engine"] = {"kind": "quantum"}

@@ -159,6 +159,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             instant_distances([0.5, 0.5], [0.3, 0.3, 0.4])
 
+    @pytest.mark.parametrize("func", [instant_distances, ratio_term], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("y, z, reason", [
+        ([math.nan, math.nan], [0.5, 0.5], "finite"),
+        ([0.5, 0.5], [math.nan, 1.0], "finite"),
+        ([math.inf, 0.0], [0.5, 0.5], "finite"),
+        ([1.0 + 1e-10, 0.0], [0.5, 0.5], r"\[0, 1\]"),
+    ], ids=["nan-true", "nan-predicted", "inf-true", "entry-above-one"])
+    def test_non_probability_vectors_rejected(self, func, y, z, reason):
+        with pytest.raises(ValueError, match=reason):
+            func(y, z)
+
 
 class TestColumnSums:
     """Batch distances add their symbol terms left to right,

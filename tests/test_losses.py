@@ -190,6 +190,37 @@ class TestFlags:
             AlphaLoss(0.0)
 
 
+class TestValidation:
+    """Every scalar entry point checks its posterior: a probability vector
+    over the loss's outcomes."""
+
+    SWITCH = MatrixLoss([[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize("loss", CONTINUOUS_LOSSES + [SWITCH], ids=lambda l: repr(l))
+    @pytest.mark.parametrize("posterior, reason", [
+        ([math.nan, math.nan], "finite"),
+        ([math.nan, 1.0], "finite"),
+        ([1.0 + 1e-10, 0.0], r"\[0, 1\]"),
+    ], ids=["nan", "half-nan", "entry-above-one"])
+    def test_non_probability_posteriors_rejected(self, loss, posterior, reason):
+        for call in (loss.bayes_action, lambda p: loss.expected_loss(p, 0),
+                     lambda p: grid_bayes_action(loss, p, resolution=0.25)):
+            with pytest.raises(ValueError, match=reason):
+                call(posterior)
+
+    @pytest.mark.parametrize("loss", [ErrorLoss(), SWITCH], ids=lambda l: repr(l))
+    def test_wrong_length_posterior_names_the_outcome_count(self, loss):
+        for call in (loss.bayes_action, lambda p: loss.expected_loss(p, 0),
+                     lambda p: grid_bayes_action(loss, p, resolution=0.25)):
+            with pytest.raises(ValueError, match="over 2 outcomes, got 3"):
+                call([0.2, 0.3, 0.5])
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+    def test_alpha_must_be_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be > 0"):
+            AlphaLoss(alpha)
+
+
 class TestStackedActions:
     """``expected_losses`` scores a (P, M) action array row by row with the
     bits of P separate (M,) calls: the engine makes one call per loss."""

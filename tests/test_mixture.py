@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from seqpred.logdomain import log_sum_exp
-from seqpred.measures import (BernoulliMeasure, DeterministicMeasure, MarkovMeasure,
-                              UndefinedConditionalError, draw_symbols)
+from seqpred.measures import (BernoulliMeasure, DeterministicMeasure, DistributionError,
+                              MarkovMeasure, UndefinedConditionalError, draw_symbols)
 from seqpred.mixture import MixtureModel
 
 
@@ -149,7 +149,8 @@ class TestSampling:
         "markov-3": lambda: MixtureModel(
             [MarkovMeasure([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]], [0.2, 0.3, 0.5]),
              MarkovMeasure([[1 / 3] * 3] * 3, [1 / 3] * 3)], [0.4, 0.6]),
-        # a component that overrides log_marginal, and one that dies off-pattern
+        # a component that dies off-pattern; "nested" has one (a mixture)
+        # that overrides log_marginal
         "deterministic": lambda: MixtureModel(
             [DeterministicMeasure.from_pattern([0, 1]), BernoulliMeasure(0.5)], [0.5, 0.5]),
         "nested": lambda: MixtureModel([three_coins(), BernoulliMeasure(0.3)], [0.5, 0.5]),
@@ -174,6 +175,17 @@ class TestValidation:
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError, match="> 0"):
             MixtureModel([BernoulliMeasure(0.2), BernoulliMeasure(0.8)], [0.0, 1.0])
+
+    @pytest.mark.parametrize("weights, reason", [
+        ([math.nan, math.nan], "finite"),
+        ([math.nan, 1.0], "finite"),
+        ([0.5, math.inf], "finite"),
+        ([0.5, 0.5, 0.0], "one weight per component"),
+    ], ids=["nan", "half-nan", "inf", "wrong-count"])
+    def test_weights_must_be_one_finite_weight_per_component(self, weights, reason):
+        with pytest.raises(DistributionError, match=reason) as exc:
+            MixtureModel([BernoulliMeasure(0.2), BernoulliMeasure(0.8)], weights)
+        assert exc.value.field == "weights"
 
     def test_component_list_non_empty(self):
         with pytest.raises(ValueError):
