@@ -9,9 +9,9 @@ what a schema cannot say -- the cross-field rules that :func:`parse_config`
 checks while it builds the runnable objects: one weight per component,
 summing to 1; the true component's index against the component count;
 measures, losses and patterns against the alphabet; an explicit table's
-horizon against the run's; unique loss labels; constant actions playable
-under every loss; instant bounds on the exact engine only; ``a_max`` >=
-``a_min``; and the engine-dependent default ``checks``.
+horizon against the run's; unique loss labels; every scheme's actions
+playable under every loss; instant bounds on the exact engine only;
+``a_max`` >= ``a_min``; and the engine-dependent default ``checks``.
 """
 from __future__ import annotations
 
@@ -165,15 +165,17 @@ def loss_from_spec(spec: dict, alphabet_size: int, path: str) -> tuple[str, Loss
 
 def scheme_from_spec(spec: dict, alphabet_size: int, path: str,
                      losses: dict[str, LossSpec]) -> PredictionScheme:
-    """Build one scheme; a constant action must be playable under every loss."""
+    """Build one scheme; its actions must be playable under every loss."""
     if spec["kind"] == "majority-vote":
-        return MajorityVoteScheme(alphabet_size)
-    scheme = ConstantScheme(float(spec["action"]))
+        scheme = MajorityVoteScheme(alphabet_size)
+    else:
+        scheme = ConstantScheme(float(spec["action"]))
+        path = f"{path}.action"
     for label, loss in losses.items():
         try:
-            scheme.action_for(loss)
+            scheme.actions(scheme.initial_state(1), loss)
         except ValueError as exc:
-            raise ConfigError(f"{path}.action", f"{exc} (loss {label!r})") from exc
+            raise ConfigError(path, f"{exc} (loss {label!r})") from exc
     return scheme
 
 

@@ -22,15 +22,14 @@ informed, and any alternative prediction schemes.
   variance across paths (per step, and of per-path cumulative sums for the
   cumulative series).  Only the walk is sequential: per step, the
   conditionals, one draw of ``samples`` uniforms, the log-marginal update
-  and the extension of every carried state and key.  The rest runs once per
+  and the extension of every carried state.  The rest runs once per
   block of ``max(1, BLOCK_ROWS // samples)`` steps: one ``evaluate`` over the
   block's rows, then the means and standard errors of every series as one
   reduction over the last axis of a (series, steps, samples) array, with the
   running sums added step by step in place.  A block closes early when a
-  scheme key changes width (whole-history keys grow every step).  No path
-  history is kept: S paths of length n cost O(S·n) time, and the memory the
-  paths hold does not grow with n when every state and key has a fixed
-  width.
+  scheme state changes width (whole-history states grow every step).  No
+  path history is kept: S paths of length n cost O(S·n) time, and the memory
+  the paths hold does not grow with n when every state has a fixed width.
 
 Each level (or block) is one pass of ``_StepEvaluator.conditionals`` and
 ``evaluate`` over all its rows, with one numpy call per layer:
@@ -46,25 +45,26 @@ Each level (or block) is one pass of ``_StepEvaluator.conditionals`` and
 ``evaluate`` returns every series as one (series, M) array.
 
 The state of a history is one ``_Rows`` row: its per-component
-log-marginals, each component's carried state and each scheme's carried
-key.  ``_Rows`` holds M of them; ``take(idx)`` selects rows.  The three
-walks -- the exact tree, the Monte Carlo paths and ``ratio_trace`` -- start
-from ``_StepEvaluator.start(n)`` and grow by one rule,
+log-marginals and the carried state of each component, then of each scheme.
+Components and schemes follow one protocol (``measures.StateCarrier``), so
+``_Rows`` holds their states in one tuple; ``take(idx)`` selects rows.  The
+three walks -- the exact tree, the Monte Carlo paths and ``ratio_trace`` --
+start from ``_StepEvaluator.start(n)`` and grow by one rule,
 ``_StepEvaluator.extend(rows, log_p, symbols)``: add each row's component
-log-conditionals of its symbol, then ``extend_state`` and ``extend_key``
-with that symbol.  The caller picks the parents first: the exact engine
-takes every (parent, symbol) of positive true probability, symbol-major
-(all children by symbol 0, then by symbol 1, ...); Monte Carlo extends each
-path by its drawn symbol, the trace by the path's next symbol.  States and
-keys feed ``_step_matrix(states, t)`` and ``actions(keys, loss)``, so
-nothing rescans a history.  The default state and key are the whole
-history.  Bernoulli, time-varying and deterministic measures and constant
-schemes carry nothing, a Markov chain its last ``order`` symbols and
-majority vote its symbol counts.  ``log_ratio(rows)`` gives each row's
-full-history log(true/mixture), the ``kl_direct`` of both engines.
+log-conditionals of its symbol, then ``extend_state`` every state with that
+symbol.  The caller picks the parents first: the exact engine takes every
+(parent, symbol) of positive true probability, symbol-major (all children
+by symbol 0, then by symbol 1, ...); Monte Carlo extends each path by its
+drawn symbol, the trace by the path's next symbol.  The states feed
+``_step_matrix(states, t)`` and ``actions(states, loss)``, so nothing
+rescans a history.  The default state is the whole history.  Bernoulli,
+time-varying and deterministic measures and constant schemes carry nothing,
+a Markov chain its last ``order`` symbols and majority vote its symbol
+counts.  ``log_ratio(rows)`` gives each row's full-history
+log(true/mixture), the ``kl_direct`` of both engines.
 
 ``_Rows.merge_key`` packs a row into int64s: the bit pattern of the
-log-marginals, then every carried state and key.  Every per-node value and
+log-marginals, then every carried state.  Every per-node value and
 every later state is a function of it, so after each tree extension the
 exact engine keeps one node per distinct key, in order of first occurrence,
 with an integer-valued multiplicity; merged nodes give bit-identical values
@@ -185,24 +185,22 @@ def _series_keys(loss_labels, schemes):
 
 class _Rows(NamedTuple):
     """The state of M histories, one row each: ``comp_logm`` holds the (M, K)
-    component log-marginals, ``states`` each component's carried state and
-    ``keys`` each scheme's carried key.
+    component log-marginals and ``states`` the carried state of each
+    component, then of each scheme.
 
-    States and keys are built as ``tuple([...])``: a tuple built from a
-    generator is allocated long and shrunk, and freeing it grows the tuple
-    free list, by two entries per Monte Carlo step."""
+    ``states`` is built as ``tuple([...])``: a tuple built from a generator
+    is allocated long and shrunk, and freeing it grows the tuple free list
+    every Monte Carlo step."""
 
     comp_logm: np.ndarray
     states: tuple[np.ndarray, ...]
-    keys: tuple[np.ndarray, ...]
 
     def take(self, idx: np.ndarray) -> _Rows:
-        return _Rows(self.comp_logm[idx], tuple([s[idx] for s in self.states]),
-                     tuple([k[idx] for k in self.keys]))
+        return _Rows(self.comp_logm[idx], tuple([s[idx] for s in self.states]))
 
     def merge_key(self) -> np.ndarray:
         """One int64 row per history: everything its later values depend on."""
-        return np.concatenate([self.comp_logm.view(np.int64), *self.states, *self.keys],
+        return np.concatenate([self.comp_logm.view(np.int64), *self.states],
                               axis=1, dtype=np.int64, casting="same_kind")
 
 
@@ -218,22 +216,26 @@ class _StepEvaluator:
         self.losses = losses
         self.schemes = tuple(schemes)
         self.components = mixture.components
+        # everything that carries a state, in the order of ``_Rows.states``
+        self.carriers = (*self.components, *self.schemes)
         self.log_weights = mixture.log_weights
         self.keys = _series_keys(losses, self.schemes)
 
     def start(self, n: int) -> _Rows:
         """The rows of n empty histories."""
         return _Rows(np.zeros((n, len(self.components))),
-                     tuple([c.initial_state(n) for c in self.components]),
-                     tuple([s.initial_key(n) for s in self.schemes]))
+                     tuple([c.initial_state(n) for c in self.carriers]))
 
     def extend(self, rows: _Rows, log_p: np.ndarray, symbols: np.ndarray) -> _Rows:
         """Each row's history extended by its symbol; ``log_p`` holds the
         (M, K) component log-conditionals of the symbols."""
         return _Rows(rows.comp_logm + log_p,
                      tuple([c.extend_state(st, symbols)
-                            for c, st in zip(self.components, rows.states)]),
-                     tuple([s.extend_key(k, symbols) for s, k in zip(self.schemes, rows.keys)]))
+                            for c, st in zip(self.carriers, rows.states)]))
+
+    def scheme_states(self, rows: _Rows) -> tuple[np.ndarray, ...]:
+        """The schemes' slice of ``rows.states``."""
+        return rows.states[len(self.components):]
 
     def log_ratio(self, rows: _Rows) -> np.ndarray:
         """log(true / mixture) of each row's whole history."""
@@ -243,7 +245,8 @@ class _StepEvaluator:
     def conditionals(self, states: Sequence[np.ndarray], t: int):
         """The true measure's (M, N) conditional matrix at step t and the
         component-major (K, M, N) stack of log-conditionals; ``states`` holds
-        each component's carried state, one row per history."""
+        each component's carried state, one row per history (any scheme
+        states after them are ignored)."""
         mats = [c._step_matrix(s, t) for c, s in zip(self.components, states)]
         return mats[self.true_index], log_or_neg_inf(np.stack(mats))
 
@@ -255,11 +258,11 @@ class _StepEvaluator:
         return np.exp(log_mix_hx - log_mix_h[:, None])
 
     def evaluate(self, true_cond: np.ndarray, log_cond: np.ndarray, comp_logm: np.ndarray,
-                 scheme_keys: Sequence[np.ndarray]):
+                 scheme_states: Sequence[np.ndarray]):
         """Per-history values of M rows, which may come from several steps.
 
         ``comp_logm`` holds each row's component log-marginals and
-        ``scheme_keys`` each scheme's carried key, one row per history.
+        ``scheme_states`` each scheme's carried state, one row per history.
         Returns (mix_cond, values): the (M, N) mixture conditionals and one
         (series, M) array whose rows follow ``self.keys``.
         """
@@ -275,7 +278,8 @@ class _StepEvaluator:
         row = len(DISTANCE_KEYS)
         for loss in self.losses.values():
             actions = np.vstack([loss.bayes_actions(both).reshape(2, m),
-                                 *(s.actions(k, loss) for s, k in zip(self.schemes, scheme_keys))])
+                                 *(s.actions(st, loss)
+                                   for s, st in zip(self.schemes, scheme_states))])
             values[row:row + actions.shape[0]] = loss.expected_losses(true_cond, actions)
             row += actions.shape[0]
         return mix_cond, values
@@ -431,7 +435,8 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
         if visits > node_budget:
             raise BudgetExceededError(visits, node_budget)
         true_cond, log_cond = ev.conditionals(rows.states, t)
-        _mix_cond, values = ev.evaluate(true_cond, log_cond, rows.comp_logm, rows.keys)
+        _mix_cond, values = ev.evaluate(true_cond, log_cond, rows.comp_logm,
+                                        ev.scheme_states(rows))
         weights = mult * np.exp(rows.comp_logm[:, true_index])
         for row, series in enumerate(values):
             per_step[row, t] = weights @ series
@@ -500,18 +505,19 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
     while t < horizon:
         # walk the paths one block of steps ahead, keeping what evaluate needs
         start, block = t, []
-        widths = [k.shape[1] for k in paths.keys]
+        widths = [st.shape[1] for st in ev.scheme_states(paths)]
         while (t < horizon and t - start < block_steps
-               and [k.shape[1] for k in paths.keys] == widths):
+               and [st.shape[1] for st in ev.scheme_states(paths)] == widths):
             true_cond, log_cond = ev.conditionals(paths.states, t)
-            block.append((true_cond, log_cond, paths.comp_logm, *paths.keys))
+            block.append((true_cond, log_cond, paths.comp_logm, *ev.scheme_states(paths)))
             nxt = draw_symbols(true_cond, rng.random(samples))
             paths = ev.extend(paths, log_cond[:, rows, nxt].T, nxt)
             t += 1
         # every block array has its rows on axis -2; free the per-step parts first
-        true_b, log_b, logm_b, *keys_b = [np.concatenate(part, axis=-2) for part in zip(*block)]
+        true_b, log_b, logm_b, *states_b = [np.concatenate(part, axis=-2) for part in zip(*block)]
         del block
-        vals = ev.evaluate(true_b, log_b, logm_b, keys_b)[1].reshape(len(keys), t - start, samples)
+        vals = ev.evaluate(true_b, log_b, logm_b, states_b)[1]
+        vals = vals.reshape(len(keys), t - start, samples)
         means[:, start:t] = vals.mean(axis=-1)
         se_step[:, start:t] = _standard_errors(vals)
         # running sums step by step, in place: the bits of ``running += vals``

@@ -52,6 +52,8 @@ class LossSpec:
     kind: str = "?"
     bounded: bool = True
     n_outcomes: int = 2
+    # dtype of a batch of actions
+    action_dtype = float
 
     # -- elementwise loss -------------------------------------------------------
     def loss(self, x, y):
@@ -82,8 +84,14 @@ class LossSpec:
 
     def expected_loss(self, posterior, action) -> float:
         p = self._validated(posterior)
-        self._check_action(action)
-        return float(self.expected_losses(p[None, :], np.asarray([action]))[0])
+        return float(self.expected_losses(p[None, :], np.asarray([self.action(action)]))[0])
+
+    def action(self, a):
+        """``a`` as this loss plays it: a float in [0, 1]; ValueError otherwise."""
+        a = float(a)
+        if not 0.0 <= a <= 1.0:  # false for NaN too
+            raise ValueError(f"action {a} outside [0, 1]")
+        return a
 
     def _validated(self, posterior) -> np.ndarray:
         p = _check_distribution(posterior, "posterior", "posterior", POSTERIOR_SUM_TOL)
@@ -91,10 +99,6 @@ class LossSpec:
             raise ValueError(f"{self.kind} loss takes a posterior over {self.n_outcomes} "
                              f"outcomes, got {p.shape[0]}")
         return p
-
-    def _check_action(self, action) -> None:
-        if not 0.0 <= float(action) <= 1.0:
-            raise ValueError(f"action {action} outside [0, 1]")
 
     def has_zero_loss_action(self) -> bool:
         """True when every outcome admits a zero-loss action, as it does for
@@ -113,6 +117,7 @@ class MatrixLoss(LossSpec):
     """
 
     kind = "matrix"
+    action_dtype = np.int64
 
     def __init__(self, values):
         raw = np.asarray(values, dtype=float)
@@ -144,10 +149,13 @@ class MatrixLoss(LossSpec):
     def has_zero_loss_action(self) -> bool:
         return bool((self.matrix.min(axis=1) == 0.0).all())
 
-    def _check_action(self, action) -> None:
-        a = int(action)
-        if not 0 <= a < self.n_actions:
-            raise ValueError(f"action index {action} outside 0..{self.n_actions - 1}")
+    def action(self, a):
+        """``a`` as an int, if it is an action index (an integer-valued number
+        in 0..n_actions-1); ValueError otherwise."""
+        index = float(a)
+        if not (index.is_integer() and 0 <= index < self.n_actions):
+            raise ValueError(f"action {a} is not an action index of {self!r}")
+        return int(index)
 
     def __repr__(self):
         return f"MatrixLoss({self.n_outcomes}x{self.n_actions})"

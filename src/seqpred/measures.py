@@ -91,24 +91,40 @@ def draw_symbols(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(drawn, last_positive)
 
 
-class SequenceMeasure:
+class StateCarrier:
+    """A causal rule that sees a history only through its carried *state*.
+
+    The evaluation engines carry one int64 row per history, start it with
+    ``initial_state`` and extend it by one symbol per step with
+    ``extend_state``.  The default state is the whole history; a rule that
+    depends on less overrides both to carry less.  The state must fix every
+    later value of the rule, because the exact engine merges histories that
+    agree on it (and on their log-marginals).  Measures and prediction
+    schemes both follow this protocol.
+    """
+
+    def initial_state(self, n: int) -> np.ndarray:
+        """States of ``n`` empty histories: one int64 row each."""
+        return np.zeros((n, 0), dtype=np.int64)
+
+    def extend_state(self, states: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+        """States of the histories ``states`` stand for, each followed by its
+        symbol.  The default appends the symbol, so the state is the history."""
+        return np.concatenate([states, symbols[:, None]], axis=1)
+
+
+class SequenceMeasure(StateCarrier):
     """Base class for probability measures over symbol sequences.
 
     Subclasses implement ``_step_distribution(history)``: the next-symbol
     distribution given a *possible* history.
 
-    The evaluation engines see a history only through its *state*: one int64
-    row per history that they start with ``initial_state`` and extend by one
-    symbol per step with ``extend_state``, the protocol prediction schemes
-    follow for their keys.  ``_step_matrix(states, t)`` maps a batch of
-    states at step t to next-symbol distributions.  The default state is
-    the whole history and the default ``_step_matrix`` loops over its rows,
+    ``_step_matrix(states, t)`` maps a batch of carried states at step t to
+    next-symbol distributions.  The default loops over whole-history rows,
     so a subclass that only implements ``_step_distribution`` receives
     histories.  Families whose conditionals depend on less carry less:
     Bernoulli, time-varying and deterministic measures carry nothing, and a
-    Markov chain its last ``order`` symbols.  The state must fix every later
-    conditional, because the exact engine merges histories that agree on it
-    (and on their log-marginals).
+    Markov chain its last ``order`` symbols.
     """
 
     is_deterministic = False
@@ -119,15 +135,6 @@ class SequenceMeasure:
     # -- primitive (no history-validity check) ---------------------------------
     def _step_distribution(self, history: tuple[int, ...]) -> np.ndarray:
         raise NotImplementedError
-
-    def initial_state(self, n: int) -> np.ndarray:
-        """States of ``n`` empty histories: one int64 row each."""
-        return np.zeros((n, 0), dtype=np.int64)
-
-    def extend_state(self, states: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-        """States of the histories ``states`` stand for, each followed by its
-        symbol.  The default appends the symbol, so the state is the history."""
-        return np.concatenate([states, symbols[:, None]], axis=1)
 
     def _step_matrix(self, states: np.ndarray, t: int) -> np.ndarray:
         """Next-symbol distributions for a batch of states at step t (histories
@@ -324,6 +331,8 @@ class TimeVaryingBinaryMeasure(SequenceMeasure):
     @classmethod
     def from_power_law(cls, coefficient: float, power: float) -> "TimeVaryingBinaryMeasure":
         """P(x_t = 1) = coefficient * t**(-power), clipped to [0, 1]."""
+        if not (math.isfinite(coefficient) and math.isfinite(power)):
+            raise ValueError(f"power law needs finite parameters, got {coefficient}, {power}")
         return cls(lambda t: min(1.0, max(0.0, coefficient * float(t) ** -power)))
 
     def _p(self, t: int) -> float:

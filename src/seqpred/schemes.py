@@ -6,33 +6,27 @@ so the no-free-lunch certificates (no causal scheme beats the informed one;
 none significantly beats the mixture one) can be checked against concrete
 opponents.  Shipped: a constant action and past-majority vote.
 
-A scheme sees a history only through its *key*: one integer row per history
-that the engines start with ``initial_key`` and extend by one symbol per
-step with ``extend_key``.  The default key is the whole history, so a
-subclass that only overrides ``actions`` receives histories; schemes that
-depend on less carry less.
+A scheme is a carried state plus an action: it follows the measures' state
+protocol (``measures.StateCarrier``: ``initial_state`` and ``extend_state``,
+whole history by default), and ``actions`` maps a batch of states to
+actions, each one passed through ``loss.action`` so that a scheme plays only
+what the loss can play.  A subclass that only overrides ``actions``
+receives histories; schemes that depend on less carry less.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .losses import LossSpec, MatrixLoss
+from .losses import LossSpec
+from .measures import StateCarrier
 
 
-class PredictionScheme:
+class PredictionScheme(StateCarrier):
     label: str = "?"
 
-    def initial_key(self, n: int) -> np.ndarray:
-        """Keys of ``n`` empty histories: one int64 row each."""
-        return np.zeros((n, 0), dtype=np.int64)
-
-    def extend_key(self, keys: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-        """Keys of the histories ``keys`` stand for, each followed by its
-        symbol.  The default appends the symbol, so the key is the history."""
-        return np.concatenate([keys, symbols[:, None]], axis=1)
-
-    def actions(self, keys: np.ndarray, loss: LossSpec) -> np.ndarray:
-        """Actions for a batch of keys (one row per history), typed to fit ``loss``."""
+    def actions(self, states: np.ndarray, loss: LossSpec) -> np.ndarray:
+        """Actions for a batch of states (one row per history), typed
+        ``loss.action_dtype``; ValueError when ``loss`` cannot play them."""
         raise NotImplementedError
 
 
@@ -43,45 +37,28 @@ class ConstantScheme(PredictionScheme):
         self.action = action
         self.label = f"constant-{action}"
 
-    def action_for(self, loss: LossSpec):
-        """The action typed to fit ``loss``; ValueError when it cannot be played."""
-        a = float(self.action)
-        if isinstance(loss, MatrixLoss):
-            if not a.is_integer() or not 0 <= a < loss.n_actions:
-                raise ValueError(f"constant action {self.action} is not an action index "
-                                 f"of {loss!r}")
-            return int(a)
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"constant action {a} outside [0, 1]")
-        return a
+    def extend_state(self, states, symbols):
+        return states
 
-    def extend_key(self, keys, symbols):
-        return keys
-
-    def actions(self, keys, loss):
-        a = self.action_for(loss)
-        return np.full(keys.shape[0], a, dtype=np.int64 if isinstance(a, int) else float)
+    def actions(self, states, loss):
+        return np.full(states.shape[0], loss.action(self.action), dtype=loss.action_dtype)
 
 
 class MajorityVoteScheme(PredictionScheme):
     """Predict the most frequent past symbol (lowest index on ties, 0 when
-    the history is empty).  The key is the per-symbol counts."""
+    the history is empty).  The state is the per-symbol counts."""
 
     label = "majority-vote"
 
     def __init__(self, alphabet_size: int = 2):
         self.alphabet_size = alphabet_size
 
-    def initial_key(self, n):
+    def initial_state(self, n):
         return np.zeros((n, self.alphabet_size), dtype=np.int64)
 
-    def extend_key(self, keys, symbols):
-        return keys + np.eye(self.alphabet_size, dtype=np.int64)[symbols]
+    def extend_state(self, states, symbols):
+        return states + np.eye(self.alphabet_size, dtype=np.int64)[symbols]
 
-    def actions(self, keys, loss):
-        votes = np.argmax(keys, axis=1)
-        if isinstance(loss, MatrixLoss):
-            if self.alphabet_size > loss.n_actions:
-                raise ValueError("majority vote needs one action per symbol")
-            return votes
-        return votes.astype(float)
+    def actions(self, states, loss):
+        loss.action(self.alphabet_size - 1)  # every symbol must be playable
+        return np.argmax(states, axis=1).astype(loss.action_dtype, copy=False)

@@ -498,10 +498,13 @@ class TestProofInequalities:
         with pytest.raises(ValueError):
             InequalityPoint(-1.0, 2.0, 0.5, 0.5)
 
-    @pytest.mark.parametrize("a_const", [0.0, -1.0, math.nan])
-    def test_a_const_must_be_positive(self, a_const):
+    @pytest.mark.parametrize("const", [0.0, -1.0, math.nan])
+    def test_a_const_must_be_positive(self, const):
         with pytest.raises(ValueError, match="a_const must be > 0"):
-            InequalityPoint(a_const, 2.0, 0.5, 0.5)
+            InequalityPoint(const, 2.0, 0.5, 0.5)
+        # and so must b_const
+        with pytest.raises(ValueError, match="b_const must be > 0"):
+            InequalityPoint(1.0, const, 0.5, 0.5)
 
 
 def _full_grid_reference(rule, a_values, grid_points, edge_margin=1e-4):

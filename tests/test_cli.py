@@ -144,6 +144,21 @@ class TestRunCommand:
         assert code == 1
         assert "monte_carlo_evaluate" in err
 
+    def test_majority_vote_without_an_action_per_symbol_exit_1(self, in_tmp, tmp_path, capsys):
+        # three symbols, two action columns: majority vote can name symbol 2
+        cfg = load_preset_dict("three-symbol")
+        cfg["losses"] = [{"kind": "matrix", "matrix": [[0, 1], [1, 0], [0.5, 0.5]],
+                          "label": "narrow"}]
+        cfg["schemes"] = [{"kind": "majority-vote"}]
+        cfg["output"] = {}
+        p = tmp_path / "narrow.json"
+        p.write_text(json.dumps(cfg))
+        assert run_cli("run", str(p)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: schemes[0]: ")
+        assert "(loss 'narrow')" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_failed_check_exit_2(self, in_tmp, tmp_path, capsys):
         # horizon 3 leaves a climbing loss series inside the final quarter,
         # so the plateau surrogate legitimately fails
@@ -332,7 +347,8 @@ class TestConfigValidation:
         cfg["schemes"][1]["action"] = 1.0
         parsed = parse_config(cfg)
         loss = next(iter(parsed.losses.values()))
-        assert parsed.schemes[1].action_for(loss) == 1
+        action = loss.action(parsed.schemes[1].action)
+        assert action == 1 and isinstance(action, int)
 
     def test_unknown_check_name(self):
         cfg = self.base()

@@ -261,16 +261,17 @@ def _first_seen_histories(mixture, true_index, schemes, depth):
         history = list(reversed_history[::-1])
         comp_logm = np.zeros((1, len(ev.components)))
         states = [c.initial_state(1) for c in ev.components]
-        keys = [s.initial_key(1) for s in ev.schemes]
+        scheme_states = [s.initial_state(1) for s in ev.schemes]
         for t, x in enumerate(history):
             true_cond, log_cond = ev.conditionals(states, t)
             if true_cond[0, x] <= 0.0:
                 break
             comp_logm = comp_logm + log_cond[:, :, x].T
             states = [c.extend_state(st, np.array([x])) for c, st in zip(ev.components, states)]
-            keys = [s.extend_key(k, np.array([x])) for s, k in zip(ev.schemes, keys)]
+            scheme_states = [s.extend_state(st, np.array([x]))
+                             for s, st in zip(ev.schemes, scheme_states)]
         else:
-            key = _Rows(comp_logm, states, keys).merge_key().tobytes()
+            key = _Rows(comp_logm, tuple(states + scheme_states)).merge_key().tobytes()
             first.setdefault(key, history)
             count[key] = count.get(key, 0) + 1
     return list(first.values()), [count[key] for key in first]
@@ -558,7 +559,7 @@ class TestMergeEqualRows:
         check()
 
 
-def _per_predictor_step(ev, histories, t, comp_logm, scheme_keys):
+def _per_predictor_step(ev, histories, t, comp_logm, scheme_states):
     """The step kernel as it was before fusion: history-major (M, K, N)
     log-conditionals reduced over axis 1, distance terms summed left to right
     in Python, and one ``bayes_actions`` and ``expected_losses`` call per
@@ -576,9 +577,9 @@ def _per_predictor_step(ev, histories, t, comp_logm, scheme_keys):
     for label, loss in ev.losses.items():
         values[f"mixture_loss[{label}]"] = loss.expected_losses(y, loss.bayes_actions(z))
         values[f"informed_loss[{label}]"] = loss.expected_losses(y, loss.bayes_actions(y))
-        for scheme, keys in zip(ev.schemes, scheme_keys):
+        for scheme, states in zip(ev.schemes, scheme_states):
             values[f"scheme_loss[{scheme.label}|{label}]"] = loss.expected_losses(
-                y, scheme.actions(keys, loss))
+                y, scheme.actions(states, loss))
     return log_cond, z, values
 
 
@@ -640,20 +641,20 @@ def _kernel_case(name):
 
 def _kernel_levels(ev, n_sym, depth):
     """Every level of the unmerged tree of positive-probability histories:
-    yields (histories, t, comp_logm, scheme_keys, reference step)."""
+    yields (histories, t, comp_logm, scheme_states, reference step)."""
     histories = np.zeros((1, 0), dtype=np.int64)
     comp_logm = np.zeros((1, len(ev.components)))
-    keys = [s.initial_key(1) for s in ev.schemes]
+    states = [s.initial_state(1) for s in ev.schemes]
     for t in range(depth):
-        ref = _per_predictor_step(ev, histories, t, comp_logm, keys)
-        yield histories, t, comp_logm, keys, ref
+        ref = _per_predictor_step(ev, histories, t, comp_logm, states)
+        yield histories, t, comp_logm, states, ref
         log_cond = ref[0]
         sym = np.repeat(np.arange(n_sym), histories.shape[0])
         rows = np.tile(np.arange(histories.shape[0]), n_sym)
         comp_logm = comp_logm[rows] + log_cond[rows, :, sym]
         live = np.isfinite(comp_logm[:, ev.true_index])
         histories = np.hstack([histories[rows], sym[:, None]])[live]
-        keys = [s.extend_key(k[rows], sym)[live] for s, k in zip(ev.schemes, keys)]
+        states = [s.extend_state(st[rows], sym)[live] for s, st in zip(ev.schemes, states)]
         comp_logm = comp_logm[live]
 
 
@@ -668,11 +669,11 @@ class TestFusedStepKernel:
         mix, true_index, losses, schemes, depth = _kernel_case(case)
         ev = _StepEvaluator(mix, true_index, losses, schemes)
         widths = []
-        for histories, t, comp_logm, keys, ref in _kernel_levels(ev, mix.alphabet.size, depth):
+        for histories, t, comp_logm, states, ref in _kernel_levels(ev, mix.alphabet.size, depth):
             ref_log_cond, ref_mix, ref_values = ref
             # every shipped measure reads its state from a whole history too
             true_cond, log_cond = ev.conditionals([histories] * len(mix.components), t)
-            mix_cond, values = ev.evaluate(true_cond, log_cond, comp_logm, keys)
+            mix_cond, values = ev.evaluate(true_cond, log_cond, comp_logm, states)
             assert log_cond.shape == (len(mix.components),) + true_cond.shape
             assert np.array_equal(log_cond.transpose(1, 0, 2).view(np.int64),
                                   ref_log_cond.view(np.int64))
@@ -688,7 +689,7 @@ class TestFusedStepKernel:
         mix, true_index, losses, schemes, depth = _kernel_case("binary")
         ev = _StepEvaluator(mix, true_index, losses, schemes)
         seen = {"inf": False, "zero-mass": False}
-        for histories, t, comp_logm, keys, ref in _kernel_levels(ev, 2, depth):
+        for histories, t, comp_logm, states, ref in _kernel_levels(ev, 2, depth):
             true_cond = mix.components[true_index]._step_matrix(histories, t)
             seen["zero-mass"] |= bool((true_cond == 0.0).any())
             seen["inf"] |= bool(np.isposinf(ref[2]["scheme_loss[constant-0|log]"]).any())
@@ -705,6 +706,17 @@ class TestAlternativeSchemes:
             for scheme in ("constant-0", "majority-vote"):
                 assert l_inf <= rep.total(f"scheme_loss[{scheme}|{lab}]") + 1e-12
 
+    def test_schemes_play_only_what_the_loss_can_play(self):
+        narrow = MatrixLoss([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+        states = MajorityVoteScheme(3).initial_state(4)
+        # three symbols to vote for, two action columns
+        with pytest.raises(ValueError, match="not an action index"):
+            MajorityVoteScheme(3).actions(states, narrow)
+        assert ConstantScheme(1.0).actions(states, narrow).dtype == np.int64
+        assert ConstantScheme(1).actions(states, ErrorLoss()).dtype == np.float64
+        with pytest.raises(ValueError, match="not an action index"):
+            ConstantScheme(0.5).actions(states, narrow)
+
     def test_constant_scheme_loss_is_expected_constant(self):
         rep = exact_evaluate(three_coin_mixture(), 0, [ErrorLoss()], 5,
                              schemes=[ConstantScheme(0)])
@@ -714,7 +726,7 @@ class TestAlternativeSchemes:
 
 
 class _HistoryMajority(PredictionScheme):
-    """Majority vote that keeps the default key (the whole history) and
+    """Majority vote that keeps the default state (the whole history) and
     counts the symbols of the history itself."""
 
     label = "history-majority"
@@ -722,10 +734,9 @@ class _HistoryMajority(PredictionScheme):
     def __init__(self, alphabet_size):
         self.alphabet_size = alphabet_size
 
-    def actions(self, keys, loss):
-        counts = np.stack([(keys == s).sum(axis=1) for s in range(self.alphabet_size)], axis=1)
-        votes = np.argmax(counts, axis=1)
-        return votes if isinstance(loss, MatrixLoss) else votes.astype(float)
+    def actions(self, states, loss):
+        counts = np.stack([(states == s).sum(axis=1) for s in range(self.alphabet_size)], axis=1)
+        return np.argmax(counts, axis=1).astype(loss.action_dtype)
 
 
 class TestCarriedSchemeKeys:
@@ -762,13 +773,13 @@ class TestCarriedSchemeKeys:
         assert rep.node_visits == 2**7 - 1
 
     def test_float_scheme_key_is_rejected(self):
-        class FloatKeyScheme(_HistoryMajority):
-            def initial_key(self, n):
+        class FloatStateScheme(_HistoryMajority):
+            def initial_state(self, n):
                 return np.zeros((n, 1))
 
         with pytest.raises(TypeError):
             exact_evaluate(three_coin_mixture(), 0, [ErrorLoss()], 3,
-                           schemes=[FloatKeyScheme(2)])
+                           schemes=[FloatStateScheme(2)])
 
 
 def _per_step_monte_carlo(mixture, true_index, losses, horizon, samples, seed, schemes):
@@ -780,7 +791,7 @@ def _per_step_monte_carlo(mixture, true_index, losses, horizon, samples, seed, s
     ev = _StepEvaluator(mixture, true_index, losses, schemes)
     rng = np.random.default_rng(seed)
     histories = np.empty((samples, horizon), dtype=np.int64)
-    keys = [s.initial_key(samples) for s in ev.schemes]
+    states = [s.initial_state(samples) for s in ev.schemes]
     comp_logm = np.zeros((samples, len(ev.components)))
     log_true_path = np.zeros(samples)
     running = np.zeros((len(ev.keys), samples))
@@ -788,7 +799,7 @@ def _per_step_monte_carlo(mixture, true_index, losses, horizon, samples, seed, s
     out = {"per_step": [], "se_per_step": [], "se_cumulative": []}
     for t in range(horizon):
         true_cond, log_cond = ev.conditionals([histories[:, :t]] * len(ev.components), t)
-        vals = ev.evaluate(true_cond, log_cond, comp_logm, keys)[1]
+        vals = ev.evaluate(true_cond, log_cond, comp_logm, states)[1]
         out["per_step"].append(vals.mean(axis=1))
         out["se_per_step"].append(_standard_errors(vals))
         running += vals
@@ -797,7 +808,7 @@ def _per_step_monte_carlo(mixture, true_index, losses, horizon, samples, seed, s
         log_true_path = log_true_path + np.log(true_cond[rows, nxt])
         comp_logm = comp_logm + log_cond[:, rows, nxt].T
         histories[:, t] = nxt
-        keys = [s.extend_key(k, nxt) for s, k in zip(ev.schemes, keys)]
+        states = [s.extend_state(st, nxt) for s, st in zip(ev.schemes, states)]
     ratios = log_true_path - log_sum_exp_over_axis(ev.log_weights[None, :] + comp_logm, axis=1)
     return (ev.keys, {k: np.array(v).T for k, v in out.items()}, float(ratios.mean()),
             float(_standard_errors(ratios[None, :])[0]))

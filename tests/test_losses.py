@@ -220,6 +220,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="alpha must be > 0"):
             AlphaLoss(alpha)
 
+    @pytest.mark.parametrize("action", [0.7, -1, 2, math.nan],
+                             ids=["fractional", "negative", "past-last-column", "nan"])
+    def test_matrix_action_must_be_an_index(self, action):
+        with pytest.raises(ValueError, match="not an action index"):
+            self.SWITCH.expected_loss([0.5, 0.5], action)
+
+    def test_action_is_typed_as_the_loss_plays_it(self):
+        assert type(self.SWITCH.action(1.0)) is int
+        assert type(ErrorLoss().action(1)) is float
+        for bad in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                ErrorLoss().expected_loss([0.5, 0.5], bad)
+
 
 class TestStackedActions:
     """``expected_losses`` scores a (P, M) action array row by row with the

@@ -207,6 +207,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             bad.conditional_vector("")
 
+    @pytest.mark.parametrize("coefficient, power", [
+        (math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0), (0.5, -math.inf),
+    ], ids=["nan-coefficient", "nan-power", "inf-coefficient", "inf-power"])
+    def test_power_law_parameters_must_be_finite(self, coefficient, power):
+        with pytest.raises(ValueError, match="finite"):
+            TimeVaryingBinaryMeasure.from_power_law(coefficient, power)
+
 
 class TestDrawSymbols:
     def test_cdf_rounding_below_one_never_draws_a_zero_probability_symbol(self):
