@@ -8,30 +8,40 @@ produce), and from those compute the five instantaneous distances, the
 ratio term, and per-loss expected instantaneous losses of the mixture,
 informed, and any alternative prediction schemes.
 
+Both engines walk ahead and evaluate in blocks.  Only the walk is
+sequential: per step (a tree level, or one step of every path), the
+conditionals, the choice of children and the extension of every carried
+state.  Every per-history value depends only on that history's row, so the
+rest runs once per block of steps (``_Block``): one ``evaluate`` over the
+rows of all its steps.  A block takes steps while its rows stay within
+``BLOCK_ROWS``, always at least one, and closes early when a scheme state
+changes width (whole-history states grow every step).
+
 * ``exact_evaluate`` enumerates every history with positive true-measure
   probability (zero-probability branches are pruned; they carry no
   expectation mass), merging histories whose state is bitwise identical.
-  Expectations are exact weighted sums; the work budget counts visited
-  (merged) nodes.  An ``observer`` sees each level as it is walked: its
-  weights, multiplicities and per-node values, and the first-seen history
-  of any node, rebuilt from per-level parent links.  The links are the
-  only per-level data kept, and only when an observer is given.
+  Expectations are exact weighted sums: per level and series, one dot
+  product of the level's weights with its slice of the block's values.  A
+  block that no further level can join (``BLOCK_ROWS`` rows or more) is
+  evaluated before the tree grows past it, while its arrays are still in
+  cache.  The work budget counts visited (merged) nodes.  An ``observer`` sees each
+  level, in level order once its block is evaluated: its weights,
+  multiplicities and per-node values, and the first-seen history of any
+  node, rebuilt from per-level parent links.  The links are the only
+  per-level data kept, and only when an observer is given.
 * ``monte_carlo_evaluate`` samples paths from the true measure and averages.
   Per-step conditionals along each path are computed exactly, so randomness
   enters only through path selection; standard errors come from the sample
   variance across paths (per step, and of per-path cumulative sums for the
-  cumulative series).  Only the walk is sequential: per step, the
-  conditionals, one draw of ``samples`` uniforms, the log-marginal update
-  and the extension of every carried state.  The rest runs once per
-  block of ``max(1, BLOCK_ROWS // samples)`` steps: one ``evaluate`` over the
-  block's rows, then the means and standard errors of every series as one
-  reduction over the last axis of a (series, steps, samples) array, with the
-  running sums added step by step in place.  A block closes early when a
-  scheme state changes width (whole-history states grow every step).  No
-  path history is kept: S paths of length n cost O(S·n) time, and the memory
-  the paths hold does not grow with n when every state has a fixed width.
+  cumulative series).  A step draws ``samples`` uniforms, so a block holds
+  ``max(1, BLOCK_ROWS // samples)`` steps.  After each ``evaluate``, the
+  means and standard errors of every series are one reduction over the last
+  axis of a (series, steps, samples) array, with the running sums added step
+  by step in place.  No path history is kept: S paths of length n cost
+  O(S·n) time, and the memory the paths hold does not grow with n when every
+  state has a fixed width.
 
-Each level (or block) is one pass of ``_StepEvaluator.conditionals`` and
+Each block is one ``_StepEvaluator.conditionals`` call per step and one
 ``evaluate`` over all its rows, with one numpy call per layer:
 
 * the K components' log-conditionals are stacked component-major, (K, M, N)
@@ -104,7 +114,7 @@ if TYPE_CHECKING:
     from .bounds import InstantChecks
 
 DEFAULT_NODE_BUDGET = 2**24
-# rows of one Monte Carlo block: samples x steps evaluated in one pass
+# rows of one block of steps evaluated in one pass (``_Block``)
 BLOCK_ROWS = 4096
 
 DISTANCE_KEYS = DISTANCE_NAMES + ("ratio_term",)
@@ -174,8 +184,8 @@ class TotalsReport:
 
 
 def _series_keys(loss_labels, schemes):
-    """Series names in the row order of ``_StepEvaluator.step``'s values: the
-    distances, then per loss the P rows of its action array."""
+    """Series names in the row order of ``_StepEvaluator.evaluate``'s values:
+    the distances, then per loss the P rows of its action array."""
     keys = list(DISTANCE_KEYS)
     for lab in loss_labels:
         keys += [f"mixture_loss[{lab}]", f"informed_loss[{lab}]"]
@@ -205,7 +215,7 @@ class _Rows(NamedTuple):
 
 
 class _StepEvaluator:
-    """Shared per-level computation for both engines."""
+    """Shared per-step and per-block computation for both engines."""
 
     def __init__(self, mixture: MixtureModel, true_index: int,
                  losses: dict[str, LossSpec], schemes: Sequence[PredictionScheme]):
@@ -215,6 +225,11 @@ class _StepEvaluator:
         self.true_index = true_index
         self.losses = losses
         self.schemes = tuple(schemes)
+        for s in self.schemes:
+            if s.alphabet_size not in (None, mixture.alphabet.size):
+                raise ValueError(f"scheme {s.label!r} is built for an alphabet of "
+                                 f"{s.alphabet_size} symbols; the mixture's has "
+                                 f"{mixture.alphabet.size}")
         self.components = mixture.components
         # everything that carries a state, in the order of ``_Rows.states``
         self.carriers = (*self.components, *self.schemes)
@@ -283,6 +298,55 @@ class _StepEvaluator:
             values[row:row + actions.shape[0]] = loss.expected_losses(true_cond, actions)
             row += actions.shape[0]
         return mix_cond, values
+
+
+class _Block:
+    """Steps walked ahead of one evaluation, and the rule that closes them.
+
+    Each step adds its rows' ``(true_cond, log_cond, comp_logm,
+    *scheme_states)``: what ``_StepEvaluator.evaluate`` reads.  A block takes
+    steps while its rows stay within ``BLOCK_ROWS``, always at least one,
+    and only while every scheme state keeps the width it had at the block's
+    first step (whole-history states widen every step).  ``arrays`` empties
+    the block for the next steps.
+    """
+
+    def __init__(self, ev: _StepEvaluator):
+        self.ev = ev
+        self.parts: list[tuple[np.ndarray, ...]] = []
+        self.rows = 0
+        self.widths: list[int] = []
+
+    def _widths(self, rows: _Rows) -> list[int]:
+        return [st.shape[1] for st in self.ev.scheme_states(rows)]
+
+    @property
+    def full(self) -> bool:
+        """Whether no further step can join (every step has a row)."""
+        return self.rows >= BLOCK_ROWS
+
+    def accepts(self, rows: _Rows) -> bool:
+        """Whether the step of ``rows`` joins the block."""
+        return not self.parts or (self.rows + rows.comp_logm.shape[0] <= BLOCK_ROWS
+                                  and self._widths(rows) == self.widths)
+
+    def add(self, rows: _Rows, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Add step t of ``rows``; returns its true and log-conditionals."""
+        if not self.parts:
+            self.widths = self._widths(rows)
+        true_cond, log_cond = self.ev.conditionals(rows.states, t)
+        self.parts.append((true_cond, log_cond, rows.comp_logm, *self.ev.scheme_states(rows)))
+        self.rows += rows.comp_logm.shape[0]
+        return true_cond, log_cond
+
+    def arrays(self):
+        """``evaluate``'s arguments over the whole block: each part of every
+        step concatenated in step order along the rows (axis -2).  The block
+        lets go of its per-step parts, so they are freed before evaluation."""
+        parts, self.parts, self.rows = self.parts, [], 0
+        true_cond, log_cond, comp_logm, *scheme_states = [
+            np.concatenate(part, axis=-2) for part in zip(*parts)]
+        return true_cond, log_cond, comp_logm, scheme_states
 
 
 # _row_hash's odd multiplier and shift, and the salt step (splitmix64's).  The
@@ -408,13 +472,13 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
     """Exhaustively enumerate all positive-probability histories up to
     ``horizon`` and return exact expectations of every per-step series.
 
-    ``observer``, when given, is called once per level, before the level
-    is extended, as ``observer(step, weights, multiplicity, values,
-    history)``: the 1-based step, the nodes' weights and multiplicities,
-    ``values`` mapping each series name to its per-node array, and
-    ``history(i)``, the first-seen history of node i as a list of symbols.
-    The walk never writes to these arrays again, so an observer may keep
-    them.
+    ``observer``, when given, is called once per level, in level order,
+    after the level's block is walked and evaluated, as ``observer(step,
+    weights, multiplicity, values, history)``: the 1-based step, the nodes'
+    weights and multiplicities, ``values`` mapping each series name to its
+    per-node array, and ``history(i)``, the first-seen history of node i as
+    a list of symbols.  The walk never writes to these arrays again, so an
+    observer may keep them.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -430,28 +494,47 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
     mult = np.ones(1)
     visits = 0
 
+    def finish():
+        """Evaluate the walked block; each level dots its weights with its
+        share of the values, then the observer sees it."""
+        values = ev.evaluate(*block.arrays())[1]
+        lo = 0
+        for step, level_mult, weights in levels:
+            level = values[:, lo:lo + weights.shape[0]]
+            lo += weights.shape[0]
+            for row, series in enumerate(level):
+                per_step[row, step] = weights @ series
+            if observer is not None:
+                observer(step + 1, weights, level_mult, dict(zip(ev.keys, level)),
+                         partial(_first_history, links, step))
+        levels.clear()
+
+    # walk the tree one block of levels ahead, keeping each level's step,
+    # multiplicities and weights for its share of the block's values
+    block, levels = _Block(ev), []
     for t in range(horizon):
+        if not block.accepts(rows):
+            finish()
         visits += mult.shape[0]
         if visits > node_budget:
             raise BudgetExceededError(visits, node_budget)
-        true_cond, log_cond = ev.conditionals(rows.states, t)
-        _mix_cond, values = ev.evaluate(true_cond, log_cond, rows.comp_logm,
-                                        ev.scheme_states(rows))
-        weights = mult * np.exp(rows.comp_logm[:, true_index])
-        for row, series in enumerate(values):
-            per_step[row, t] = weights @ series
-        if observer is not None:
-            observer(t + 1, weights, mult, dict(zip(ev.keys, values)),
-                     partial(_first_history, links, t))
+        true_cond, log_cond = block.add(rows, t)
+        levels.append((t, mult, mult * np.exp(rows.comp_logm[:, true_index])))
+        if block.full:
+            # no further level fits: evaluate before the tree grows past the
+            # block, while its last level's arrays are still in cache
+            finish()
         # extend every (parent, symbol) of positive probability, symbol-major
-        # so the layout is traversal-independent; link the new nodes to their
-        # parents only when an observer sees them
+        # so the layout is traversal-independent; link the new nodes to
+        # their parents only when an observer sees them
         symbols, parents = np.nonzero(true_cond.T > 0.0)
         rows = ev.extend(rows.take(parents), log_cond[:, parents, symbols].T, symbols)
         keep, mult = _merge_equal_rows(rows.merge_key(), mult[parents])
         rows = rows.take(keep)
         if observer is not None and t + 1 < horizon:
             links.append((parents[keep], symbols[keep]))
+    if levels:
+        finish()
 
     # leaf level: expectation of the full-string log-ratio
     visits += mult.shape[0]
@@ -489,7 +572,6 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
     ev = _StepEvaluator(mixture, true_index, labelled, schemes)
     keys = ev.keys
     rng = np.random.default_rng(seed)
-    block_steps = max(1, BLOCK_ROWS // samples)
 
     # one row per series: per-step means and standard errors, and each
     # path's running sum for the standard error of the cumulative series
@@ -504,19 +586,13 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
     t = 0
     while t < horizon:
         # walk the paths one block of steps ahead, keeping what evaluate needs
-        start, block = t, []
-        widths = [st.shape[1] for st in ev.scheme_states(paths)]
-        while (t < horizon and t - start < block_steps
-               and [st.shape[1] for st in ev.scheme_states(paths)] == widths):
-            true_cond, log_cond = ev.conditionals(paths.states, t)
-            block.append((true_cond, log_cond, paths.comp_logm, *ev.scheme_states(paths)))
+        start, block = t, _Block(ev)
+        while t < horizon and block.accepts(paths):
+            true_cond, log_cond = block.add(paths, t)
             nxt = draw_symbols(true_cond, rng.random(samples))
             paths = ev.extend(paths, log_cond[:, rows, nxt].T, nxt)
             t += 1
-        # every block array has its rows on axis -2; free the per-step parts first
-        true_b, log_b, logm_b, *states_b = [np.concatenate(part, axis=-2) for part in zip(*block)]
-        del block
-        vals = ev.evaluate(true_b, log_b, logm_b, states_b)[1]
+        vals = ev.evaluate(*block.arrays())[1]
         vals = vals.reshape(len(keys), t - start, samples)
         means[:, start:t] = vals.mean(axis=-1)
         se_step[:, start:t] = _standard_errors(vals)
@@ -560,18 +636,17 @@ def ratio_trace(mixture: MixtureModel, true_index: int, path, horizon: int | Non
     ev = _StepEvaluator(mixture, true_index, {}, ())
     rows = ev.start(1)
     # walk the path, keeping each step's rows; evaluate them in one block
-    block = []
+    block = _Block(ev)
     for t in range(horizon):
         x = symbols[t]
         at = x if symbol is None else symbol
-        true_cond, log_cond = ev.conditionals(rows.states, t)
+        true_cond, log_cond = block.add(rows, t)
         if true_cond[0, x] <= 0.0:
             raise ValueError(f"path symbol {x} at step {t + 1} has zero true-measure probability")
         if true_cond[0, at] <= 0.0:
             raise ValueError(f"symbol {at} at step {t + 1} has zero true-measure probability")
-        block.append((true_cond, log_cond, rows.comp_logm))
         rows = ev.extend(rows, log_cond[:, :, x].T, np.array([x]))
-    true_b, log_b, logm_b = [np.concatenate(part, axis=-2) for part in zip(*block)]
+    true_b, log_b, logm_b, _ = block.arrays()
     steps = np.arange(horizon)
     cols = np.array(symbols[:horizon]) if symbol is None else np.full(horizon, symbol)
     return ev.mixture_conditionals(log_b, logm_b)[steps, cols] / true_b[steps, cols]

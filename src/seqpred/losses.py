@@ -138,12 +138,21 @@ class MatrixLoss(LossSpec):
     def loss(self, x, y):
         return self.matrix[np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)]
 
+    def _risks(self, posteriors):
+        """``posteriors @ matrix``, each row rounded alike in a batch of any
+        size.  numpy sends a one-row product to BLAS gemv and a larger one to
+        gemm, which round differently (OpenBLAS, on tables with 4 or more
+        outcomes or actions), so a lone row is multiplied as two."""
+        if posteriors.shape[0] == 1:
+            return (np.concatenate([posteriors, posteriors]) @ self.matrix)[:1]
+        return posteriors @ self.matrix
+
     def bayes_actions(self, posteriors):
         # exhaustive scan; argmin takes the lowest index on ties
-        return np.argmin(posteriors @ self.matrix, axis=1)
+        return np.argmin(self._risks(posteriors), axis=1)
 
     def expected_losses(self, true_posteriors, actions):
-        table = true_posteriors @ self.matrix
+        table = self._risks(true_posteriors)
         return table[np.arange(table.shape[0]), np.asarray(actions, dtype=np.int64)]
 
     def has_zero_loss_action(self) -> bool:

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .bounds import BoundCheckResult
 from .engine import TotalsReport
@@ -45,12 +48,6 @@ _SERIES_FOR_COLUMN = {
 }
 
 
-def _fmt(v: float) -> str:
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
-
-
 def csv_columns(report: TotalsReport) -> list[str]:
     cols = [name for name, _ in _BASE_COLUMNS]
     for label in report.loss_labels:
@@ -60,27 +57,31 @@ def csv_columns(report: TotalsReport) -> list[str]:
     return cols
 
 
-def _row_values(report: TotalsReport, t: int, summary: bool) -> list[str]:
+def _csv_series(report: TotalsReport) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The CSV's per-step columns and its cumulative columns, in column order."""
     per, cum = report.per_step, report.cumulative
-    row = ["total" if summary else str(t + 1)]
-    for col in ("E_at", "E_st", "E_ht", "E_dt", "E_bt"):
-        row.append("" if summary else _fmt(float(per[_SERIES_FOR_COLUMN[col]][t])))
-    for col in ("D_cum", "A_cum", "S_cum", "H_cum", "B_cum"):
-        row.append(_fmt(float(cum[_SERIES_FOR_COLUMN[col]][t])))
+    steps = [per[_SERIES_FOR_COLUMN[c]] for c in ("E_at", "E_st", "E_ht", "E_dt", "E_bt")]
+    totals = [cum[_SERIES_FOR_COLUMN[c]] for c in ("D_cum", "A_cum", "S_cum", "H_cum", "B_cum")]
     for label in report.loss_labels:
-        lx = float(cum[f"mixture_loss[{label}]"][t])
-        lm = float(cum[f"informed_loss[{label}]"][t])
-        row += [_fmt(lx), _fmt(lm), _fmt(lx - lm)]
-        for scheme in report.scheme_labels:
-            row.append(_fmt(float(cum[f"scheme_loss[{scheme}|{label}]"][t])))
-    return row
+        lx, lm = cum[f"mixture_loss[{label}]"], cum[f"informed_loss[{label}]"]
+        with np.errstate(invalid="ignore"):     # inf - inf is nan, as for floats
+            totals += [lx, lm, lx - lm]
+        totals += [cum[f"scheme_loss[{scheme}|{label}]"] for scheme in report.scheme_labels]
+    return steps, totals
 
 
 def render_series_csv(report: TotalsReport) -> str:
+    steps, totals = _csv_series(report)
+    # one row of floats per step, converted by one ``tolist`` per row and
+    # written with 17 significant digits (``format`` writes inf, -inf, nan
+    # and -0 as such); the rows are formatted one at a time, so no string
+    # outlives its line
+    table = np.column_stack(steps + totals)[:report.horizon]
     lines = [",".join(csv_columns(report))]
-    for t in range(report.horizon):
-        lines.append(",".join(_row_values(report, t, summary=False)))
-    lines.append(",".join(_row_values(report, report.horizon - 1, summary=True)))
+    for t, row in enumerate(table, 1):
+        lines.append(",".join([str(t), *map(format, row.tolist(), repeat(".17g"))]))
+    last = map(format, table[-1, len(steps):].tolist(), repeat(".17g"))
+    lines.append(",".join(["total", *[""] * len(steps), *last]))
     return "\n".join(lines) + "\n"
 
 
@@ -125,7 +126,7 @@ def report_json(report: TotalsReport, results: Sequence[BoundCheckResult]) -> st
 
 def report_text(report: TotalsReport, results: Sequence[BoundCheckResult]) -> str:
     head = (f"engine={report.engine} horizon={report.horizon} "
-            f"alphabet={report.alphabet_size} true_weight={_fmt(report.true_weight)}")
+            f"alphabet={report.alphabet_size} true_weight={report.true_weight:.17g}")
     if report.is_statistical:
         head += f" samples={report.samples} seed={report.seed}"
     lines = [head]

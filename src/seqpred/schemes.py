@@ -23,6 +23,8 @@ from .measures import StateCarrier
 
 class PredictionScheme(StateCarrier):
     label: str = "?"
+    # the number of symbols the scheme's state is built for; None for any
+    alphabet_size: int | None = None
 
     def actions(self, states: np.ndarray, loss: LossSpec) -> np.ndarray:
         """Actions for a batch of states (one row per history), typed

@@ -9,9 +9,13 @@ import pytest
 from seqpred.bounds import B_RULES
 from seqpred.cli import main
 from seqpred.config import SCHEMA, ConfigError, load_config, parse_config, validate
-from seqpred.losses import NAMED_LOSSES
+from seqpred.engine import exact_evaluate
+from seqpred.losses import NAMED_LOSSES, ErrorLoss, LogLoss
+from seqpred.measures import BernoulliMeasure
+from seqpred.mixture import MixtureModel
 from seqpred.presets import PRESET_NAMES, load_preset, load_preset_dict, preset_path
-from seqpred.reporting import describe_columns
+from seqpred.reporting import csv_columns, describe_columns, render_series_csv
+from seqpred.schemes import ConstantScheme
 
 
 @pytest.fixture()
@@ -262,6 +266,40 @@ class TestCsvShape:
         row = lines[1].split(",")
         kl_col = header.index("E_dt")
         assert float(row[kl_col]) == float(format(float(row[kl_col]), ".17g"))
+
+    def test_columns_render_as_cell_by_cell_formatting(self):
+        report = exact_evaluate(
+            MixtureModel([BernoulliMeasure(0.3), BernoulliMeasure(0.6)], [0.5, 0.5]), 0,
+            {"log": LogLoss(), "error": ErrorLoss()}, 5, schemes=[ConstantScheme(0)])
+        report.per_step["kl"][1:4] = [-0.0, math.nan, -math.inf]
+        report.cumulative["mixture_loss[log]"][2:] = math.inf     # inf - inf is nan
+        report.cumulative["informed_loss[log]"][3:] = math.inf
+        report.cumulative["absolute"][0] = 1e-300
+
+        def fmt(v):
+            return ("inf" if v > 0 else "-inf") if math.isinf(v) else format(v, ".17g")
+
+        def row(t, summary):
+            per, cum = report.per_step, report.cumulative
+            cells = ["total" if summary else str(t + 1)]
+            cells += ["" if summary else fmt(float(per[key][t]))
+                      for key in ("absolute", "square", "hellinger", "kl", "abs_divergence")]
+            cells += [fmt(float(cum[key][t]))
+                      for key in ("kl", "absolute", "square", "hellinger", "abs_divergence")]
+            for label in report.loss_labels:
+                lx = float(cum[f"mixture_loss[{label}]"][t])
+                lm = float(cum[f"informed_loss[{label}]"][t])
+                cells += [fmt(lx), fmt(lm), fmt(lx - lm)]
+                cells += [fmt(float(cum[f"scheme_loss[{s}|{label}]"][t]))
+                          for s in report.scheme_labels]
+            return ",".join(cells)
+
+        want = [",".join(csv_columns(report)), *(row(t, False) for t in range(5)), row(4, True)]
+        got = render_series_csv(report)
+        assert got == "\n".join(want) + "\n"
+        lines = [line.split(",") for line in got.splitlines()]
+        assert [cells[lines[0].index("E_dt")] for cells in lines[2:5]] == ["-0", "nan", "-inf"]
+        assert lines[-1][lines[0].index("gap[log]")] == "nan"
 
     def test_summary_matches_final_cumulative(self, in_tmp):
         run_cli("run", str(preset_path("collapse")))

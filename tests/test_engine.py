@@ -2,6 +2,7 @@ import math
 import warnings
 from types import SimpleNamespace
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -884,6 +885,146 @@ class TestBlockedMonteCarlo:
         monkeypatch.setattr(BernoulliMeasure, "_step_matrix", recording)
         monte_carlo_evaluate(three_coin_mixture(), 0, [ErrorLoss()], 30, samples=100, seed=1)
         assert widths == [0] * 90
+
+
+def _per_level_exact(mixture, true_index, losses, horizon, schemes, node_budget, observer):
+    """The exact walk before blocking: one ``evaluate`` call per tree level,
+    each series dotted with the level's weights, and the observer called
+    before the level is extended.  Returns (series names, (series, horizon)
+    per-step values, kl_direct, node visits)."""
+    ev = _StepEvaluator(mixture, true_index, losses, schemes)
+    per_step = np.zeros((len(ev.keys), horizon))
+    rows, links, mult, visits = ev.start(1), [], np.ones(1), 0
+    for t in range(horizon):
+        visits += mult.shape[0]
+        if visits > node_budget:
+            raise BudgetExceededError(visits, node_budget)
+        true_cond, log_cond = ev.conditionals(rows.states, t)
+        values = ev.evaluate(true_cond, log_cond, rows.comp_logm, ev.scheme_states(rows))[1]
+        weights = mult * np.exp(rows.comp_logm[:, true_index])
+        for row, series in enumerate(values):
+            per_step[row, t] = weights @ series
+        observer(t + 1, weights, mult, dict(zip(ev.keys, values)),
+                 partial(engine._first_history, links, t))
+        symbols, parents = np.nonzero(true_cond.T > 0.0)
+        rows = ev.extend(rows.take(parents), log_cond[:, parents, symbols].T, symbols)
+        keep, mult = _merge_equal_rows(rows.merge_key(), mult[parents])
+        rows = rows.take(keep)
+        links.append((parents[keep], symbols[keep]))
+    visits += mult.shape[0]
+    if visits > node_budget:
+        raise BudgetExceededError(visits, node_budget)
+    kl_direct = float((mult * np.exp(rows.comp_logm[:, true_index])) @ ev.log_ratio(rows))
+    return ev.keys, per_step, kl_direct, visits
+
+
+def _hex_levels(levels):
+    """A test-side observer: appends the bits of every level it sees to
+    ``levels``, with each node's rebuilt history."""
+    def observer(step, weights, multiplicity, values, history):
+        levels.append((step, _hex(weights), _hex(multiplicity),
+                       {key: _hex(row) for key, row in values.items()},
+                       [history(i) for i in range(weights.size)]))
+    return observer
+
+
+def _blocked_exact_case(name):
+    """(mixture, true index, {label: loss}, schemes, horizon) of one blocked
+    exact case."""
+    if name == "matrix-level-0":
+        # three symbols, four and five actions: the one-node level 0 shares a
+        # multi-row product; its row alone rounds differently on OpenBLAS
+        rng = np.random.default_rng(32)
+        comps = [MarkovMeasure(rng.dirichlet(np.ones(3), size=3), rng.dirichlet(np.ones(3))),
+                 MarkovMeasure(rng.dirichlet(np.ones(3), size=(3, 3)), rng.dirichlet(np.ones(3)),
+                               order=2)]
+        losses = {"wide": MatrixLoss(rng.uniform(0.0, 1.0, (3, 4))),
+                  "wider": MatrixLoss(rng.uniform(0.0, 1.0, (3, 5)))}
+        return (MixtureModel(comps, [0.45, 0.55]), 0, losses,
+                [ConstantScheme(1), MajorityVoteScheme(3)], 5)
+    # the table holds histories shorter than 7
+    return (*_blocked_case(name), 7 if name == "table" else 9)
+
+
+class TestBlockedExact:
+    """Blocks of tree levels give the bits of the per-level walk."""
+
+    # (case, BLOCK_ROWS, rows of each evaluate call).  The mixed tree's levels
+    # hold 1, 2, 4, 7, 12, 21, 37, 65 and 114 nodes: with 16 rows a block,
+    # levels 0-3 share one, level 4 closes alone because level 5 does not
+    # fit, and levels 5-8, each wider than a block, stand alone.  The table's
+    # whole-history state does not close blocks; a whole-history scheme state
+    # closes every block after one level.
+    CASES = [("mixed", 16, [14, 12, 21, 37, 65, 114]),
+             ("mixed", 4096, [263]),
+             ("table", 4096, [112]),
+             ("history-key", 4096, [1, 2, 4, 7, 12, 21, 37, 65, 114]),
+             ("matrix-level-0", 4096, [121])]
+
+    @pytest.mark.parametrize("case, block_rows, evaluated", CASES,
+                             ids=[f"{c[0]}-{c[1]}" for c in CASES])
+    def test_matches_the_per_level_walk_bit_for_bit(self, monkeypatch, case, block_rows,
+                                                    evaluated):
+        mix, true_index, losses, schemes, horizon = _blocked_exact_case(case)
+        monkeypatch.setattr(engine, "BLOCK_ROWS", block_rows)
+        seen = []
+        evaluate = _StepEvaluator.evaluate
+
+        def counting(ev, true_cond, *args):
+            seen.append(true_cond.shape[0])
+            return evaluate(ev, true_cond, *args)
+
+        monkeypatch.setattr(_StepEvaluator, "evaluate", counting)
+        got_levels, want_levels = [], []
+        rep = exact_evaluate(mix, true_index, losses, horizon, schemes=schemes,
+                             observer=_hex_levels(got_levels))
+        blocks, seen[:] = list(seen), []
+        names, per_step, kl_direct, visits = _per_level_exact(
+            mix, true_index, losses, horizon, schemes, engine.DEFAULT_NODE_BUDGET,
+            _hex_levels(want_levels))
+        assert blocks == evaluated
+        assert list(rep.per_step) == names
+        for key, row in zip(names, per_step):
+            assert _hex(rep.per_step[key]) == _hex(row), key
+        assert rep.kl_direct.hex() == kl_direct.hex()
+        assert rep.node_visits == visits
+        # every level once, in level order, with the bits of the per-level walk
+        assert len(got_levels) == len(want_levels) == horizon
+        for got, want in zip(got_levels, want_levels):
+            assert got == want, want[0]
+
+    # visits reach 1, 3, 7, 14, 26, 47, 84, 149 and 263 over the levels and
+    # 463 with the leaves: budgets 2 and 5 trip inside the first block, 40 at
+    # a block of its own, 462 at the leaves
+    @pytest.mark.parametrize("budget", [2, 5, 40, 462])
+    def test_budget_trips_at_the_same_visit_count(self, monkeypatch, budget):
+        mix, true_index, losses, schemes, horizon = _blocked_exact_case("mixed")
+        monkeypatch.setattr(engine, "BLOCK_ROWS", 16)
+        with pytest.raises(BudgetExceededError) as want:
+            _per_level_exact(mix, true_index, losses, horizon, schemes, budget,
+                             lambda *level: None)
+        with pytest.raises(BudgetExceededError) as got:
+            exact_evaluate(mix, true_index, losses, horizon, schemes=schemes,
+                           node_budget=budget)
+        assert str(got.value) == str(want.value)
+
+
+class TestSchemeAlphabet:
+    """A scheme built for another alphabet fails before the walk starts."""
+
+    CASE = TestCarriedSchemeKeys.CASES["markov-3"]          # three symbols
+    MESSAGE = "alphabet of 2 symbols; the mixture's has 3"
+
+    def test_exact_engine_names_both_alphabet_sizes(self):
+        mixture, losses = self.CASE
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            exact_evaluate(mixture(), 0, losses, 4, schemes=[MajorityVoteScheme()])
+
+    def test_monte_carlo_names_both_alphabet_sizes(self):
+        mixture, losses = self.CASE
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            monte_carlo_evaluate(mixture(), 0, losses, 4, samples=100, seed=1,
+                                 schemes=[MajorityVoteScheme()])
 
 
 class TestMonteCarlo:

@@ -174,6 +174,21 @@ class TestMatrixLoss:
         with pytest.raises(ValueError):
             MatrixLoss([[0, 1], [1, 0]]).bayes_action([0.2, 0.3, 0.5])
 
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (2, 3)])
+    def test_a_row_rounds_alike_alone_and_in_a_batch(self, shape):
+        # BLAS multiplies one row (gemv) and several (gemm) with different
+        # roundings; a row's risks must not depend on the rows beside it
+        rng = np.random.default_rng(7)
+        loss = MatrixLoss(rng.random(shape))
+        p = rng.dirichlet(np.ones(shape[0]), size=300)
+        actions = rng.integers(0, shape[1], size=300)
+        batch = loss.expected_losses(p, actions)
+        for i in range(300):
+            alone = loss.expected_losses(p[i:i + 1], actions[i:i + 1])
+            assert alone.tobytes() == batch[i:i + 1].tobytes(), i
+            assert loss.expected_loss(p[i], actions[i]) == batch[i], i
+        assert np.array_equal([loss.bayes_action(row) for row in p], loss.bayes_actions(p))
+
 
 class TestFlags:
     def test_log_loss_is_unbounded(self):
