@@ -443,9 +443,10 @@ def grid_verify_proof_inequalities(b_rule, *,
     """Verify min f1 >= 0 (z <= 1/2) and min f2 >= 0 (z >= 1/2) over grids.
 
     ``b_rule`` is a named rule from B_RULES, a constant, or a callable
-    A -> B.  The y, z grids span [edge_margin, 1 - edge_margin]; the
-    boundary blow-up (f -> +inf at the z endpoints) is checked by trend in
-    the test suite, not at the singular points.  Returns two results whose
+    A -> B; a constant that is not > 0, or a rule that gives B <= 0 at some
+    A, raises ValueError.  The y, z grids span [edge_margin,
+    1 - edge_margin]; the boundary blow-up (f -> +inf at the z endpoints) is
+    checked by trend in the test suite, not at the singular points.  Returns two results whose
     locations pinpoint the minimizing (A, y, z).
     """
     if isinstance(b_rule, str):
@@ -454,6 +455,8 @@ def grid_verify_proof_inequalities(b_rule, *,
         rule_name, rule = getattr(b_rule, "__name__", "custom"), b_rule
     else:
         const = float(b_rule)
+        if not const > 0:  # false for NaN too
+            raise ValueError(f"b_rule must be > 0, got {const}")
         rule_name, rule = f"B={const}", lambda a: const
     if a_values is None:
         a_values = ProofGridConfig().a_values()
@@ -484,7 +487,10 @@ def grid_verify_proof_inequalities(b_rule, *,
 
     best = {"f1": (math.inf, None), "f2": (math.inf, None)}
     for a in a_values:
-        ap, bp = float(a) + 1.0, rule(float(a)) + 1.0
+        b = rule(float(a))
+        if b <= 0:  # a NaN is left to fail at its cell
+            raise ValueError(f"b_rule must give B > 0, got B={b} at A={float(a)}")
+        ap, bp = float(a) + 1.0, b + 1.0
         for name, y, z, f in branches:
             vals = f(ap, bp)
             idx = np.unravel_index(int(np.argmin(vals)), vals.shape)

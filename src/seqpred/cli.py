@@ -114,7 +114,8 @@ def _cmd_check_inequalities(args) -> int:
     else:
         rules = [args.b_rule]
     a_flag = "--a-value" if args.a_value is not None else "--a-min/--a-max/--a-count"
-    flags = {"a_values": a_flag, "grid_points": "--grid", "edge_margin": "--edge-margin"}
+    flags = {"a_values": a_flag, "b_rule": "--b-value", "grid_points": "--grid",
+             "edge_margin": "--edge-margin"}
     results: list[BoundCheckResult] = []
     try:
         a_values = _a_values(args)

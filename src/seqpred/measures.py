@@ -117,7 +117,10 @@ class SequenceMeasure(StateCarrier):
     """Base class for probability measures over symbol sequences.
 
     Subclasses implement ``_step_distribution(history)``: the next-symbol
-    distribution given a *possible* history.
+    distribution given a history.  On a history of probability 0 it may
+    return any probability vector: the engines reach such histories whenever
+    a component rules out a history that the true measure allows, and give
+    them weight 0; ``conditional_vector`` raises there instead.
 
     ``_step_matrix(states, t)`` maps a batch of carried states at step t to
     next-symbol distributions.  The default loops over whole-history rows,
@@ -299,13 +302,11 @@ class DeterministicMeasure(SequenceMeasure):
         pat = tuple(int(p) for p in pattern)
         if not pat:
             raise ValueError("pattern must be non-empty")
-        m = cls(lambda t: pat[(t - 1) % len(pat)], alphabet_size)
-        m.pattern = pat
-        return m
+        return cls(lambda t: pat[(t - 1) % len(pat)], alphabet_size)
 
     def _step_distribution(self, history):
-        # Depends on the position only; off-path histories are screened out by
-        # conditional_vector / log_marginal, never reached by the engines.
+        # Depends on the position only; on an off-path history (probability 0)
+        # any vector will do.
         vec = np.zeros(self.alphabet.size)
         vec[self.alphabet.check(self.generator(len(history) + 1))] = 1.0
         return vec

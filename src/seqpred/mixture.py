@@ -10,20 +10,22 @@ long horizons).  This makes multiplicative dominance structural:
     mixture(x) >= w_k * component_k(x)  for every component k,
 
 so the mixture never assigns zero probability where a positively-weighted
-component assigns positive probability.  Mixture conditionals are computed as
-marginal ratios (the defining identity), never by drifting incremental
-updates.  A mixture is itself a SequenceMeasure.
+component assigns positive probability.  A mixture conditional is the
+marginal ratio mixture(h x) / mixture(h) (the defining identity), each
+marginal summed from the start, never carried forward by incremental updates.
+A mixture is itself a SequenceMeasure, so ``conditional_vector`` and
+``sample`` are the base class's; sampling n symbols costs O(n^2 K) component
+steps.  The engines compute the mixture in batch and do not call these.
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .logdomain import NEG_INF, log_sum_exp
 from .measures import (DistributionError, SequenceMeasure, UndefinedConditionalError,
-                       _check_distribution, as_symbols, draw_symbols)
+                       _check_distribution, as_symbols)
 
 
 class MixtureModel(SequenceMeasure):
@@ -55,52 +57,14 @@ class MixtureModel(SequenceMeasure):
     def _component_log_marginals(self, xs) -> np.ndarray:
         return np.array([c.log_marginal(xs) for c in self.components])
 
-    def _step_from(self, h: tuple[int, ...], comp_logm: np.ndarray):
-        """Next-symbol distribution after ``h``, and in row x of a matrix each
-        component's log_marginal(h + (x,)), given ``comp_logm``, their
-        log_marginal(h).
-
-        A component that keeps the base-class chain-rule sum gets one more
-        term, bitwise what a sum from the start gives; any other is
-        recomputed from the start.
-        """
-        log_h = log_sum_exp(self.log_weights + comp_logm)
-        if log_h == NEG_INF:
-            raise UndefinedConditionalError(f"history {h} has zero probability under the mixture")
-        ext = np.empty((self.alphabet.size, len(self.components)))
-        for k, c in enumerate(self.components):
-            if type(c).log_marginal is not SequenceMeasure.log_marginal:
-                ext[:, k] = [c.log_marginal(h + (x,)) for x in range(self.alphabet.size)]
-            elif comp_logm[k] == NEG_INF:
-                ext[:, k] = NEG_INF
-            else:
-                ext[:, k] = [comp_logm[k] + math.log(p) if p > 0.0 else NEG_INF
-                             for p in map(float, c._step_distribution(h))]
-        out = np.empty(self.alphabet.size)
-        for x in range(self.alphabet.size):
-            out[x] = np.exp(log_sum_exp(self.log_weights + ext[x]) - log_h)
-        return out, ext
-
     def _step_distribution(self, history):
         h = tuple(history)
-        return self._step_from(h, self._component_log_marginals(h))[0]
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        """Draw one length-n string; the same draws as the base-class sampler,
-        carrying the component log-marginals instead of recomputing them."""
-        if n < 1:
-            raise ValueError("horizon must be >= 1")
-        rng = np.random.default_rng(seed)
-        out = np.empty(n, dtype=np.int64)
-        h: tuple[int, ...] = ()
-        comp_logm = self._component_log_marginals(h)
-        for t in range(n):
-            probs, ext = self._step_from(h, comp_logm)
-            x = int(draw_symbols(probs[None, :], np.array([rng.random()]))[0])
-            out[t] = x
-            h = h + (x,)
-            comp_logm = ext[x]
-        return out
+        log_h = self.log_marginal(h)
+        if log_h == NEG_INF:
+            # a history the mixture rules out: any probability vector will do
+            return np.full(self.alphabet.size, 1.0 / self.alphabet.size)
+        return np.array([np.exp(self.log_marginal(h + (x,)) - log_h)
+                         for x in range(self.alphabet.size)])
 
     def posterior_weights(self, history) -> np.ndarray:
         """Per-component posterior mass w_k * component_k(h) / mixture(h).

@@ -598,6 +598,19 @@ class TestGridVerification:
         with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} "):
             grid_verify_proof_inequalities("1/A+1", **kwargs)
 
+    @pytest.mark.parametrize("b", [-1.0, 0.0])
+    def test_rule_at_or_below_zero_raises_at_its_first_a(self, b):
+        def rule(a):
+            return b if a >= 2.0 else 1.0 / a + 1.0
+
+        with pytest.raises(ValueError, match=f"^b_rule must give B > 0, got B={b} at A=2.0$"):
+            grid_verify_proof_inequalities(rule, a_values=[1.0, 2.0, 3.0], grid_points=11)
+
+    @pytest.mark.parametrize("b", [-5.0, 0.0, math.nan])
+    def test_constant_not_above_zero_raises(self, b):
+        with pytest.raises(ValueError, match=f"^b_rule must be > 0, got {b}$"):
+            grid_verify_proof_inequalities(b, a_values=[1.0], grid_points=11)
+
     def test_nan_cell_fails_at_its_first_location(self):
         def rule(a):
             return math.nan if a == 2.0 else 1.0 / a + 1.0

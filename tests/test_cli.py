@@ -204,6 +204,9 @@ class TestCheckInequalities:
         (["--a-count", "0"], "--a-min/--a-max/--a-count"),
         (["--edge-margin", "0"], "--edge-margin"),
         (["--grid", "1"], "--grid"),
+        (["--b-rule", "fixed", "--b-value", "-5", "--a-value", "1"], "--b-value"),
+        (["--b-rule", "fixed", "--b-value", "0", "--a-value", "1"], "--b-value"),
+        (["--b-rule", "fixed", "--b-value", "nan", "--a-value", "1"], "--b-value"),
     ])
     def test_invalid_grid_exits_1_naming_the_flag(self, capsys, argv, flag):
         assert run_cli("check-inequalities", *argv) == 1

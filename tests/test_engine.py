@@ -1027,6 +1027,44 @@ class TestSchemeAlphabet:
                                  schemes=[MajorityVoteScheme()])
 
 
+def _nested_and_flat():
+    """One mixture nested in another, and the flat mixture with the same
+    marginal.  The inner mixture rules out every history that starts with
+    1, which the true coin allows."""
+    inner = MixtureModel([DeterministicMeasure.from_pattern([0]),
+                          DeterministicMeasure.from_pattern([0, 1])], [0.5, 0.5])
+    nested = MixtureModel([BernoulliMeasure(0.5), inner], [0.5, 0.5])
+    flat = MixtureModel([BernoulliMeasure(0.5), DeterministicMeasure.from_pattern([0]),
+                         DeterministicMeasure.from_pattern([0, 1])], [0.5, 0.25, 0.25])
+    return nested, flat
+
+
+class TestNestedMixture:
+    """A mixture component reaches histories it rules out; both engines give
+    the totals of the flat mixture with the same marginal."""
+
+    @staticmethod
+    def _assert_same_totals(got, want):
+        assert got.cumulative.keys() == want.cumulative.keys()
+        for key in want.cumulative:
+            assert got.total(key) == pytest.approx(want.total(key), abs=1e-12)
+        assert got.kl_direct == pytest.approx(want.kl_direct, abs=1e-12)
+
+    @pytest.mark.parametrize("horizon", [1, 6, 10])
+    def test_exact_engine(self, horizon):
+        nested, flat = _nested_and_flat()
+        self._assert_same_totals(exact_evaluate(nested, 0, THREE_COIN_LOSSES, horizon),
+                                 exact_evaluate(flat, 0, THREE_COIN_LOSSES, horizon))
+
+    def test_monte_carlo(self):
+        nested, flat = _nested_and_flat()
+        got, want = (monte_carlo_evaluate(mix, 0, THREE_COIN_LOSSES, 8, samples=100, seed=3)
+                     for mix in (nested, flat))
+        self._assert_same_totals(got, want)
+        for key in want.cumulative:
+            assert got.total_se(key) == pytest.approx(want.total_se(key), abs=1e-12)
+
+
 class TestMonteCarlo:
     def test_degenerate_truth_is_zero_variance_and_exact(self):
         mix = MixtureModel([DeterministicMeasure.from_pattern([0, 1]), BernoulliMeasure(0.5)],

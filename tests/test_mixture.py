@@ -63,6 +63,14 @@ class TestConditional:
         with pytest.raises(UndefinedConditionalError):
             mix.conditional_vector("0")
 
+    def test_step_distribution_on_a_ruled_out_history_is_uniform(self):
+        # any probability vector is allowed there; the mixture gives the uniform one
+        mix = MixtureModel([DeterministicMeasure.from_pattern([0, 1], alphabet_size=3),
+                            DeterministicMeasure.from_pattern([0], alphabet_size=3)], [0.5, 0.5])
+        assert mix._step_distribution((2,)).tolist() == [1 / 3] * 3
+        with pytest.raises(UndefinedConditionalError):
+            mix.conditional_vector((2,))
+
 
 class TestPosteriorWeights:
     def test_empty_history_gives_prior(self):

@@ -1,15 +1,28 @@
-"""``tools/bench_pairs.py``: its summary of paired runs and its refusal of
-checkouts at paths of different lengths (no benchmark is run here)."""
+"""The scripts under ``tools/``: ``bench_pairs.py``'s summary of paired runs
+and its refusal of checkouts at paths of different lengths (no benchmark is
+run here), ``report_diff.py``'s diff of two runs, and the runs of
+``output_digests.py``."""
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
-bench_pairs = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+from seqpred import config, presets
+from seqpred.losses import MatrixLoss
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load_tool("bench_pairs")
+output_digests = _load_tool("output_digests")
+report_diff = _load_tool("report_diff")
 
 
 def _run(pair, side, work, mem):
@@ -50,3 +63,34 @@ def test_checkouts_at_paths_of_different_lengths_are_refused(tmp_path, capsys):
                           "exact-coins", "--pairs", "1", "--label", "x"])
     assert exit_info.value.code == 2
     assert "differ in length" in capsys.readouterr().err
+
+
+def _report_run(bounds, totals, kl_direct, csv):
+    fields = {"lhs": 0.5, "rhs": 1.0, "pass": True, "mode": "exact", "location": ""}
+    return {"report": {"bounds": [{**fields, "bound_id": b, "tolerance": tol} for b, tol in bounds],
+                       "totals": totals, "kl_direct": kl_direct},
+            "csv": csv}
+
+
+def test_diff_run_names_each_changed_bound_total_and_csv_line():
+    old = _report_run([("kl", 1e-9), ("old-only", 1e-9)], {"kl": 2.0, "error": 1.0}, 0.5,
+                      "t,kl\n1,0.25\n2,0.5\n")
+    new = _report_run([("kl", 2e-9), ("new-only", 1e-9)], {"kl": 3.0, "error": 1.0}, 0.5,
+                      "t,kl\n1,0.25\n2,0.75\n")
+    assert report_diff.diff_run(old, new) == [
+        "bound kl tolerance: 1e-09 -> 2e-09  (+1 relative)",
+        "bound old-only: only old",
+        "bound new-only: only new",
+        "total kl: 2.0 -> 3.0  (+0.5 relative)",
+        "csv line 3: '2,0.5' -> '2,0.75'",
+    ]
+    assert report_diff.diff_run(old, old) == []
+
+
+def test_digest_runs_end_with_a_lone_row_under_wide_matrix_losses():
+    runs = dict(output_digests._runs(presets))
+    assert list(runs)[-1] == "lone-row"
+    cfg = config.parse_config(runs["lone-row"])
+    assert (cfg.engine, cfg.horizon, cfg.alphabet_size) == ("exact", 1, 3)
+    assert sorted(loss.matrix.shape for loss in cfg.losses.values()
+                  if isinstance(loss, MatrixLoss)) == [(3, 4), (3, 5)]

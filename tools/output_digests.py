@@ -5,10 +5,19 @@
 SRC_DIR is the directory that holds the ``seqpred`` package (default: this
 checkout's ``src``).  Each line is ``<digest>  <run>``: the sha256 of
 ``render_series_csv`` followed by ``report_json`` for every shipped preset
-(the Monte Carlo ``counterexample`` at three seeds) and every benchmark
-config under ``bench/configs`` (``mc-long`` at two seeds), then the sha256
-of the default ``seqpred check-inequalities`` stdout.  Two trees whose
-lines match give byte-identical reports; ``diff`` the output of two runs.
+(the Monte Carlo ``counterexample`` at three seeds), every benchmark
+config under ``bench/configs`` (``mc-long`` at two seeds) and ``LONE_ROW``,
+then the sha256 of the default ``seqpred check-inequalities`` stdout.  Two
+trees whose lines match give byte-identical reports; ``diff`` the output of
+two runs.
+
+``LONE_ROW`` is the one run whose config lives here: the exact engine at
+horizon 1, so its only level is the empty history's lone row, under 3x4
+and 3x5 matrix losses.  numpy multiplies a one-row and a many-row product
+through different BLAS routines, which round differently on such tables;
+this run's digest moves if a lone row is not multiplied as a batch is.  At
+longer horizons the exact engine puts level 0 into a block with later
+levels, and no other run has a lone row under a table this wide.
 """
 from __future__ import annotations
 
@@ -22,6 +31,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # the Monte Carlo configs, run once per seed; the exact ones are seed-free
 SEEDS = {"counterexample": (20250808, 1, 2026), "mc-long": (1, 2026)}
+LONE_ROW = {
+    "alphabet_size": 3,
+    "horizon": 1,
+    "mixture": {
+        "components": [
+            {"kind": "markov", "initial": [0.137, 0.512, 0.351],
+             "transitions": [[0.61, 0.27, 0.12], [0.23, 0.48, 0.29], [0.09, 0.34, 0.57]]},
+            {"kind": "markov", "initial": [0.283, 0.164, 0.553],
+             "transitions": [[0.31, 0.42, 0.27], [0.44, 0.19, 0.37], [0.26, 0.51, 0.23]]},
+        ],
+        "weights": [0.45, 0.55],
+        "true_component_index": 0,
+    },
+    "losses": [
+        {"kind": "matrix", "label": "wide",
+         "matrix": [[0.0, 0.713, 0.291, 0.867], [0.534, 0.0, 0.942, 0.178],
+                    [0.826, 0.395, 0.0, 0.659]]},
+        {"kind": "matrix", "label": "wider",
+         "matrix": [[0.0, 0.377, 0.614, 0.253, 0.981], [0.472, 0.0, 0.138, 0.796, 0.327],
+                    [0.915, 0.563, 0.0, 0.441, 0.702]]},
+    ],
+    "engine": {"kind": "exact"},
+}
 
 
 def _runs(presets):
@@ -29,6 +61,7 @@ def _runs(presets):
     configs = [(name, presets.load_preset_dict(name)) for name in presets.PRESET_NAMES]
     configs += [(path.stem, json.loads(path.read_text()))
                 for path in sorted((ROOT / "bench" / "configs").glob("*.json"))]
+    configs.append(("lone-row", LONE_ROW))
     for name, raw in configs:
         if name not in SEEDS:
             yield name, raw
