@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -91,6 +91,12 @@ class BoundCheckResult:
     mode: str = "exact"          # "exact" | "statistical"
     location: str = ""
 
+    def __post_init__(self):
+        # the bound formulas give numpy scalars: as floats, inf - inf is a
+        # silent NaN and a non-finite side reads "inf" in the report
+        for side in ("lhs", "rhs", "tolerance"):
+            object.__setattr__(self, side, float(getattr(self, side)))
+
     @property
     def slack(self) -> float:
         return self.rhs - self.lhs
@@ -107,16 +113,7 @@ class BoundCheckResult:
                 f"slack={self.slack:.12g} tol={self.tolerance:.3g}{tag}{loc}")
 
     def to_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "mode": self.mode,
-            "location": self.location,
-        }
+        return {**vars(self), "slack": self.slack, "pass": self.passed}
 
 
 def _se(report: TotalsReport, key: str) -> float:
@@ -139,30 +136,38 @@ def _tolerance(report: TotalsReport, linear: Sequence[str] = (), *curves) -> tup
     for side, fn, keys in curves:
         totals = [report.total(k) for k in keys]
         shifts = [3.0 * _se(report, k) for k in keys]
-        value = fn(*totals)
-        corners = [fn(*(t + s * d for t, s, d in zip(totals, signs, shifts)))
+        value = float(fn(*totals))
+        corners = [float(fn(*(t + s * d for t, s, d in zip(totals, signs, shifts))))
                    for signs in itertools.product((-1.0, 1.0), repeat=len(keys))]
         ranges += max(0.0, max(corners) - value if side == "rhs" else value - min(corners))
     return EXACT_TOL + (ranges + 3.0 * sum(_se(report, k) for k in linear)), "statistical"
 
 
-def _sqrt_2n(n: int, kl: float) -> float:
-    return math.sqrt(max(2.0 * n * kl, 0.0))
+# The bound formulas take totals or arrays of per-history values alike.
+
+def _sqrt_2n(n: int, kl):
+    return np.sqrt(np.maximum(2.0 * n * kl, 0.0))
 
 
-def _form1(d: float, l: float) -> float:
+def _form1(d, l):
     """The regret bound d + sqrt(4 l d + d^2) of KL total d and informed loss l."""
-    return d + math.sqrt(max(4.0 * l * d + d * d, 0.0))
+    return d + np.sqrt(np.maximum(4.0 * l * d + d * d, 0.0))
 
 
-def _form2(d: float, l: float) -> float:
+def _form2(d, l):
     """The looser regret bound 2 d + 2 sqrt(l d)."""
-    return 2.0 * d + 2.0 * math.sqrt(max(l * d, 0.0))
+    return 2.0 * d + 2.0 * np.sqrt(np.maximum(l * d, 0.0))
 
 
-def _certificate(lm: float, d: float) -> float:
+def _certificate(lm, d):
     """No scheme's loss falls below lm - 2 sqrt(lm d), lm the mixture loss."""
-    return lm - 2.0 * math.sqrt(max(lm * d, 0.0))
+    return lm - 2.0 * np.sqrt(np.maximum(lm * d, 0.0))
+
+
+def _beats(value: float, best: float) -> bool:
+    """Whether ``value`` is a smaller minimum than ``best``; a NaN must fail,
+    so it beats every number."""
+    return value < best or (math.isnan(value) and not math.isnan(best))
 
 
 # -- convergence ----------------------------------------------------------------
@@ -264,19 +269,16 @@ def check_logloss_identity(report: TotalsReport, label: str) -> BoundCheckResult
 
 # -- instantaneous (per-history) bounds -------------------------------------------
 
-def _sqrt_pos(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(x, 0.0))
-
-
 class InstantChecks:
     """Per-history instantaneous chains, accumulated while the exact engine
     walks the tree: pass it as ``exact_evaluate``'s ``observer``.
 
-    Per chain it keeps the smallest slack with its lhs, rhs and location;
-    within a level the first node with the smallest slack counts, and a
-    later level replaces it only with a strictly smaller slack.  Per loss it
-    keeps the squared-regret sum, added left to right in level then node
-    order.  ``len()`` is the number of levels observed.  A location reads
+    Per chain it keeps the result with the smallest slack; within a level
+    the first node with the smallest slack counts, and a later level
+    replaces it only with a strictly smaller slack.  A NaN slack fails, so
+    it counts as smaller than every number.  Per loss it keeps the
+    squared-regret sum, added left to right in level then node order.
+    ``len()`` is the number of levels observed.  A location reads
     ``t=<step> history=<symbols>``: the symbols run together while each is
     one digit and are joined by commas once one is 10 or more, so (1, 11)
     and (11, 1) read apart.
@@ -285,7 +287,7 @@ class InstantChecks:
     def __init__(self, labels: Sequence[str]):
         self.labels = tuple(labels)
         self.levels = 0
-        self._best: dict[str, tuple] = {}      # bound id -> (slack, lhs, rhs, location)
+        self._best: dict[str, BoundCheckResult] = {}
         self._squared = {label: 0.0 for label in self.labels}
 
     def __len__(self) -> int:
@@ -294,31 +296,32 @@ class InstantChecks:
     def __call__(self, step, weights, multiplicity, values, history) -> None:
         self.levels += 1
         d, a = values["kl"], values["absolute"]
-        chains = {"instant-absdiv-minus-kl<=abs": (values["abs_divergence"] - d, a),
-                  "instant-abs<=sqrt-2kl": (a, _sqrt_pos(2.0 * d))}
-        for label in self.labels:
-            l_inf = values[f"informed_loss[{label}]"]
-            gap = values[f"mixture_loss[{label}]"] - l_inf
-            chains[f"instant-regret-nonneg[{label}]"] = (np.zeros(gap.size), gap)
-            chains[f"instant-regret<=abs[{label}]"] = (gap, a)
-            chains[f"instant-regret<=kl-form[{label}]"] = (gap, 2.0 * d + 2.0 * _sqrt_pos(l_inf * d))
-            # cumsum adds left to right, where sum and @ add pairwise and
-            # would change the last bits
-            self._squared[label] = np.cumsum(
-                np.concatenate([[self._squared[label]], weights * gap * gap]))[-1]
-        for bound_id, (lhs, rhs) in chains.items():
-            slack = rhs - lhs
-            i = int(np.argmin(slack))
-            best = self._best.get(bound_id)
-            if best is None or slack[i] < best[0]:
-                symbols = history(i)
-                h = ("," if max(symbols, default=0) >= 10 else "").join(map(str, symbols)) or "(empty)"
-                self._best[bound_id] = (slack[i], float(lhs[i]), float(rhs[i]), f"t={step} history={h}")
+        # an underflowed mixture gives inf - inf and 0 * inf: NaNs that fail
+        with np.errstate(invalid="ignore"):
+            chains = {"instant-absdiv-minus-kl<=abs": (values["abs_divergence"] - d, a),
+                      "instant-abs<=sqrt-2kl": (a, _sqrt_2n(1, d))}
+            for label in self.labels:
+                l_inf = values[f"informed_loss[{label}]"]
+                gap = values[f"mixture_loss[{label}]"] - l_inf
+                chains[f"instant-regret-nonneg[{label}]"] = (np.zeros(gap.size), gap)
+                chains[f"instant-regret<=abs[{label}]"] = (gap, a)
+                chains[f"instant-regret<=kl-form[{label}]"] = (gap, _form2(d, l_inf))
+                # cumsum adds left to right, where sum and @ add pairwise and
+                # would change the last bits
+                self._squared[label] = np.cumsum(
+                    np.concatenate([[self._squared[label]], weights * gap * gap]))[-1]
+            for bound_id, (lhs, rhs) in chains.items():
+                slack = rhs - lhs
+                i = int(np.argmin(slack))  # the first NaN, if there is one
+                if bound_id not in self._best or _beats(slack[i], self._best[bound_id].slack):
+                    symbols = history(i)
+                    h = ("," if max(symbols, default=0) >= 10 else "").join(map(str, symbols)) or "(empty)"
+                    self._best[bound_id] = BoundCheckResult(
+                        bound_id, lhs[i], rhs[i], EXACT_TOL, location=f"t={step} history={h}")
 
     def result(self, chain: str, bound_id: str | None = None) -> BoundCheckResult:
         """One chain at its minimal-slack history, reported as ``bound_id``."""
-        _, lhs, rhs, location = self._best[chain]
-        return BoundCheckResult(bound_id or chain, lhs, rhs, EXACT_TOL, "exact", location=location)
+        return replace(self._best[chain], bound_id=bound_id or chain)
 
     def squared_regret_sum(self, label: str) -> float:
         return float(self._squared[label])
@@ -334,14 +337,12 @@ def check_instant_bounds(records: InstantChecks, report: TotalsReport,
     if not loss.bounded:
         raise ValueError(f"loss {label!r} is unbounded; instantaneous chains assume losses in [0, 1]")
     # the abs <= sqrt(2 kl) chain is loss-free; each loss reports it under its own id
-    results = [records.result(f"instant-regret-nonneg[{label}]"),
-               records.result(f"instant-regret<=abs[{label}]"),
-               records.result("instant-abs<=sqrt-2kl", f"instant-abs<=sqrt-2kl[{label}]"),
-               records.result(f"instant-regret<=kl-form[{label}]")]
-    results.append(BoundCheckResult(f"squared-regret-sum<=2kl[{label}]",
-                                    records.squared_regret_sum(label),
-                                    2.0 * report.total("kl"), EXACT_TOL, "exact"))
-    return results
+    return [records.result(f"instant-regret-nonneg[{label}]"),
+            records.result(f"instant-regret<=abs[{label}]"),
+            records.result("instant-abs<=sqrt-2kl", f"instant-abs<=sqrt-2kl[{label}]"),
+            records.result(f"instant-regret<=kl-form[{label}]"),
+            BoundCheckResult(f"squared-regret-sum<=2kl[{label}]", records.squared_regret_sum(label),
+                             2.0 * report.total("kl"), EXACT_TOL, "exact")]
 
 
 def check_instant_distance_bounds(records: InstantChecks) -> list[BoundCheckResult]:
@@ -495,14 +496,13 @@ def grid_verify_proof_inequalities(b_rule, *,
             vals = f(ap, bp)
             idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
             v = float(vals[idx])
-            # argmin stops at the first NaN; a NaN must fail, so it beats every number
-            if v < best[name][0] or (math.isnan(v) and not math.isnan(best[name][0])):
+            # argmin stops at the first NaN
+            if _beats(v, best[name][0]):
                 best[name] = (v, (float(a), float(y[idx]), float(z[idx])))
 
     results = []
     for name, branch in (("f1", "z<=1/2"), ("f2", "z>=1/2")):
-        v, loc = best[name]
-        a, y, z = loc
+        v, (a, y, z) = best[name]
         results.append(BoundCheckResult(
             f"proof-ineq-{name}[{rule_name}]", 0.0, v, GRID_TOL, "exact",
             location=f"A={a:.6g} y={y:.6g} z={z:.6g} ({branch})"))

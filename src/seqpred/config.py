@@ -32,7 +32,6 @@ from .mixture import MixtureModel
 from .schemes import ConstantScheme, MajorityVoteScheme, PredictionScheme
 
 SCHEMA = json.loads((Path(__file__).parent / "presets" / "config.schema.json").read_text())
-KNOWN_CHECKS = tuple(SCHEMA["properties"]["checks"]["items"]["enum"])
 # bound keywords of the schema: (holds, how a violation reads)
 _BOUNDS = {"minimum": (operator.ge, ">="), "maximum": (operator.le, "<="),
            "exclusiveMinimum": (operator.gt, ">")}

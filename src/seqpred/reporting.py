@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -18,70 +18,65 @@ import numpy as np
 from .bounds import BoundCheckResult
 from .engine import TotalsReport
 
-_BASE_COLUMNS = [
-    ("t", "1-based step index; the summary row uses 'total'"),
-    ("E_at", "expected absolute distance between true and mixture posteriors at step t"),
-    ("E_st", "expected square distance at step t"),
-    ("E_ht", "expected Hellinger distance at step t"),
-    ("E_dt", "expected relative entropy (KL) at step t"),
-    ("E_bt", "expected absolute divergence at step t"),
-    ("D_cum", "cumulative sum of E_dt through step t"),
-    ("A_cum", "cumulative sum of E_at"),
-    ("S_cum", "cumulative sum of E_st"),
-    ("H_cum", "cumulative sum of E_ht"),
-    ("B_cum", "cumulative sum of E_bt"),
-]
-_PER_LOSS_COLUMNS = [
-    ("L_xi_cum[<loss>]", "cumulative expected loss of the mixture predictor under <loss>"),
-    ("L_mu_cum[<loss>]", "cumulative expected loss of the informed predictor under <loss>"),
-    ("gap[<loss>]", "L_xi_cum minus L_mu_cum at step t"),
-]
-_PER_SCHEME_COLUMNS = [
-    ("L_alt_cum[<scheme>|<loss>]", "cumulative expected loss of alternative scheme <scheme> under <loss>"),
+# (name, series, description) of every column, in order.  An ``E_`` column
+# holds a per-step series, every later one a cumulative series; ``<loss>``
+# and ``<scheme>`` expand per config, and gap, with no series, is the
+# difference of the two columns before it.
+_COLUMNS = [
+    ("t", None, "1-based step index; the summary row uses 'total'"),
+    ("E_at", "absolute", "expected absolute distance between true and mixture posteriors at step t"),
+    ("E_st", "square", "expected square distance at step t"),
+    ("E_ht", "hellinger", "expected Hellinger distance at step t"),
+    ("E_dt", "kl", "expected relative entropy (KL) at step t"),
+    ("E_bt", "abs_divergence", "expected absolute divergence at step t"),
+    ("D_cum", "kl", "cumulative sum of E_dt through step t"),
+    ("A_cum", "absolute", "cumulative sum of E_at"),
+    ("S_cum", "square", "cumulative sum of E_st"),
+    ("H_cum", "hellinger", "cumulative sum of E_ht"),
+    ("B_cum", "abs_divergence", "cumulative sum of E_bt"),
+    ("L_xi_cum[<loss>]", "mixture_loss[<loss>]",
+     "cumulative expected loss of the mixture predictor under <loss>"),
+    ("L_mu_cum[<loss>]", "informed_loss[<loss>]",
+     "cumulative expected loss of the informed predictor under <loss>"),
+    ("gap[<loss>]", None, "L_xi_cum minus L_mu_cum at step t"),
+    ("L_alt_cum[<scheme>|<loss>]", "scheme_loss[<scheme>|<loss>]",
+     "cumulative expected loss of alternative scheme <scheme> under <loss>"),
 ]
 
-_SERIES_FOR_COLUMN = {
-    "E_at": "absolute", "E_st": "square", "E_ht": "hellinger",
-    "E_dt": "kl", "E_bt": "abs_divergence",
-    "D_cum": "kl", "A_cum": "absolute", "S_cum": "square",
-    "H_cum": "hellinger", "B_cum": "abs_divergence",
-}
+
+def _columns(report: TotalsReport) -> list[tuple[str, np.ndarray]]:
+    """Every column after ``t`` as (name, values), in CSV order: the base
+    columns, then per loss its own and, per scheme, the scheme's."""
+    per, cum = report.per_step, report.cumulative
+    columns = [(name, (per if name.startswith("E_") else cum)[series])
+               for name, series, _ in _COLUMNS[1:] if "<" not in name]
+    per_loss = [column for column in _COLUMNS if "<loss>" in column[0]]
+    for label, (name, series, _) in product(report.loss_labels, per_loss):
+        for scheme in report.scheme_labels if "<scheme>" in name else ("",):
+            fill = lambda text: text.replace("<loss>", label).replace("<scheme>", scheme)
+            with np.errstate(invalid="ignore"):     # inf - inf is nan, as for floats
+                values = cum[fill(series)] if series else columns[-2][1] - columns[-1][1]
+            columns.append((fill(name), values))
+    return columns
 
 
 def csv_columns(report: TotalsReport) -> list[str]:
-    cols = [name for name, _ in _BASE_COLUMNS]
-    for label in report.loss_labels:
-        cols += [f"L_xi_cum[{label}]", f"L_mu_cum[{label}]", f"gap[{label}]"]
-        for scheme in report.scheme_labels:
-            cols.append(f"L_alt_cum[{scheme}|{label}]")
-    return cols
-
-
-def _csv_series(report: TotalsReport) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The CSV's per-step columns and its cumulative columns, in column order."""
-    per, cum = report.per_step, report.cumulative
-    steps = [per[_SERIES_FOR_COLUMN[c]] for c in ("E_at", "E_st", "E_ht", "E_dt", "E_bt")]
-    totals = [cum[_SERIES_FOR_COLUMN[c]] for c in ("D_cum", "A_cum", "S_cum", "H_cum", "B_cum")]
-    for label in report.loss_labels:
-        lx, lm = cum[f"mixture_loss[{label}]"], cum[f"informed_loss[{label}]"]
-        with np.errstate(invalid="ignore"):     # inf - inf is nan, as for floats
-            totals += [lx, lm, lx - lm]
-        totals += [cum[f"scheme_loss[{scheme}|{label}]"] for scheme in report.scheme_labels]
-    return steps, totals
+    return ["t", *(name for name, _ in _columns(report))]
 
 
 def render_series_csv(report: TotalsReport) -> str:
-    steps, totals = _csv_series(report)
+    names, values = zip(*_columns(report))
+    steps = sum(name.startswith("E_") for name in names)
     # one row of floats per step, converted by one ``tolist`` per row and
     # written with 17 significant digits (``format`` writes inf, -inf, nan
     # and -0 as such); the rows are formatted one at a time, so no string
     # outlives its line
-    table = np.column_stack(steps + totals)[:report.horizon]
-    lines = [",".join(csv_columns(report))]
+    table = np.column_stack(values)[:report.horizon]
+    lines = [",".join(["t", *names])]
     for t, row in enumerate(table, 1):
         lines.append(",".join([str(t), *map(format, row.tolist(), repeat(".17g"))]))
-    last = map(format, table[-1, len(steps):].tolist(), repeat(".17g"))
-    lines.append(",".join(["total", *[""] * len(steps), *last]))
+    last = map(format, table[-1, steps:].tolist(), repeat(".17g"))
+    lines.append(",".join(["total", *[""] * steps, *last]))
     return "\n".join(lines) + "\n"
 
 
@@ -91,7 +86,7 @@ def write_series_csv(report: TotalsReport, path: str | Path) -> None:
 
 def describe_columns() -> str:
     lines = ["Series CSV columns (fixed order; <loss>/<scheme> expand per config):"]
-    for name, doc in _BASE_COLUMNS + _PER_LOSS_COLUMNS + _PER_SCHEME_COLUMNS:
+    for name, _, doc in _COLUMNS:
         lines.append(f"  {name:28s} {doc}")
     lines.append("Values are decimals with 17 significant digits (exact double round-trip);")
     lines.append("the summary row repeats the final cumulative values with t='total'.")

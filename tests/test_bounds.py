@@ -26,7 +26,7 @@ from seqpred.distances import instant_distances
 from seqpred.cli import run_experiment
 from seqpred.engine import TotalsReport, _label_losses, exact_evaluate, monte_carlo_evaluate
 from seqpred.losses import ErrorLoss, LogLoss, MatrixLoss, QuadraticLoss
-from seqpred.measures import BernoulliMeasure, DeterministicMeasure
+from seqpred.measures import BernoulliMeasure, DeterministicMeasure, MarkovMeasure
 from seqpred.mixture import MixtureModel
 from seqpred.presets import load_preset
 from seqpred.schemes import ConstantScheme, MajorityVoteScheme
@@ -102,6 +102,16 @@ class TestResultSemantics:
         assert "t=3" in r.line()
         d = r.to_dict()
         assert d["pass"] and d["slack"] == 1.0 and d["bound_id"] == "some-bound"
+
+    def test_numpy_sides_are_held_as_floats(self, recwarn):
+        # the bound formulas give numpy scalars, whose inf - inf warns and
+        # whose repr is not "inf"
+        r = BoundCheckResult("x", np.float64(np.inf), np.float64(np.inf), np.float64(1e-9))
+        assert [type(v) for v in (r.lhs, r.rhs, r.tolerance)] == [float] * 3
+        assert math.isnan(r.slack) and r.passed is False
+        floats = [repr(v) for v in r.to_dict().values() if isinstance(v, float)]
+        assert floats == ["inf", "inf", "1e-09", "nan"]
+        assert not recwarn.list
 
 
 class TestConvergenceChecks:
@@ -434,6 +444,50 @@ class TestInstantChecksMatchPerNodeLoop:
         for bound_id, r in by_id.items():
             if bound_id in chains:
                 assert (r.lhs, r.rhs, r.location) == chains[bound_id], bound_id
+
+
+class TestInstantChecksNaN:
+    """An underflowed mixture makes KL and the absolute divergence inf, so a
+    chain's slack is NaN: it must fail where it happens, however small the
+    numbers around it, and without a numpy warning."""
+
+    @staticmethod
+    def _fed(levels):
+        # node i of level ``step`` has history (i,) * (step - 1); absolute
+        # is 0.5 and the absolute divergence twice the KL b, so a slack is
+        # 0.5 - b where b is finite and NaN where it is inf
+        checks = InstantChecks([])
+        for step, divergences in enumerate(levels, 1):
+            b = np.array(divergences, dtype=float)
+            values = {"absolute": np.full(b.size, 0.5), "kl": b, "abs_divergence": 2.0 * b}
+            checks(step, np.full(b.size, 1.0 / b.size), np.ones(b.size), values,
+                   lambda i, step=step: [i] * (step - 1))
+        return check_instant_distance_bounds(checks)[0]
+
+    @pytest.mark.parametrize("levels, location", [
+        ([[0.25], [math.inf], [0.25]], "t=2 history=0"),
+        ([[0.25], [math.inf], [3.0]], "t=2 history=0"),
+        ([[0.25], [0.25, math.inf], [0.25]], "t=2 history=1"),
+        ([[0.25], [math.inf, 0.25], [0.25, 0.25]], "t=2 history=0"),
+    ])
+    def test_a_nan_slack_after_the_first_level_fails_there(self, levels, location, recwarn):
+        result = self._fed(levels)
+        assert not result.passed and math.isnan(result.slack)
+        assert result.location == location
+        assert not recwarn.list
+
+    def test_an_underflowed_mixture_fails_at_its_history(self, recwarn):
+        # xi(1|0) underflows to 0 while the truth gives it 1e-320
+        truth = MarkovMeasure([[1 - 1e-320, 1e-320], [0.5, 0.5]], initial=[0.5, 0.5])
+        other = MarkovMeasure([[1.0, 0.0], [0.5, 0.5]], initial=[0.5, 0.5])
+        checks = InstantChecks(["error"])
+        exact_evaluate(MixtureModel([truth, other], [1e-4, 1 - 1e-4]), 0, {"error": ErrorLoss()}, 3,
+                       observer=checks)
+        result = check_instant_distance_bounds(checks)[0]
+        assert result.bound_id == "instant-absdiv-minus-kl<=abs"
+        assert not result.passed and math.isnan(result.slack)
+        assert result.location == "t=2 history=0"
+        assert not recwarn.list
 
 
 class TestProofInequalities:

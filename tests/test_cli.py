@@ -7,14 +7,14 @@ from pathlib import Path
 import pytest
 
 from seqpred.bounds import B_RULES
-from seqpred.cli import main
+from seqpred.cli import main, run_experiment
 from seqpred.config import SCHEMA, ConfigError, load_config, parse_config, validate
 from seqpred.engine import exact_evaluate
 from seqpred.losses import NAMED_LOSSES, ErrorLoss, LogLoss
 from seqpred.measures import BernoulliMeasure
 from seqpred.mixture import MixtureModel
 from seqpred.presets import PRESET_NAMES, load_preset, load_preset_dict, preset_path
-from seqpred.reporting import csv_columns, describe_columns, render_series_csv
+from seqpred.reporting import csv_columns, describe_columns, render_series_csv, report_json
 from seqpred.schemes import ConstantScheme
 
 
@@ -610,3 +610,55 @@ class TestMutationFuzz:
                 assert reference.is_valid(cfg), next(reference.iter_errors(cfg)).message
 
         check()
+
+
+TINY = {
+    "alphabet_size": 2,
+    "horizon": 3,
+    "mixture": {"components": [{"kind": "bernoulli", "theta": 0.2}, {"kind": "bernoulli", "theta": 0.7}],
+                "weights": [0.5, 0.5], "true_component_index": 0},
+    "losses": [{"kind": "error"}, {"kind": "log"}],
+    "schemes": [{"kind": "majority-vote"}],
+    "engine": {"kind": "exact"},
+    "proof_grid": {"a_count": 2, "grid_points": 5},
+}
+CHECK_NAMES = SCHEMA["properties"]["checks"]["items"]["enum"]
+BOUND_FIELDS = {"bound_id", "lhs", "rhs", "slack", "tolerance", "pass", "mode", "location"}
+
+
+class TestChecks:
+    @pytest.mark.parametrize("engine, defaults", [
+        ({"kind": "exact"}, ["convergence", "loss-bounds", "logloss-identity", "instant-bounds"]),
+        ({"kind": "monte-carlo", "samples": 100, "seed": 1},
+         ["convergence", "loss-bounds", "logloss-identity"]),
+    ])
+    def test_defaults_per_engine(self, engine, defaults):
+        # proof-inequalities runs only when a config lists it
+        assert parse_config({**TINY, "engine": engine}).checks == defaults
+
+    @pytest.mark.parametrize("check", CHECK_NAMES)
+    def test_every_schema_name_makes_results(self, check):
+        # a name the schema admits but the run skips would certify nothing
+        _, results = run_experiment(parse_config({**TINY, "checks": [check]}))
+        assert results
+
+    def test_report_bounds_carry_exactly_the_result_fields(self):
+        report, results = run_experiment(parse_config({**TINY, "checks": CHECK_NAMES}))
+        bounds = json.loads(report_json(report, results))["bounds"]
+        assert len(bounds) == len(results)
+        for bound in bounds:
+            assert set(bound) == BOUND_FIELDS, bound["bound_id"]
+            assert isinstance(bound["pass"], bool), bound["bound_id"]
+
+    def test_an_underflowed_mixture_reports_its_failures_without_warnings(self, recwarn):
+        # xi(1|0) underflows to 0 while the truth gives it 1e-320: KL is inf
+        markov = lambda first_row: {"kind": "markov", "initial": [0.5, 0.5],
+                                    "transitions": [first_row, [0.5, 0.5]]}
+        raw = {**TINY, "mixture": {"components": [markov([1 - 1e-320, 1e-320]), markov([1.0, 0.0])],
+                                   "weights": [1e-4, 1 - 1e-4], "true_component_index": 0}}
+        report, results = run_experiment(parse_config(raw))
+        bounds = {b["bound_id"]: b for b in json.loads(report_json(report, results))["bounds"]}
+        assert bounds["regret-bound-form-chain[error]"]["lhs"] == "inf"
+        assert bounds["regret-bound-form-chain[error]"]["slack"] == "nan"
+        assert not bounds["instant-absdiv-minus-kl<=abs"]["pass"]
+        assert not recwarn.list
