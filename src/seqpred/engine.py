@@ -2,8 +2,9 @@
 
 Both engines walk histories level by level.  At each visited history they
 hold the true measure's conditional vector and the mixture's conditional
-vector (a marginal ratio, formed from per-component log-marginals carried
-along the path -- the same log-domain sum a from-scratch evaluation would
+vector (a marginal ratio, formed by ``MixtureModel.conditionals`` from
+per-component log-marginals carried along the path -- the same log-domain
+sum a from-scratch evaluation, or the scalar ``log_marginal``, would
 produce), and from those compute the five instantaneous distances, the
 ratio term, and per-loss expected instantaneous losses of the mixture,
 informed, and any alternative prediction schemes.
@@ -69,7 +70,8 @@ drawn symbol, the trace by the path's next symbol.  The states feed
 ``_step_matrix(states, t)`` and ``actions(states, loss)``, so nothing
 rescans a history.  The default state is the whole history.  Bernoulli,
 time-varying and deterministic measures and constant schemes carry nothing,
-a Markov chain its last ``order`` symbols and majority vote its symbol
+a Markov chain its last ``order`` symbols, a mixture used as a component
+its components' log-marginals and states, and majority vote its symbol
 counts.  ``log_ratio(rows)`` gives each row's full-history
 log(true/mixture), the ``kl_direct`` of both engines.
 
@@ -104,7 +106,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .distances import DISTANCE_NAMES, distances_batch, ratio_term_batch
-from .logdomain import log_or_neg_inf, log_sum_exp_over_axis
+# bench/tracing.py wraps this module's log_sum_exp_over_axis by name
+from .logdomain import log_or_neg_inf, log_sum_exp_over_axis  # noqa: F401
 from .losses import LossSpec
 from .measures import as_symbols, draw_symbols
 from .mixture import MixtureModel
@@ -233,7 +236,6 @@ class _StepEvaluator:
         self.components = mixture.components
         # everything that carries a state, in the order of ``_Rows.states``
         self.carriers = (*self.components, *self.schemes)
-        self.log_weights = mixture.log_weights
         self.keys = _series_keys(losses, self.schemes)
 
     def start(self, n: int) -> _Rows:
@@ -254,8 +256,7 @@ class _StepEvaluator:
 
     def log_ratio(self, rows: _Rows) -> np.ndarray:
         """log(true / mixture) of each row's whole history."""
-        log_mix = log_sum_exp_over_axis(self.log_weights[None, :] + rows.comp_logm, axis=1)
-        return rows.comp_logm[:, self.true_index] - log_mix
+        return rows.comp_logm[:, self.true_index] - self.mixture.log_marginals(rows.comp_logm)
 
     def conditionals(self, states: Sequence[np.ndarray], t: int):
         """The true measure's (M, N) conditional matrix at step t and the
@@ -264,13 +265,6 @@ class _StepEvaluator:
         states after them are ignored)."""
         mats = [c._step_matrix(s, t) for c, s in zip(self.components, states)]
         return mats[self.true_index], log_or_neg_inf(np.stack(mats))
-
-    def mixture_conditionals(self, log_cond: np.ndarray, comp_logm: np.ndarray) -> np.ndarray:
-        """The (M, N) mixture conditionals: a ratio of mixture marginals."""
-        prior_terms = self.log_weights[None, :] + comp_logm              # (M, K)
-        log_mix_h = log_sum_exp_over_axis(prior_terms, axis=1)           # (M,)
-        log_mix_hx = log_sum_exp_over_axis(prior_terms.T[:, :, None] + log_cond, axis=0)  # (M, N)
-        return np.exp(log_mix_hx - log_mix_h[:, None])
 
     def evaluate(self, true_cond: np.ndarray, log_cond: np.ndarray, comp_logm: np.ndarray,
                  scheme_states: Sequence[np.ndarray]):
@@ -281,7 +275,7 @@ class _StepEvaluator:
         Returns (mix_cond, values): the (M, N) mixture conditionals and one
         (series, M) array whose rows follow ``self.keys``.
         """
-        mix_cond = self.mixture_conditionals(log_cond, comp_logm)
+        mix_cond = self.mixture.conditionals(log_cond, comp_logm)
         m = true_cond.shape[0]
         values = np.empty((len(self.keys), m))
         distances = distances_batch(true_cond, mix_cond)
@@ -649,4 +643,4 @@ def ratio_trace(mixture: MixtureModel, true_index: int, path, horizon: int | Non
     true_b, log_b, logm_b, _ = block.arrays()
     steps = np.arange(horizon)
     cols = np.array(symbols[:horizon]) if symbol is None else np.full(horizon, symbol)
-    return ev.mixture_conditionals(log_b, logm_b)[steps, cols] / true_b[steps, cols]
+    return mixture.conditionals(log_b, logm_b)[steps, cols] / true_b[steps, cols]

@@ -12,18 +12,6 @@ import numpy as np
 NEG_INF = float("-inf")
 
 
-def log_sum_exp(values) -> float:
-    """Return log(sum(exp(values))) for a 1-D collection, -inf-safe.
-
-    All-(-inf) input yields -inf exactly.
-    """
-    arr = np.asarray(values, dtype=float)
-    m = arr.max() if arr.size else NEG_INF
-    if m == NEG_INF:
-        return NEG_INF
-    return float(m + np.log(np.exp(arr - m).sum()))
-
-
 def log_sum_exp_over_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     """Vectorized log(sum(exp(.))) along ``axis``; rows of all -inf map to -inf."""
     arr = np.asarray(arr, dtype=float)

@@ -1,14 +1,18 @@
 """Probability measures over finite-alphabet symbol sequences.
 
 A measure assigns each finite string x_1..x_t the probability that an
-infinite sequence starts with it.  The package-wide primitive is the
-*step distribution*: the conditional distribution of the next symbol given
-the history.  Marginals are chain-rule products of step conditionals,
-accumulated in the log domain, so
+infinite sequence starts with it.  Each family states its law once, as
+``_step_matrix(states, t)``: the conditional distributions of the next
+symbol after a batch of histories, each seen through a carried state
+(``StateCarrier``).  Marginals are chain-rule products of those
+conditionals, accumulated in the log domain by one walk that the scalar API
+and the evaluation engines share (``initial_state``, then per symbol
+``_step_matrix`` and ``extend_state``, logs by ``log_or_neg_inf``), so
 
     log_marginal(x_1..x_t) == log_marginal(x_1..x_{t-1}) + log(cond)
 
-holds exactly by construction.  Impossible strings get an exact -inf.
+holds exactly by construction, and ``log_marginal`` has the bits the
+engines carry.  Impossible strings get an exact -inf.
 
 Shipped measure families:
 
@@ -29,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .logdomain import NEG_INF
+from .logdomain import NEG_INF, log_or_neg_inf
 
 # sum tolerance of a probability vector given as input, and of one computed
 # from other probabilities (a posterior)
@@ -116,18 +120,21 @@ class StateCarrier:
 class SequenceMeasure(StateCarrier):
     """Base class for probability measures over symbol sequences.
 
-    Subclasses implement ``_step_distribution(history)``: the next-symbol
-    distribution given a history.  On a history of probability 0 it may
-    return any probability vector: the engines reach such histories whenever
-    a component rules out a history that the true measure allows, and give
-    them weight 0; ``conditional_vector`` raises there instead.
-
-    ``_step_matrix(states, t)`` maps a batch of carried states at step t to
-    next-symbol distributions.  The default loops over whole-history rows,
-    so a subclass that only implements ``_step_distribution`` receives
-    histories.  Families whose conditionals depend on less carry less:
+    Subclasses implement ``_step_matrix(states, t)``, the measure's one
+    statement of its law: the next-symbol distributions of a batch of
+    carried states at step t (histories of t symbols), one row per state.
+    On a history of probability 0 a row may be any probability vector: the
+    engines reach such histories whenever a component rules out a history
+    that the true measure allows, and give them weight 0;
+    ``conditional_vector`` raises there instead.  Families whose
+    conditionals depend on less than the whole history carry less:
     Bernoulli, time-varying and deterministic measures carry nothing, and a
     Markov chain its last ``order`` symbols.
+
+    The scalar API walks one row the way the engines walk many:
+    ``initial_state``, then per symbol ``_step_matrix`` and ``extend_state``,
+    with logs taken by ``log_or_neg_inf``, so ``log_marginal`` gives the bits
+    the engines carry.
     """
 
     is_deterministic = False
@@ -135,29 +142,24 @@ class SequenceMeasure(StateCarrier):
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
 
-    # -- primitive (no history-validity check) ---------------------------------
-    def _step_distribution(self, history: tuple[int, ...]) -> np.ndarray:
+    def _step_matrix(self, states: np.ndarray, t: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _step_matrix(self, states: np.ndarray, t: int) -> np.ndarray:
-        """Next-symbol distributions for a batch of states at step t (histories
-        of t symbols), one row per state."""
-        if t == 0:
-            return np.tile(self._step_distribution(()), (states.shape[0], 1))
-        return np.stack([self._step_distribution(tuple(int(s) for s in row)) for row in states])
+    def _walk(self, symbols: tuple[int, ...]) -> tuple[float, np.ndarray]:
+        """The log-marginal of ``symbols`` and the state after them, one row.
+        The walk stops at the first impossible symbol (log-marginal -inf)."""
+        state, total = self.initial_state(1), 0.0
+        for t, x in enumerate(symbols):
+            total += float(log_or_neg_inf(self._step_matrix(state, t))[0, x])
+            if total == NEG_INF:
+                break
+            state = self.extend_state(state, np.array([x]))
+        return total, state
 
     # -- public API -------------------------------------------------------------
     def log_marginal(self, string) -> float:
         """Return log P(sequence starts with ``string``); -inf if impossible."""
-        total = 0.0
-        h: tuple[int, ...] = ()
-        for x in as_symbols(string, self.alphabet):
-            p = float(self._step_distribution(h)[x])
-            if p <= 0.0:
-                return NEG_INF
-            total += math.log(p)
-            h = h + (x,)
-        return total
+        return self._walk(as_symbols(string, self.alphabet))[0]
 
     def conditional_vector(self, history) -> np.ndarray:
         """Distribution of the next symbol given ``history``.
@@ -166,9 +168,10 @@ class SequenceMeasure(StateCarrier):
         probability (the conditional is not defined there).
         """
         h = as_symbols(history, self.alphabet)
-        if self.log_marginal(h) == NEG_INF:
+        total, state = self._walk(h)
+        if total == NEG_INF:
             raise UndefinedConditionalError(f"history {h} has zero probability under {self!r}")
-        return self._step_distribution(h).copy()
+        return self._step_matrix(state, len(h))[0]
 
     def conditional(self, history, symbol: int) -> float:
         return float(self.conditional_vector(history)[self.alphabet.check(symbol)])
@@ -179,12 +182,10 @@ class SequenceMeasure(StateCarrier):
             raise ValueError("horizon must be >= 1")
         rng = np.random.default_rng(seed)
         out = np.empty(n, dtype=np.int64)
-        h: tuple[int, ...] = ()
+        state = self.initial_state(1)
         for t in range(n):
-            probs = self._step_distribution(h)
-            x = int(draw_symbols(probs[None, :], np.array([rng.random()]))[0])
-            out[t] = x
-            h = h + (x,)
+            out[t:t + 1] = draw_symbols(self._step_matrix(state, t), np.array([rng.random()]))
+            state = self.extend_state(state, out[t:t + 1])
         return out
 
 
@@ -196,12 +197,17 @@ class DistributionError(ValueError):
         self.field = field
 
 
-def _check_distribution(vec, what: str, field: str, tol: float = SUM_TOL) -> np.ndarray:
-    """``vec`` as a float array, if it is a probability vector: 1-D, finite,
-    entries in [0, 1], summing to 1 within ``tol``."""
+def _check_distribution(vec, what: str, field: str, tol: float = SUM_TOL,
+                        size: int | None = None) -> np.ndarray:
+    """``vec`` as a float array, if it is a probability vector: 1-D (of
+    ``size`` entries when given), finite, entries in [0, 1], summing to 1
+    within ``tol``."""
     vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1:
         raise DistributionError(field, f"{what} must be a probability vector")
+    if size is not None and vec.shape[0] != size:
+        raise DistributionError(field, f"{what} has {vec.shape[0]} entries; the alphabet "
+                                       f"has {size} symbols")
     # every comparison below is false for NaN
     if not np.isfinite(vec).all():
         raise DistributionError(field, f"{what} entries must be finite")
@@ -221,9 +227,6 @@ class BernoulliMeasure(SequenceMeasure):
             raise ValueError(f"theta must be in [0, 1], got {theta}")
         self.theta = float(theta)
         self._vec = np.array([1.0 - self.theta, self.theta])
-
-    def _step_distribution(self, history):
-        return self._vec
 
     def _step_matrix(self, states, t):
         return np.tile(self._vec, (states.shape[0], 1))
@@ -260,14 +263,7 @@ class MarkovMeasure(SequenceMeasure):
             _check_distribution(row, f"transition row {i}", "transitions")
         self.order = order
         self.transitions = transitions
-        self.initial = _check_distribution(initial, "initial distribution", "initial")
-        if self.initial.shape != (n,):
-            raise ValueError("initial distribution must match the alphabet")
-
-    def _step_distribution(self, history):
-        if len(history) < self.order:
-            return self.initial
-        return self.transitions[tuple(history[-self.order:])]
+        self.initial = _check_distribution(initial, "initial distribution", "initial", size=n)
 
     def extend_state(self, states, symbols):
         # the last ``order`` symbols; fewer before step ``order``
@@ -299,20 +295,17 @@ class DeterministicMeasure(SequenceMeasure):
     @classmethod
     def from_pattern(cls, pattern: Sequence[int], alphabet_size: int = 2) -> "DeterministicMeasure":
         """Cyclic repetition of ``pattern`` (e.g. [0, 1] -> 0101...)."""
-        pat = tuple(int(p) for p in pattern)
+        pat = tuple(Alphabet(alphabet_size).check(p) for p in pattern)
         if not pat:
             raise ValueError("pattern must be non-empty")
         return cls(lambda t: pat[(t - 1) % len(pat)], alphabet_size)
 
-    def _step_distribution(self, history):
-        # Depends on the position only; on an off-path history (probability 0)
-        # any vector will do.
-        vec = np.zeros(self.alphabet.size)
-        vec[self.alphabet.check(self.generator(len(history) + 1))] = 1.0
-        return vec
-
     def _step_matrix(self, states, t):
-        return np.tile(self._step_distribution((0,) * t), (states.shape[0], 1))
+        # depends on the position only; on an off-path history (probability
+        # 0) any vector will do
+        vec = np.zeros(self.alphabet.size)
+        vec[self.alphabet.check(self.generator(t + 1))] = 1.0
+        return np.tile(vec, (states.shape[0], 1))
 
     def extend_state(self, states, symbols):
         return states
@@ -336,18 +329,10 @@ class TimeVaryingBinaryMeasure(SequenceMeasure):
             raise ValueError(f"power law needs finite parameters, got {coefficient}, {power}")
         return cls(lambda t: min(1.0, max(0.0, coefficient * float(t) ** -power)))
 
-    def _p(self, t: int) -> float:
-        p = float(self.rule(t))
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"rule({t}) = {p} outside [0, 1]")
-        return p
-
-    def _step_distribution(self, history):
-        p = self._p(len(history) + 1)
-        return np.array([1.0 - p, p])
-
     def _step_matrix(self, states, t):
-        p = self._p(t + 1)
+        p = float(self.rule(t + 1))
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"rule({t + 1}) = {p} outside [0, 1]")
         return np.tile(np.array([1.0 - p, p]), (states.shape[0], 1))
 
     def extend_state(self, states, symbols):
@@ -372,7 +357,8 @@ class ExplicitTableMeasure(SequenceMeasure):
         norm: dict[tuple[int, ...], np.ndarray] = {}
         for key, vec in table.items():
             h = as_symbols(key, self.alphabet)
-            norm[h] = _check_distribution(vec, f"table row {key!r}", "table")
+            norm[h] = _check_distribution(vec, f"table row {key!r}", "table",
+                                          size=alphabet_size)
         if () not in norm:
             raise ValueError("table must define the empty history")
         self.horizon = 1 + max(len(k) for k in norm)
@@ -383,18 +369,15 @@ class ExplicitTableMeasure(SequenceMeasure):
                 if vec[x] > 0.0 and h + (x,) not in norm:
                     raise ValueError(f"table is not prefix-complete: missing {h + (x,)}")
         self.table = norm
+        self._uniform = np.full(alphabet_size, 1.0 / alphabet_size)
 
-    def _step_distribution(self, history):
-        if len(history) >= self.horizon:
+    def _step_matrix(self, states, t):
+        # the state is the whole history; one the table lacks has
+        # probability 0 (prefix-completeness), so any row will do
+        if t >= self.horizon:
             raise UndefinedConditionalError(
-                f"history of length {len(history)} beyond table horizon {self.horizon}"
-            )
-        vec = self.table.get(tuple(history))
-        if vec is None:
-            # Unreachable under the measure (prefix-completeness); engines mask
-            # such rows, so any valid distribution works here.
-            return np.full(self.alphabet.size, 1.0 / self.alphabet.size)
-        return vec
+                f"history of length {t} beyond table horizon {self.horizon}")
+        return np.stack([self.table.get(tuple(row), self._uniform) for row in states.tolist()])
 
     def __repr__(self):
         return f"ExplicitTableMeasure(N={self.alphabet.size}, horizon={self.horizon})"

@@ -2,8 +2,9 @@
 
 Everything here recomputes quantities from first principles -- exhaustive
 enumeration in exact rational (or plain linear float) arithmetic, closed
-forms typed in directly -- and deliberately shares no code with the package
-paths it checks.
+forms typed in directly, each measure family's conditional from its
+definition -- and deliberately shares no code with the package paths it
+checks; it reads only the measures' parameters.
 """
 from __future__ import annotations
 
@@ -12,6 +13,33 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from seqpred.measures import (BernoulliMeasure, DeterministicMeasure, ExplicitTableMeasure,
+                              MarkovMeasure, TimeVaryingBinaryMeasure)
+
+
+def reference_conditional(measure, history) -> np.ndarray:
+    """The next-symbol distribution of a shipped measure family after
+    ``history``, written from the family's definition and read from its
+    parameters alone.  On a history of probability 0 it gives the vector
+    the family states there: the same row as ever for the history-free
+    families, the uniform row for a table history the table lacks."""
+    h = tuple(int(x) for x in history)
+    n = measure.alphabet.size
+    if isinstance(measure, BernoulliMeasure):
+        return np.array([1.0 - measure.theta, measure.theta])
+    if isinstance(measure, TimeVaryingBinaryMeasure):
+        p = float(measure.rule(len(h) + 1))
+        return np.array([1.0 - p, p])
+    if isinstance(measure, DeterministicMeasure):
+        return np.eye(n)[measure.generator(len(h) + 1)]
+    if isinstance(measure, MarkovMeasure):
+        if len(h) < measure.order:
+            return measure.initial
+        return measure.transitions[h[len(h) - measure.order:]]
+    if isinstance(measure, ExplicitTableMeasure):
+        return measure.table.get(h, np.full(n, 1.0 / n))
+    raise TypeError(f"no reference conditional for {measure!r}")
 
 
 def bernoulli_marginal(theta: Fraction, symbols) -> Fraction:

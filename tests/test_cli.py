@@ -109,6 +109,25 @@ class TestRunCommand:
         assert "finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("component, field", [
+        ({"kind": "explicit-table", "table": {"": [0.5, 0.5], "0": [1.0], "1": [0.5, 0.5]}},
+         "table"),
+        ({"kind": "markov", "transitions": [[0.7, 0.3], [0.1, 0.9]],
+          "initial": [0.2, 0.3, 0.5]}, "initial"),
+    ], ids=["table-short-row", "markov-long-initial"])
+    def test_vector_of_the_wrong_length_exit_1(self, in_tmp, tmp_path, capsys, component,
+                                               field):
+        cfg = load_preset_dict("markov-binary")
+        cfg["mixture"]["components"][0] = component
+        cfg["horizon"] = 2
+        p = tmp_path / "wrong-length.json"
+        p.write_text(json.dumps(cfg))
+        assert run_cli("run", str(p)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: mixture.components[0].{field}: ")
+        assert "alphabet has 2 symbols" in err
+        assert "Traceback" not in err
+
     def test_unknown_field_exit_1(self, in_tmp, tmp_path, capsys):
         cfg = load_preset_dict("collapse")
         cfg["horizont"] = 5

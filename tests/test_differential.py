@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from seqpred.engine import exact_evaluate, monte_carlo_evaluate
+from seqpred.engine import _StepEvaluator, exact_evaluate, monte_carlo_evaluate
 from seqpred.losses import ErrorLoss, HellingerLoss, LogLoss, MatrixLoss, QuadraticLoss
 from seqpred.measures import (
     BernoulliMeasure,
@@ -30,7 +30,7 @@ from seqpred.measures import (
 from seqpred.mixture import MixtureModel
 from seqpred.schemes import ConstantScheme, MajorityVoteScheme
 
-from oracles import enumerate_bernoulli_mixture
+from oracles import enumerate_bernoulli_mixture, reference_conditional
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import strategies as st  # noqa: E402
@@ -80,16 +80,16 @@ MC_FIELDS = ("per_step", "se_per_step", "se_cumulative")
 
 
 class _WholeHistory(SequenceMeasure):
-    """``measure`` behind the base-class state and step matrix: the whole
-    history, read row by row through ``_step_distribution``."""
+    """``measure`` behind the base-class state, the whole history, with
+    its rows read one history at a time from the reference conditional."""
 
     def __init__(self, measure):
         super().__init__(measure.alphabet)
         self.measure = measure
         self.is_deterministic = measure.is_deterministic
 
-    def _step_distribution(self, history):
-        return self.measure._step_distribution(history)
+    def _step_matrix(self, states, t):
+        return np.array([reference_conditional(self.measure, h) for h in states.tolist()])
 
 
 def _coin(p):
@@ -152,3 +152,76 @@ def test_carried_states_match_whole_histories(case):
     for key, row in ex[1].per_step.items():
         np.testing.assert_allclose(ex[0].per_step[key], row, rtol=0, atol=1e-12, err_msg=key)
     assert ex[0].kl_direct == pytest.approx(ex[1].kl_direct, abs=1e-12)
+
+
+# -- one log rule: the scalar log-marginal is the carried one --------------------
+
+def _carried_rows(mixture, history):
+    """The rows the engines carry for ``history``: ``_StepEvaluator.start``,
+    then per symbol ``conditionals`` and ``extend``."""
+    ev = _StepEvaluator(mixture, 0, {}, ())
+    rows = ev.start(1)
+    for t, x in enumerate(history):
+        log_cond = ev.conditionals(rows.states, t)[1]
+        rows = ev.extend(rows, log_cond[:, :, x].T, np.array([x]))
+    return rows
+
+
+def _assert_scalar_log_marginals_are_carried(mixture, history):
+    """Every component's ``log_marginal`` has the bits of the log-marginal the
+    engines carry for it, and so does the mixture's, the log-sum-exp of
+    those.  A component mixture carries its own components' log-marginals in
+    its state, and those are checked the same way."""
+    rows = _carried_rows(mixture, history)
+    comp_logm = rows.comp_logm[0]
+    assert mixture.log_marginal(history).hex() == \
+        float(mixture.log_marginals(rows.comp_logm)[0]).hex()
+    for k, c in enumerate(mixture.components):
+        if isinstance(c, MixtureModel):
+            inner = c._unpack(rows.states[k])[1][0]
+            for j, leaf in enumerate(c.components):
+                assert leaf.log_marginal(history).hex() == float(inner[j]).hex(), (k, j)
+            assert c.log_marginal(history).hex() == \
+                float(c.log_marginals(inner[None, :])[0]).hex(), k
+        else:
+            assert c.log_marginal(history).hex() == float(comp_logm[k]).hex(), (c, history)
+
+
+@st.composite
+def measure_and_history(draw):
+    horizon = draw(st.integers(1, 6))
+    measure = draw(binary_measures(horizon))
+    return measure, draw(st.lists(st.integers(0, 1), max_size=horizon))
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(measure_and_history())
+def test_scalar_log_marginal_has_the_carried_bits(case):
+    measure, history = case
+    _assert_scalar_log_marginals_are_carried(MixtureModel([measure], [1.0]), tuple(history))
+
+
+def _log_rule_cases():
+    rng = np.random.default_rng(29)
+    ternary_table = {h: rng.dirichlet(np.ones(3)) for t in range(4)
+                     for h in product(range(3), repeat=t)}
+    ternary = [MarkovMeasure(rng.dirichlet(np.ones(3), size=(3, 3)), [0.2, 0.5, 0.3], order=2),
+               ExplicitTableMeasure(ternary_table, 3)]
+    inner = MixtureModel([TimeVaryingBinaryMeasure.from_power_law(0.5, 1.0),
+                          MarkovMeasure([[[0.9, 0.1], [0.3, 0.7]], [[0.45, 0.55], [0.2, 0.8]]],
+                                        initial=[0.35, 0.65], order=2)], [0.4, 0.6])
+    return {
+        # math.log(0.968) and np.log(0.968) differ in the last bit
+        "coin-0.968": (MixtureModel([BernoulliMeasure(0.968)], [1.0]), [(1,), (1, 1, 0, 1)]),
+        "ternary": (MixtureModel(ternary, [0.5, 0.5]), [(0, 2, 1, 1), (2, 2, 0)]),
+        "nested": (MixtureModel([inner, BernoulliMeasure(0.968)], [0.3, 0.7]),
+                   [(1, 0, 1, 1, 0, 0, 1), (0,) * 9]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_log_rule_cases()))
+def test_scalar_log_marginal_has_the_carried_bits_on_fixed_cases(name):
+    mixture, histories = _log_rule_cases()[name]
+    for history in histories:
+        for t in range(len(history) + 1):
+            _assert_scalar_log_marginals_are_carried(mixture, history[:t])

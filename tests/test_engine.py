@@ -48,6 +48,7 @@ from oracles import (
     distance_terms,
     enumerate_bernoulli_mixture,
     left_to_right_row_sums,
+    reference_conditional,
 )
 
 THREE_COIN_LOSSES = [ErrorLoss(), AbsoluteLoss(), QuadraticLoss(), HellingerLoss(), LogLoss()]
@@ -155,7 +156,7 @@ class TestExactEngine:
             p = 1.0
             h = ()
             for x in xs:
-                p *= float(m._step_distribution(h)[x])
+                p *= float(reference_conditional(m, h)[x])
                 h += (x,)
             return p
 
@@ -165,7 +166,7 @@ class TestExactEngine:
             for hist in product((0, 1, 2), repeat=t - 1):
                 w = marg(a, hist)
                 mh = 0.4 * marg(a, hist) + 0.6 * marg(b, hist)
-                true = a._step_distribution(hist)
+                true = reference_conditional(a, hist)
                 mix_vec = [(0.4 * marg(a, hist + (x,)) + 0.6 * marg(b, hist + (x,))) / mh
                            for x in range(3)]
                 kl += w * sum(float(true[i]) * math.log(float(true[i]) / mix_vec[i])
@@ -340,7 +341,7 @@ class TestParentLinks:
 
 def _brute_force_totals(mixture, true_index, loss, horizon):
     """Per-history float loop over every binary string: marginals as
-    products of ``_step_distribution`` along the path, the mixture
+    products of ``oracles.reference_conditional`` along the path, the mixture
     conditional as a ratio of linear-domain mixture marginals."""
     comps, w = mixture.components, mixture.weights
     truth = comps[true_index]
@@ -348,7 +349,7 @@ def _brute_force_totals(mixture, true_index, loss, horizon):
     def marg(m, h):
         p = 1.0
         for i, x in enumerate(h):
-            p *= float(m._step_distribution(h[:i])[x])
+            p *= float(reference_conditional(m, h[:i])[x])
         return p
 
     tot = dict.fromkeys(("kl", "absolute", "square", "hellinger", "mixture", "informed",
@@ -363,7 +364,7 @@ def _brute_force_totals(mixture, true_index, loss, horizon):
             if t == horizon:
                 kl_direct += weight * math.log(weight / mix_h)
                 continue
-            y = truth._step_distribution(h)
+            y = reference_conditional(truth, h)
             z = [sum(wk * marg(c, h + (x,)) for wk, c in zip(w, comps)) / mix_h for x in (0, 1)]
             tot["kl"] += weight * sum(y[i] * math.log(y[i] / z[i]) for i in (0, 1) if y[i] > 0)
             tot["absolute"] += weight * sum(abs(y[i] - z[i]) for i in (0, 1))
@@ -386,14 +387,15 @@ def _brute_force_totals(mixture, true_index, loss, horizon):
 
 
 class _HistoryStateCoin(SequenceMeasure):
-    """A coin that keeps the base-class state (the whole history)."""
+    """A coin that keeps the base-class state (the whole history) and reads
+    its rows from the reference conditional, one history at a time."""
 
     def __init__(self, theta):
-        super().__init__(BernoulliMeasure(theta).alphabet)
-        self._vec = np.array([1.0 - theta, theta])
+        self.coin = BernoulliMeasure(theta)
+        super().__init__(self.coin.alphabet)
 
-    def _step_distribution(self, history):
-        return self._vec
+    def _step_matrix(self, states, t):
+        return np.array([reference_conditional(self.coin, h) for h in states.tolist()])
 
 
 class TestStateMerging:
@@ -569,7 +571,7 @@ def _per_predictor_step(ev, histories, t, comp_logm, scheme_states):
     y = mats[ev.true_index]
     with np.errstate(divide="ignore"):
         log_cond = np.stack([np.log(m) for m in mats], axis=1)
-    prior_terms = ev.log_weights[None, :] + comp_logm
+    prior_terms = ev.mixture.log_weights[None, :] + comp_logm
     log_mix_h = log_sum_exp_over_axis(prior_terms, axis=1)
     log_mix_hx = log_sum_exp_over_axis(prior_terms[:, :, None] + log_cond, axis=1)
     z = np.exp(log_mix_hx - log_mix_h[:, None])
@@ -810,7 +812,8 @@ def _per_step_monte_carlo(mixture, true_index, losses, horizon, samples, seed, s
         comp_logm = comp_logm + log_cond[:, rows, nxt].T
         histories[:, t] = nxt
         states = [s.extend_state(st, nxt) for s, st in zip(ev.schemes, states)]
-    ratios = log_true_path - log_sum_exp_over_axis(ev.log_weights[None, :] + comp_logm, axis=1)
+    ratios = log_true_path - log_sum_exp_over_axis(ev.mixture.log_weights[None, :] + comp_logm,
+                                                   axis=1)
     return (ev.keys, {k: np.array(v).T for k, v in out.items()}, float(ratios.mean()),
             float(_standard_errors(ratios[None, :])[0]))
 
@@ -1039,6 +1042,19 @@ def _nested_and_flat():
     return nested, flat
 
 
+def _nested_and_flat_with_state():
+    """A nested mixture whose inner components carry a state that widens
+    (an order-2 chain) and a law that depends on t, and its flat form."""
+    def inner_components():
+        return [TimeVaryingBinaryMeasure.from_power_law(0.5, 1.0),
+                MarkovMeasure([[[0.9, 0.1], [0.3, 0.7]], [[0.45, 0.55], [0.2, 0.8]]],
+                              initial=[0.35, 0.65], order=2)]
+    inner = MixtureModel(inner_components(), [0.4, 0.6])
+    nested = MixtureModel([BernoulliMeasure(0.3), inner], [0.5, 0.5])
+    flat = MixtureModel([BernoulliMeasure(0.3), *inner_components()], [0.5, 0.2, 0.3])
+    return nested, flat
+
+
 class TestNestedMixture:
     """A mixture component reaches histories it rules out; both engines give
     the totals of the flat mixture with the same marginal."""
@@ -1059,6 +1075,24 @@ class TestNestedMixture:
     def test_monte_carlo(self):
         nested, flat = _nested_and_flat()
         got, want = (monte_carlo_evaluate(mix, 0, THREE_COIN_LOSSES, 8, samples=100, seed=3)
+                     for mix in (nested, flat))
+        self._assert_same_totals(got, want)
+        for key in want.cumulative:
+            assert got.total_se(key) == pytest.approx(want.total_se(key), abs=1e-12)
+
+    def test_nested_form_visits_the_flat_node_count(self):
+        # the inner mixture carries its components' states and log-marginals,
+        # so the exact tree merges the nested form's histories as the flat one's
+        nested, flat = _nested_and_flat()
+        got, want = (exact_evaluate(mix, 0, THREE_COIN_LOSSES, 14) for mix in (nested, flat))
+        assert got.node_visits == want.node_visits == 42
+        self._assert_same_totals(got, want)
+
+    def test_inner_states_that_widen_and_depend_on_t(self):
+        nested, flat = _nested_and_flat_with_state()
+        self._assert_same_totals(exact_evaluate(nested, 0, THREE_COIN_LOSSES, 9),
+                                 exact_evaluate(flat, 0, THREE_COIN_LOSSES, 9))
+        got, want = (monte_carlo_evaluate(mix, 0, THREE_COIN_LOSSES, 40, samples=150, seed=4)
                      for mix in (nested, flat))
         self._assert_same_totals(got, want)
         for key in want.cumulative:

@@ -8,6 +8,7 @@ from seqpred.measures import (
     Alphabet,
     BernoulliMeasure,
     DeterministicMeasure,
+    DistributionError,
     ExplicitTableMeasure,
     InvalidSymbolError,
     MarkovMeasure,
@@ -201,6 +202,23 @@ class TestValidation:
         assert table.horizon == 2
         with pytest.raises(UndefinedConditionalError):
             table.conditional_vector("01")
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: ExplicitTableMeasure({"": [0.5, 0.5], "0": [1.0], "1": [0.5, 0.5]}, 2),
+         "table"),
+        (lambda: ExplicitTableMeasure({"": [0.5, 0.25, 0.25]}, 2), "table"),
+        (lambda: MarkovMeasure([[0.7, 0.3], [0.1, 0.9]], initial=[1.0]), "initial"),
+        (lambda: MarkovMeasure([[0.7, 0.3], [0.1, 0.9]], initial=[[0.5, 0.5]]), "initial"),
+    ], ids=["table-short-row", "table-long-row", "markov-short-initial", "markov-2d-initial"])
+    def test_vectors_must_match_the_alphabet(self, build, field):
+        with pytest.raises(DistributionError) as exc:
+            build()
+        assert exc.value.field == field
+
+    def test_pattern_symbols_are_checked_when_built(self):
+        with pytest.raises(InvalidSymbolError, match="outside alphabet of size 2"):
+            DeterministicMeasure.from_pattern([0, 1, 2])
+        assert DeterministicMeasure.from_pattern([0, 2], alphabet_size=3).log_marginal("02") == 0.0
 
     def test_time_varying_rule_must_stay_in_unit_interval(self):
         bad = TimeVaryingBinaryMeasure(lambda t: 1.5)

@@ -4,7 +4,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-from seqpred.logdomain import log_sum_exp
 from seqpred.measures import (BernoulliMeasure, DeterministicMeasure, DistributionError,
                               MarkovMeasure, UndefinedConditionalError, draw_symbols)
 from seqpred.mixture import MixtureModel
@@ -63,11 +62,12 @@ class TestConditional:
         with pytest.raises(UndefinedConditionalError):
             mix.conditional_vector("0")
 
-    def test_step_distribution_on_a_ruled_out_history_is_uniform(self):
+    def test_step_matrix_on_a_ruled_out_history_is_uniform(self):
         # any probability vector is allowed there; the mixture gives the uniform one
         mix = MixtureModel([DeterministicMeasure.from_pattern([0, 1], alphabet_size=3),
                             DeterministicMeasure.from_pattern([0], alphabet_size=3)], [0.5, 0.5])
-        assert mix._step_distribution((2,)).tolist() == [1 / 3] * 3
+        ruled_out = mix.extend_state(mix.initial_state(1), np.array([2]))
+        assert mix._step_matrix(ruled_out, 1).tolist() == [[1 / 3] * 3]
         with pytest.raises(UndefinedConditionalError):
             mix.conditional_vector((2,))
 
@@ -143,8 +143,8 @@ def sample_from_scratch(mix, n, seed):
     h = ()
     for _ in range(n):
         def log_mix(xs):
-            return log_sum_exp(mix.log_weights + np.array([c.log_marginal(xs)
-                                                           for c in mix.components]))
+            return np.logaddexp.reduce(mix.log_weights + np.array([c.log_marginal(xs)
+                                                                   for c in mix.components]))
         log_h = log_mix(h)
         probs = np.array([np.exp(log_mix(h + (x,)) - log_h) for x in range(mix.alphabet.size)])
         h += (int(draw_symbols(probs[None, :], np.array([rng.random()]))[0]),)
@@ -169,6 +169,22 @@ class TestSampling:
         mix = self.MIXTURES[name]()
         for seed in (0, 1, 2):
             assert mix.sample(60, seed).tolist() == sample_from_scratch(mix, 60, seed)
+
+    def test_sampling_makes_a_fixed_number_of_component_steps_per_symbol(self):
+        class CountingCoin(BernoulliMeasure):
+            calls = 0
+
+            def _step_matrix(self, states, t):
+                CountingCoin.calls += 1
+                return super()._step_matrix(states, t)
+
+        k = 3
+        mix = MixtureModel([CountingCoin(p) for p in (0.2, 0.5, 0.8)], [1 / 3, 1 / 3, 1 - 2 / 3])
+        for n in (50, 400):
+            CountingCoin.calls = 0
+            mix.sample(n, seed=1)
+            # per symbol, one step for the conditional and one to extend the state
+            assert CountingCoin.calls == 2 * n * k
 
     def test_draws_for_a_fixed_seed_are_pinned(self):
         got = "".join(map(str, three_coins().sample(80, seed=0)))
