@@ -21,15 +21,12 @@ from .distances import StepDistances, instant_distances, ratio_term
 from .losses import (
     AbsoluteLoss,
     AlphaLoss,
-    DegenerateLossError,
     ErrorLoss,
     HellingerLoss,
     LogLoss,
     LossSpec,
     MatrixLoss,
     QuadraticLoss,
-    grid_bayes_action,
-    threshold_gamma,
 )
 from .schemes import ConstantScheme, MajorityVoteScheme, PredictionScheme
 from .engine import (

@@ -2,19 +2,48 @@
 
 Every check is an inequality lhs <= rhs evaluated on concrete run output and
 reported with its signed slack (rhs - lhs).  A check passes when
-slack >= -tolerance.  Exact-engine checks use an absolute tolerance of
-EXACT_TOL = 1e-9 (roundoff accumulated over up to 2^24 node visits); direct
-closed-form grid checks use GRID_TOL = 1e-12 and the plateau check
-PLATEAU_TOL = 1e-12.
+slack >= -tolerance.  A check on summed totals uses the absolute tolerance
+EXACT_TOL = 1e-9 on both engines (roundoff accumulated over up to 2^24 node
+visits or sampled path-steps); direct closed-form grid checks use
+GRID_TOL = 1e-12 and the plateau check PLATEAU_TOL = 1e-12.  A result's
+``mode`` names the rule that set its tolerance: "statistical" where standard
+errors widened it, "exact" everywhere else.
 
-Checks applied to Monte Carlo reports are flagged "statistical", and one
-rule, ``_tolerance``, widens them: EXACT_TOL plus 3 standard errors (SE) of
-every estimated total that enters a side with slope +-1, plus, for a side
-that is a nonlinear function of estimated totals, how far that function
-moves (up for an rhs, down for an lhs) over the corners of the +-3 SE box
-around them.  The regret-bound form chain compares two forms of the same
-estimates, and form1 <= form2 holds for every estimate, so estimation error
-cannot fail it: it keeps EXACT_TOL on every report.
+Why a Monte Carlo report needs no wider tolerance.  The Monte Carlo engine
+computes each step's conditionals exactly along every sampled path, and a
+report's totals are sample means of path sums.  So an inequality that holds
+at every history holds on every sampled path, and then for the sample means:
+
+* Linear chains hold term by term: square <= KL, ratio <= Hellinger <= KL,
+  absdiv - KL <= abs, 0 <= regret <= abs, informed loss <= scheme loss, and
+  the log-loss identity regret == KL.
+* The sqrt(2 n KL) caps: at each history abs <= sqrt(2 KL) (Pinsker).  Per
+  step, Jensen (sqrt is concave) puts the sample mean of sqrt(2 KL_t) below
+  sqrt(2 mean KL_t); over the n steps, Cauchy-Schwarz puts the sum of
+  sqrt(2 m_t) below sqrt(2 n sum_t m_t).  So abs total <= sqrt(2 n KL total)
+  on the sample means, and regret <= abs carries the cap to the regret.
+* The regret forms: for every A > 0 the proof's per-step inequality
+  regret_t <= A l_t + (B(A) + 1) KL_t, with l the informed loss (what
+  f1, f2 >= 0 state below), holds at every history.  It is linear in the
+  per-step terms, so it holds for the sample means for every A, and so does
+  its infimum over A: d + sqrt(4 l d + d^2) for B = A/4 + 1/A and
+  2 d + 2 sqrt(l d) for B = 1/A + 1, with d and l the sample-mean totals.
+  The scheme certificate lm - 2 sqrt(lm d) <= scheme loss follows from the
+  second form and informed <= scheme by algebra on the same means, and
+  form1 <= form2 holds for any d, l >= 0.
+* The deviation count: each counted step has mean square > eps^2, so
+  count * eps^2 < sum of the mean squares <= KL total.
+* The finite-loss cap: a deterministic truth puts every path on its one
+  sequence x.  With a zero-loss action the informed loss is 0, so the second
+  regret form caps the mixture loss of every prefix by 2 sum_t KL_t =
+  2 ln(1 / xi(x)) <= 2 ln(1 / w_mu).
+
+Two checks compare an estimate with an expectation, and only they are
+widened, by ``_tolerance``: EXACT_TOL plus 3 standard errors (SE) of each
+estimate in the check.  ``kl-total<=log-inv-weight`` bounds E[sum_t KL_t] =
+E[ln mu/xi] by ln(1/w_mu); a path's sum of KL_t is not ln mu/xi on that path
+and can exceed ln(1/w_mu).  ``kl-telescoping-identity`` equates the means of
+those two different path sums, which agree only in expectation.
 
 Certified families:
 
@@ -43,9 +72,8 @@ Certified families:
 """
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -77,6 +105,17 @@ class ProofGridConfig:
     edge_margin: float = 1e-4
 
     def a_values(self) -> np.ndarray:
+        """The A grid, ``a_count`` points spaced geometrically from ``a_min``
+        to ``a_max``.  The ends must be positive and finite with
+        a_max >= a_min; they are checked before ``np.geomspace`` sees them,
+        which warns on a negative or infinite end and runs backwards on an
+        inverted range."""
+        for end in (self.a_min, self.a_max):
+            if not 0.0 < end < math.inf:  # false for NaN too
+                raise ValueError(f"a_values must be positive and finite, got {float(end)}")
+        if self.a_max < self.a_min:
+            raise ValueError(f"a_values need a_max >= a_min, got a_min={float(self.a_min)} "
+                             f"and a_max={float(self.a_max)}")
         return np.geomspace(self.a_min, self.a_max, self.a_count)
 
 
@@ -87,8 +126,8 @@ class BoundCheckResult:
     bound_id: str
     lhs: float
     rhs: float
-    tolerance: float
-    mode: str = "exact"          # "exact" | "statistical"
+    tolerance: float = EXACT_TOL
+    mode: str = "exact"          # "statistical" where standard errors widened the tolerance
     location: str = ""
 
     def __post_init__(self):
@@ -116,31 +155,14 @@ class BoundCheckResult:
         return {**vars(self), "slack": self.slack, "pass": self.passed}
 
 
-def _se(report: TotalsReport, key: str) -> float:
-    return report.kl_direct_se if key == "kl_direct" else report.total_se(key)
-
-
-def _tolerance(report: TotalsReport, linear: Sequence[str] = (), *curves) -> tuple[float, str]:
-    """Tolerance and mode of one check on ``report``.
-
-    ``linear`` names the totals that enter a side with slope +-1
-    (``"kl_direct"`` is the full-string log-ratio estimate).  A curve
-    ``(side, fn, keys)`` is a side, "lhs" or "rhs", computed as ``fn`` of the
-    named totals; its range is taken over the 2^k corners of their +-3 SE
-    box: how far ``fn`` rises above its value for an rhs, falls below it for
-    an lhs, clamped at 0.
-    """
+def _tolerance(report: TotalsReport, *keys: str) -> tuple[float, str]:
+    """Tolerance and mode of a check that compares estimates with an
+    expectation: EXACT_TOL, plus on a Monte Carlo report 3 SE of each named
+    estimate (``"kl_direct"`` is the full-string log-ratio estimate)."""
     if not report.is_statistical:
         return EXACT_TOL, "exact"
-    ranges = 0.0
-    for side, fn, keys in curves:
-        totals = [report.total(k) for k in keys]
-        shifts = [3.0 * _se(report, k) for k in keys]
-        value = float(fn(*totals))
-        corners = [float(fn(*(t + s * d for t, s, d in zip(totals, signs, shifts))))
-                   for signs in itertools.product((-1.0, 1.0), repeat=len(keys))]
-        ranges += max(0.0, max(corners) - value if side == "rhs" else value - min(corners))
-    return EXACT_TOL + (ranges + 3.0 * sum(_se(report, k) for k in linear)), "statistical"
+    se = sum(report.kl_direct_se if k == "kl_direct" else report.total_se(k) for k in keys)
+    return EXACT_TOL + 3.0 * se, "statistical"
 
 
 # The bound formulas take totals or arrays of per-history values alike.
@@ -177,29 +199,21 @@ def check_convergence_bounds(report: TotalsReport, *,
                              ) -> list[BoundCheckResult]:
     """Certify the distance-total bounds and identities on one report."""
     total, kl = report.total, report.total("kl")
-    sqrt_2n = partial(_sqrt_2n, report.horizon)
     eps2 = deviation_epsilon**2
     count = float((report.per_step["square"] > eps2).sum())
     return [
-        BoundCheckResult("square-total<=kl-total", total("square"), kl,
-                         *_tolerance(report, ("square", "kl"))),
+        BoundCheckResult("square-total<=kl-total", total("square"), kl),
         BoundCheckResult("kl-total<=log-inv-weight", kl, report.log_inv_true_weight,
-                         *_tolerance(report, ("kl",))),
-        BoundCheckResult("ratio-sum<=hellinger-total", total("ratio_term"), total("hellinger"),
-                         *_tolerance(report, ("ratio_term", "hellinger"))),
-        BoundCheckResult("hellinger-total<=kl-total", total("hellinger"), kl,
-                         *_tolerance(report, ("hellinger", "kl"))),
-        BoundCheckResult("absdiv-minus-kl<=abs-total", total("abs_divergence") - kl, total("absolute"),
-                         *_tolerance(report, ("abs_divergence", "kl", "absolute"))),
-        BoundCheckResult("abs-total<=sqrt-2nkl", total("absolute"), sqrt_2n(kl),
-                         *_tolerance(report, ("absolute",), ("rhs", sqrt_2n, ("kl",)))),
+                         *_tolerance(report, "kl")),
+        BoundCheckResult("ratio-sum<=hellinger-total", total("ratio_term"), total("hellinger")),
+        BoundCheckResult("hellinger-total<=kl-total", total("hellinger"), kl),
+        BoundCheckResult("absdiv-minus-kl<=abs-total", total("abs_divergence") - kl, total("absolute")),
+        BoundCheckResult("abs-total<=sqrt-2nkl", total("absolute"), _sqrt_2n(report.horizon, kl)),
         # telescoping identity: summed per-step KL == expected full-string log-ratio
         BoundCheckResult("kl-telescoping-identity", abs(kl - report.kl_direct), 0.0,
-                         *_tolerance(report, ("kl", "kl_direct"))),
+                         *_tolerance(report, "kl", "kl_direct")),
         # deviation-count rate: #{t : E[square_t] > eps^2} <= KL/eps^2
-        BoundCheckResult("deviation-count", count, kl / eps2,
-                         *_tolerance(report, (), ("rhs", lambda d: d / eps2, ("kl",))),
-                         location=f"eps={deviation_epsilon}"),
+        BoundCheckResult("deviation-count", count, kl / eps2, location=f"eps={deviation_epsilon}"),
     ]
 
 
@@ -211,31 +225,21 @@ def check_loss_bounds(report: TotalsReport, label: str) -> list[BoundCheckResult
     if not loss.bounded:
         raise ValueError(f"loss {label!r} is unbounded; use check_logloss_identity")
     kl = report.total("kl")
-    mix_key, inf_key = f"mixture_loss[{label}]", f"informed_loss[{label}]"
-    l_mix, l_inf = report.total(mix_key), report.total(inf_key)
-    gap, gap_keys = l_mix - l_inf, (mix_key, inf_key)
-    sqrt_2n = partial(_sqrt_2n, report.horizon)
-    results = [BoundCheckResult(f"regret-nonneg[{label}]", l_inf, l_mix, *_tolerance(report, gap_keys))]
-    for name, form in (("sqrt-form", _form1), ("2sqrt-form", _form2)):
-        results.append(BoundCheckResult(f"regret-bound-{name}[{label}]", gap, form(kl, l_inf),
-                                        *_tolerance(report, gap_keys, ("rhs", form, ("kl", inf_key)))))
-    results += [
-        BoundCheckResult(f"regret-bound-form-chain[{label}]", _form1(kl, l_inf), _form2(kl, l_inf),
-                         *_tolerance(report)),
-        BoundCheckResult(f"regret<=abs-total[{label}]", gap, report.total("absolute"),
-                         *_tolerance(report, (*gap_keys, "absolute"))),
-        BoundCheckResult(f"regret<=sqrt-2nkl[{label}]", gap, sqrt_2n(kl),
-                         *_tolerance(report, gap_keys, ("rhs", sqrt_2n, ("kl",)))),
+    l_mix, l_inf = report.total(f"mixture_loss[{label}]"), report.total(f"informed_loss[{label}]")
+    gap = l_mix - l_inf
+    results = [
+        BoundCheckResult(f"regret-nonneg[{label}]", l_inf, l_mix),
+        BoundCheckResult(f"regret-bound-sqrt-form[{label}]", gap, _form1(kl, l_inf)),
+        BoundCheckResult(f"regret-bound-2sqrt-form[{label}]", gap, _form2(kl, l_inf)),
+        BoundCheckResult(f"regret-bound-form-chain[{label}]", _form1(kl, l_inf), _form2(kl, l_inf)),
+        BoundCheckResult(f"regret<=abs-total[{label}]", gap, report.total("absolute")),
+        BoundCheckResult(f"regret<=sqrt-2nkl[{label}]", gap, _sqrt_2n(report.horizon, kl)),
     ]
     for scheme in report.scheme_labels:
-        alt_key = f"scheme_loss[{scheme}|{label}]"
-        l_alt = report.total(alt_key)
-        results.append(BoundCheckResult(f"informed-optimality[{label}|{scheme}]", l_inf, l_alt,
-                                        *_tolerance(report, (inf_key, alt_key))))
-        results.append(BoundCheckResult(f"no-scheme-much-better[{label}|{scheme}]",
-                                        _certificate(l_mix, kl), l_alt,
-                                        *_tolerance(report, (alt_key,),
-                                                    ("lhs", _certificate, (mix_key, "kl")))))
+        l_alt = report.total(f"scheme_loss[{scheme}|{label}]")
+        results += [BoundCheckResult(f"informed-optimality[{label}|{scheme}]", l_inf, l_alt),
+                    BoundCheckResult(f"no-scheme-much-better[{label}|{scheme}]",
+                                     _certificate(l_mix, kl), l_alt)]
 
     if report.mu_is_deterministic and loss.has_zero_loss_action():
         results.extend(check_finite_loss_plateau(report, label))
@@ -249,22 +253,19 @@ def check_finite_loss_plateau(report: TotalsReport, label: str) -> list[BoundChe
     cum = report.cumulative[f"mixture_loss[{label}]"]
     cap = 2.0 * report.log_inv_true_weight
     worst_t = int(np.argmax(cum)) + 1
-    tol, mode = _tolerance(report, (f"mixture_loss[{label}]",))
-    results = [BoundCheckResult(f"finite-loss-cap[{label}]", float(cum.max()), cap, tol, mode,
+    results = [BoundCheckResult(f"finite-loss-cap[{label}]", float(cum.max()), cap,
                                 location=f"t={worst_t}")]
     tail = math.ceil(report.horizon / 4)
     increment = float(cum[-1] - cum[-tail - 1]) if tail < report.horizon else float(cum[-1])
-    results.append(BoundCheckResult(f"loss-plateau[{label}]", increment, 0.0, PLATEAU_TOL, mode,
+    results.append(BoundCheckResult(f"loss-plateau[{label}]", increment, 0.0, PLATEAU_TOL,
                                     location=f"last {tail} steps"))
     return results
 
 
 def check_logloss_identity(report: TotalsReport, label: str) -> BoundCheckResult:
     """|mixture regret - cumulative KL| == 0 for the log score."""
-    mix_key, inf_key = f"mixture_loss[{label}]", f"informed_loss[{label}]"
-    gap = report.total(mix_key) - report.total(inf_key)
-    return BoundCheckResult(f"logloss-identity[{label}]", abs(gap - report.total("kl")), 0.0,
-                            *_tolerance(report, (mix_key, inf_key, "kl")))
+    gap = report.total(f"mixture_loss[{label}]") - report.total(f"informed_loss[{label}]")
+    return BoundCheckResult(f"logloss-identity[{label}]", abs(gap - report.total("kl")), 0.0)
 
 
 # -- instantaneous (per-history) bounds -------------------------------------------
@@ -317,11 +318,11 @@ class InstantChecks:
                     symbols = history(i)
                     h = ("," if max(symbols, default=0) >= 10 else "").join(map(str, symbols)) or "(empty)"
                     self._best[bound_id] = BoundCheckResult(
-                        bound_id, lhs[i], rhs[i], EXACT_TOL, location=f"t={step} history={h}")
+                        bound_id, lhs[i], rhs[i], location=f"t={step} history={h}")
 
-    def result(self, chain: str, bound_id: str | None = None) -> BoundCheckResult:
-        """One chain at its minimal-slack history, reported as ``bound_id``."""
-        return replace(self._best[chain], bound_id=bound_id or chain)
+    def result(self, chain: str) -> BoundCheckResult:
+        """One chain at its minimal-slack history."""
+        return self._best[chain]
 
     def squared_regret_sum(self, label: str) -> float:
         return float(self._squared[label])
@@ -336,13 +337,11 @@ def check_instant_bounds(records: InstantChecks, report: TotalsReport,
     loss = report.losses[label]
     if not loss.bounded:
         raise ValueError(f"loss {label!r} is unbounded; instantaneous chains assume losses in [0, 1]")
-    # the abs <= sqrt(2 kl) chain is loss-free; each loss reports it under its own id
     return [records.result(f"instant-regret-nonneg[{label}]"),
             records.result(f"instant-regret<=abs[{label}]"),
-            records.result("instant-abs<=sqrt-2kl", f"instant-abs<=sqrt-2kl[{label}]"),
             records.result(f"instant-regret<=kl-form[{label}]"),
             BoundCheckResult(f"squared-regret-sum<=2kl[{label}]", records.squared_regret_sum(label),
-                             2.0 * report.total("kl"), EXACT_TOL, "exact")]
+                             2.0 * report.total("kl"))]
 
 
 def check_instant_distance_bounds(records: InstantChecks) -> list[BoundCheckResult]:
@@ -504,6 +503,6 @@ def grid_verify_proof_inequalities(b_rule, *,
     for name, branch in (("f1", "z<=1/2"), ("f2", "z>=1/2")):
         v, (a, y, z) = best[name]
         results.append(BoundCheckResult(
-            f"proof-ineq-{name}[{rule_name}]", 0.0, v, GRID_TOL, "exact",
+            f"proof-ineq-{name}[{rule_name}]", 0.0, v, GRID_TOL,
             location=f"A={a:.6g} y={y:.6g} z={z:.6g} ({branch})"))
     return results

@@ -10,7 +10,6 @@ Exit codes: 0 all requested checks pass, 2 at least one check fails,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -93,14 +92,11 @@ def _cmd_run(args) -> int:
 
 
 def _a_values(args) -> np.ndarray:
-    """The A grid of ``check-inequalities``.  The ends are checked before
-    ``np.geomspace`` sees them, which warns on a negative or infinite end."""
+    """The A grid of ``check-inequalities``: ``--a-value`` alone, or the
+    ``ProofGridConfig`` grid of ``--a-min``, ``--a-max`` and ``--a-count``."""
     if args.a_value is not None:
         return np.array([float(args.a_value)])
-    for end in (args.a_min, args.a_max):
-        if not 0.0 < end < math.inf:
-            raise ValueError(f"a_values must be positive and finite, got {end}")
-    return np.geomspace(args.a_min, args.a_max, args.a_count)
+    return ProofGridConfig(a_min=args.a_min, a_max=args.a_max, a_count=args.a_count).a_values()
 
 
 def _cmd_check_inequalities(args) -> int:

@@ -244,8 +244,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     grid.b_rules = tuple(grid.b_rules)
     grid.a_min, grid.a_max = float(grid.a_min), float(grid.a_max)
     grid.edge_margin = float(grid.edge_margin)
-    if "a_max" in grid_raw and grid.a_max < grid.a_min:
-        raise ConfigError("proof_grid.a_max", f"must be >= {grid.a_min}")
+    try:
+        grid.a_values()
+    except ValueError as exc:
+        raise ConfigError("proof_grid.a_max" if "a_max" in grid_raw else "proof_grid.a_min",
+                          str(exc)) from None
 
     return ExperimentConfig(
         alphabet_size=alphabet_size,

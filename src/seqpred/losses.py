@@ -22,8 +22,9 @@ closed-form action rules:
     hellinger  ell = 1 - sqrt(|1 - x - y|)  -> rho1^2 / (rho0^2 + rho1^2)
     log        ell = -ln|1 - x - y|         -> rho1   (unbounded loss)
 
-``grid_bayes_action`` scans y over a uniform grid and is the independent
-check on every closed form (and the fallback for losses without one).
+Each loss class states its own action rule; there is no fallback for a
+loss without one.  The test suite checks each closed form against a scan
+of the action space (``grid_bayes_action`` in ``tests/oracles.py``).
 """
 from __future__ import annotations
 
@@ -40,10 +41,6 @@ def _threshold_actions(posteriors: np.ndarray) -> np.ndarray:
     """Act 1.0 exactly when rho1 > 1/2, else 0.0: the Bayes rule of every
     binary loss whose optima sit at the endpoints."""
     return (posteriors[:, 1] > 0.5).astype(float)
-
-
-class DegenerateLossError(ValueError):
-    """A 2x2 loss matrix in which one prediction direction never matters."""
 
 
 class LossSpec:
@@ -288,46 +285,6 @@ class LogLoss(LossSpec):
                 term = np.where(mass > 0.0, -mass * np.log(prob), 0.0)
                 out = out + np.where((mass > 0.0) & (prob <= 0.0), np.inf, term)
         return out
-
-
-def threshold_gamma(matrix) -> float:
-    """Threshold for the binary Bayes rule under a 2x2 matrix loss.
-
-    The action rule predicts 1 exactly when rho1 exceeds
-
-        gamma = (l01 - l00) / (l01 - l00 + l10 - l11).
-
-    Raises DegenerateLossError when the denominator is <= 0, i.e. when one
-    prediction direction can never be preferred.
-    """
-    m = matrix.matrix if isinstance(matrix, MatrixLoss) else np.asarray(matrix, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError("threshold_gamma needs a 2x2 loss matrix")
-    num = m[0, 1] - m[0, 0]
-    den = (m[0, 1] - m[0, 0]) + (m[1, 0] - m[1, 1])
-    if den <= 0:
-        raise DegenerateLossError(f"degenerate 2x2 loss: threshold denominator {den} <= 0")
-    return float(num / den)
-
-
-def grid_bayes_action(loss: LossSpec, posterior, resolution: float = 1e-5):
-    """Minimize the expected loss by scanning the action space directly.
-
-    For matrix losses this scans the columns; for continuous losses it scans
-    y = 0, resolution, ..., 1.  Ties go to the first (smallest) candidate.
-    Deliberately independent of the closed-form rules it is used to check.
-    """
-    p = loss._validated(posterior)
-    if isinstance(loss, MatrixLoss):
-        expected = p @ loss.matrix
-        return int(np.argmin(expected))
-    ys = np.arange(0.0, 1.0 + resolution / 2, resolution)
-    ys[-1] = 1.0
-    expected = np.zeros_like(ys)
-    for x, mass in enumerate(p):
-        if mass > 0.0:
-            expected += mass * loss.loss(x, ys)
-    return float(ys[int(np.argmin(expected))])
 
 
 NAMED_LOSSES = {

@@ -30,9 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .logdomain import NEG_INF, log_or_neg_inf, log_sum_exp_over_axis
-from .measures import (DistributionError, SequenceMeasure, UndefinedConditionalError,
-                       _check_distribution, as_symbols)
+from .logdomain import log_or_neg_inf, log_sum_exp_over_axis
+from .measures import DistributionError, SequenceMeasure, _check_distribution
 
 
 class MixtureModel(SequenceMeasure):
@@ -119,14 +118,3 @@ class MixtureModel(SequenceMeasure):
         for x in symbols:
             state = self.extend_state(state, np.array([x]))
         return float(self.log_marginals(self._unpack(state)[1])[0]), state
-
-    def posterior_weights(self, history) -> np.ndarray:
-        """Per-component posterior mass w_k * component_k(h) / mixture(h).
-
-        Diagnostic only; the engines never integrate these forward.
-        """
-        h = as_symbols(history, self.alphabet)
-        log_h, state = self._walk(h)
-        if log_h == NEG_INF:
-            raise UndefinedConditionalError(f"history {h} has zero probability under the mixture")
-        return np.exp(self.log_weights + self._unpack(state)[1][0] - log_h)

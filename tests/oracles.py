@@ -3,8 +3,9 @@
 Everything here recomputes quantities from first principles -- exhaustive
 enumeration in exact rational (or plain linear float) arithmetic, closed
 forms typed in directly, each measure family's conditional from its
-definition -- and deliberately shares no code with the package paths it
-checks; it reads only the measures' parameters.
+definition, a loss's Bayes action by scanning the action space -- and
+deliberately shares no code with the package paths it checks; it reads
+only the measures' parameters and the losses' elementwise values.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from itertools import product
 
 import numpy as np
 
+from seqpred.losses import MatrixLoss
 from seqpred.measures import (BernoulliMeasure, DeterministicMeasure, ExplicitTableMeasure,
                               MarkovMeasure, TimeVaryingBinaryMeasure)
 
@@ -186,3 +188,61 @@ def left_to_right_row_sums(terms) -> list[float]:
             acc = acc + v
         sums.append(acc)
     return sums
+
+
+def posterior_weights(mixture, history) -> np.ndarray:
+    """Per-component posterior mass w_k nu_k(h) / xi(h) of a mixture of
+    shipped measure families: products of ``reference_conditional`` along
+    ``history``, in linear floats, so only for short histories."""
+    h = [int(x) for x in history]
+    likelihoods = [math.prod(float(reference_conditional(c, h[:i])[x]) for i, x in enumerate(h))
+                   for c in mixture.components]
+    joint = mixture.weights * np.array(likelihoods)
+    if joint.sum() == 0.0:
+        raise ValueError(f"history {h} has zero probability under the mixture")
+    return joint / joint.sum()
+
+
+class DegenerateLossError(ValueError):
+    """A 2x2 loss matrix in which one prediction direction never matters."""
+
+
+def threshold_gamma(matrix) -> float:
+    """Threshold for the binary Bayes rule under a 2x2 matrix loss.
+
+    The action rule predicts 1 exactly when rho1 exceeds
+
+        gamma = (l01 - l00) / (l01 - l00 + l10 - l11).
+
+    Raises DegenerateLossError when the denominator is <= 0, i.e. when one
+    prediction direction can never be preferred.
+    """
+    m = matrix.matrix if isinstance(matrix, MatrixLoss) else np.asarray(matrix, dtype=float)
+    if m.shape != (2, 2):
+        raise ValueError("threshold_gamma needs a 2x2 loss matrix")
+    num = m[0, 1] - m[0, 0]
+    den = (m[0, 1] - m[0, 0]) + (m[1, 0] - m[1, 1])
+    if den <= 0:
+        raise DegenerateLossError(f"degenerate 2x2 loss: threshold denominator {den} <= 0")
+    return float(num / den)
+
+
+def grid_bayes_action(loss, posterior, resolution: float = 1e-5):
+    """Minimize the expected loss by scanning the action space directly.
+
+    For matrix losses this scans the columns; for continuous losses it scans
+    y = 0, resolution, ..., 1.  Ties go to the first (smallest) candidate.
+    The posterior passes the loss's own check; the scan reads only the
+    loss's elementwise values, never its closed-form action rule.
+    """
+    p = loss._validated(posterior)
+    if isinstance(loss, MatrixLoss):
+        expected = p @ loss.matrix
+        return int(np.argmin(expected))
+    ys = np.arange(0.0, 1.0 + resolution / 2, resolution)
+    ys[-1] = 1.0
+    expected = np.zeros_like(ys)
+    for x, mass in enumerate(p):
+        if mass > 0.0:
+            expected += mass * loss.loss(x, ys)
+    return float(ys[int(np.argmin(expected))])

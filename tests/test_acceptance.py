@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import grid_bayes_action
 from seqpred.bounds import (
     InstantChecks,
     check_convergence_bounds,
@@ -27,7 +28,6 @@ from seqpred.losses import (
     HellingerLoss,
     LogLoss,
     QuadraticLoss,
-    grid_bayes_action,
 )
 from seqpred.presets import load_preset
 from seqpred.reporting import render_series_csv, report_json

@@ -25,7 +25,8 @@ from seqpred.bounds import (
 from seqpred.distances import instant_distances
 from seqpred.cli import run_experiment
 from seqpred.engine import TotalsReport, _label_losses, exact_evaluate, monte_carlo_evaluate
-from seqpred.losses import ErrorLoss, LogLoss, MatrixLoss, QuadraticLoss
+from seqpred.losses import (AbsoluteLoss, AlphaLoss, ErrorLoss, HellingerLoss, LogLoss,
+                             MatrixLoss, QuadraticLoss)
 from seqpred.measures import BernoulliMeasure, DeterministicMeasure, MarkovMeasure
 from seqpred.mixture import MixtureModel
 from seqpred.presets import load_preset
@@ -157,38 +158,15 @@ _STEP_VALUES = {"square": 0.05, "kl": 0.1, "ratio_term": 0.02, "hellinger": 0.05
                 "informed_loss[error]": 0.2, "scheme_loss[const|error]": 0.4,
                 "mixture_loss[log]": 0.8, "informed_loss[log]": 0.7, "scheme_loss[const|log]": 0.9}
 
-# the checks each total's SE widens: "linear" by exactly 3 SE, "curve" by the
-# range of a nonlinear side over the +-3 SE box (plus 3 SE where the total
-# also enters linearly)
-_WIDENS = {
-    "square": {"square-total<=kl-total": "linear"},
-    "kl": {"square-total<=kl-total": "linear", "kl-total<=log-inv-weight": "linear",
-           "hellinger-total<=kl-total": "linear", "absdiv-minus-kl<=abs-total": "linear",
-           "abs-total<=sqrt-2nkl": "curve", "kl-telescoping-identity": "linear",
-           "deviation-count": "curve", "regret-bound-sqrt-form[error]": "curve",
-           "regret-bound-2sqrt-form[error]": "curve", "regret<=sqrt-2nkl[error]": "curve",
-           "no-scheme-much-better[error|const]": "curve", "logloss-identity[log]": "linear"},
-    "ratio_term": {"ratio-sum<=hellinger-total": "linear"},
-    "hellinger": {"ratio-sum<=hellinger-total": "linear", "hellinger-total<=kl-total": "linear"},
-    "abs_divergence": {"absdiv-minus-kl<=abs-total": "linear"},
-    "absolute": {"absdiv-minus-kl<=abs-total": "linear", "abs-total<=sqrt-2nkl": "linear",
-                 "regret<=abs-total[error]": "linear"},
-    "mixture_loss[error]": {"regret-nonneg[error]": "linear", "regret-bound-sqrt-form[error]": "linear",
-                            "regret-bound-2sqrt-form[error]": "linear", "regret<=abs-total[error]": "linear",
-                            "regret<=sqrt-2nkl[error]": "linear",
-                            "no-scheme-much-better[error|const]": "curve",
-                            "finite-loss-cap[error]": "linear"},
-    "informed_loss[error]": {"regret-nonneg[error]": "linear", "regret-bound-sqrt-form[error]": "curve",
-                             "regret-bound-2sqrt-form[error]": "curve", "regret<=abs-total[error]": "linear",
-                             "regret<=sqrt-2nkl[error]": "linear",
-                             "informed-optimality[error|const]": "linear"},
-    "scheme_loss[const|error]": {"informed-optimality[error|const]": "linear",
-                                 "no-scheme-much-better[error|const]": "linear"},
-    "mixture_loss[log]": {"logloss-identity[log]": "linear"},
-    "informed_loss[log]": {"logloss-identity[log]": "linear"},
-    "scheme_loss[const|log]": {},
-    "kl_direct": {"kl-telescoping-identity": "linear"},
-}
+# the two checks that compare estimates with an expectation, and the
+# estimates whose SE widens each; every other check holds on each sampled
+# path, so its Monte Carlo tolerance is the exact one
+_WIDENS = {"kl": {"kl-total<=log-inv-weight", "kl-telescoping-identity"},
+           "kl_direct": {"kl-telescoping-identity"}}
+
+
+def _base_tolerance(result):
+    return PLATEAU_TOL if result.bound_id.startswith("loss-plateau") else EXACT_TOL
 
 
 def _statistical_report(se_key, se):
@@ -212,29 +190,32 @@ def _all_checks(report):
 class TestStatisticalWidening:
     def test_each_total_widens_only_its_checks(self):
         se = 0.01
-        assert set(_WIDENS) == {*_STEP_VALUES, "kl_direct"}
-        for key, widened in _WIDENS.items():
+        for key in (*_STEP_VALUES, "kl_direct"):
             results = _all_checks(_statistical_report(key, se))
-            assert all(r.mode == "statistical" for r in results)
-            base = {r.bound_id: r.tolerance for r in results if r.tolerance in (EXACT_TOL, PLATEAU_TOL)}
-            assert {r.bound_id for r in results} - set(base) == set(widened), key
+            widened = _WIDENS.get(key, set())
+            assert {r.bound_id for r in results if r.mode == "statistical"} == _WIDENS["kl"], key
             for r in results:
-                if widened.get(r.bound_id) == "linear":
+                if r.bound_id in widened:
                     assert r.tolerance == EXACT_TOL + 3.0 * se, (key, r.bound_id)
-                elif widened.get(r.bound_id) == "curve":
-                    assert r.tolerance > EXACT_TOL, (key, r.bound_id)
+                elif r.mode == "statistical":
+                    assert r.tolerance == EXACT_TOL, (key, r.bound_id)
+                else:
+                    assert (r.tolerance, r.mode) == (_base_tolerance(r), "exact"), (key, r.bound_id)
         # the same totals from an exact engine: the base tolerances
         exact = _all_checks(dataclasses.replace(_statistical_report("kl", se), engine="exact",
                                                 se_cumulative=None))
-        assert {(r.tolerance, r.mode) for r in exact if not r.bound_id.startswith("loss-plateau")} == {
-            (EXACT_TOL, "exact")}
-        assert [(r.tolerance, r.mode) for r in exact if r.bound_id.startswith("loss-plateau")] == [
-            (PLATEAU_TOL, "exact")]
-        # an estimated report: every check is flagged statistical and passes
+        assert [(r.tolerance, r.mode) for r in exact] == [(_base_tolerance(r), "exact") for r in exact]
+        # an estimated report: every check passes, and the two are widened
+        # by 3 SE of each estimate in them
         mix = MixtureModel([BernoulliMeasure(0.2), BernoulliMeasure(0.8)], [0.5, 0.5])
         mc = monte_carlo_evaluate(mix, 0, [ErrorLoss()], 6, samples=500, seed=11)
         results = check_convergence_bounds(mc) + check_loss_bounds(mc, "error")
-        assert all(r.mode == "statistical" and r.passed for r in results)
+        assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+        tolerances = {r.bound_id: (r.tolerance, r.mode) for r in results if r.mode == "statistical"}
+        se_kl = mc.total_se("kl")
+        assert tolerances == {
+            "kl-total<=log-inv-weight": (EXACT_TOL + 3.0 * se_kl, "statistical"),
+            "kl-telescoping-identity": (EXACT_TOL + 3.0 * (se_kl + mc.kl_direct_se), "statistical")}
 
     def test_form_chain_holds_for_every_estimate(self):
         # form1(d, l) <= form2(d, l) for all d, l >= 0: the chain compares two
@@ -246,6 +227,64 @@ class TestStatisticalWidening:
         @hypothesis.given(st.floats(0.0, 1e4), st.floats(0.0, 1e4))
         def check(d, l):
             assert bounds._form1(d, l) <= bounds._form2(d, l) + EXACT_TOL
+
+        check()
+
+
+def _every_check(report):
+    """Every totals check a run makes on ``report``: convergence, each
+    bounded loss's regret bounds and each unbounded loss's identity."""
+    results = check_convergence_bounds(report)
+    for label, loss in report.losses.items():
+        results += (check_loss_bounds(report, label) if loss.bounded
+                    else [check_logloss_identity(report, label)])
+    return results
+
+
+class TestPathwiseChecks:
+    """On a Monte Carlo report every check but the two against an
+    expectation holds on the sample itself, at the exact tolerance."""
+
+    def test_a_log_loss_shift_of_1e_6_fails_the_identity(self):
+        mix = MixtureModel([BernoulliMeasure(0.2), BernoulliMeasure(0.5), BernoulliMeasure(0.8)],
+                           [1 / 3, 1 / 3, 1 - 2 / 3])
+        mc = monte_carlo_evaluate(mix, 0, [LogLoss()], 50, samples=200, seed=3)
+        assert check_logloss_identity(mc, "log").passed
+        shifted = mc.cumulative["mixture_loss[log]"].copy()
+        shifted[20:] += 1e-6  # step 21's mixture log loss, and so every later total
+        bent = dataclasses.replace(mc, cumulative={**mc.cumulative, "mixture_loss[log]": shifted})
+        r = check_logloss_identity(bent, "log")
+        assert (r.tolerance, r.mode) == (EXACT_TOL, "exact")
+        assert not r.passed and r.lhs == pytest.approx(1e-6, rel=1e-3)
+
+    def test_random_mixtures_pass_at_the_exact_tolerance(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # a probability in (0, 1e-12) or (1 - 1e-12, 1) is left out: there the
+        # log loss's action rho1 can round to 0 or 1 while the truth still
+        # gives that symbol mass, and the log-loss identity fails on both
+        # engines (its lhs is inf or NaN)
+        prob = st.sampled_from([0.0, 1e-12, 0.5, 1.0]) | st.floats(1e-12, 1.0 - 1e-12)
+        coin = st.builds(BernoulliMeasure, prob)
+        chain = st.builds(lambda p, q, r: MarkovMeasure([[1 - p, p], [1 - q, q]], initial=[1 - r, r]),
+                          prob, prob, prob)
+        losses = [ErrorLoss(), AbsoluteLoss(), QuadraticLoss(), HellingerLoss(), AlphaLoss(2.0),
+                  LogLoss()]
+        schemes = [ConstantScheme(0), MajorityVoteScheme(2)]
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.lists(coin | chain, min_size=2, max_size=3),
+                          st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+                          st.integers(0, 2), st.integers(1, 12), st.integers(0, 2**31 - 1))
+        def check(components, raw_weights, true_index, horizon, seed):
+            w = np.array(raw_weights[:len(components)])
+            mix = MixtureModel(components, w / w.sum())
+            mc = monte_carlo_evaluate(mix, true_index % len(components), losses, horizon,
+                                      samples=100, seed=seed, schemes=schemes)
+            for r in _every_check(mc):
+                if r.bound_id not in _WIDENS["kl"]:
+                    assert (r.tolerance, r.mode) == (_base_tolerance(r), "exact"), r.bound_id
+                    assert r.passed, r.line()
 
         check()
 
@@ -333,11 +372,11 @@ class TestInstantChecks:
         checks(1, np.ones(1), np.ones(1), values, lambda i: [])
         mix = MixtureModel([BernoulliMeasure(0.5)], [1.0])
         rep = exact_evaluate(mix, 0, [ErrorLoss()], 1)
-        results = check_instant_bounds(checks, rep, "error")
+        results = check_instant_bounds(checks, rep, "error") + check_instant_distance_bounds(checks)
         by_id = {r.bound_id: r for r in results}
         assert by_id["instant-regret-nonneg[error]"].rhs == pytest.approx(0.0, abs=1e-15)
         assert by_id["instant-regret<=abs[error]"].rhs == pytest.approx(0.5, abs=1e-15)
-        assert by_id["instant-abs<=sqrt-2kl[error]"].rhs == pytest.approx(
+        assert by_id["instant-abs<=sqrt-2kl"].rhs == pytest.approx(
             math.sqrt(2 * dist.kl), abs=1e-15)
         assert all(r.passed for r in results)
 
@@ -398,7 +437,6 @@ def _reference_instant_checks(levels, labels):
                 gap = v[f"mixture_loss[{label}]"] - l_inf
                 chains[f"instant-regret-nonneg[{label}]"] = (0.0, gap)
                 chains[f"instant-regret<=abs[{label}]"] = (gap, a)
-                chains[f"instant-abs<=sqrt-2kl[{label}]"] = (a, math.sqrt(max(2.0 * d, 0.0)))
                 chains[f"instant-regret<=kl-form[{label}]"] = (
                     gap, 2.0 * d + 2.0 * math.sqrt(max(l_inf * d, 0.0)))
                 agg[label] += float(rec.weights[i]) * gap * gap

@@ -247,6 +247,14 @@ class TestCheckInequalities:
                                 f"a_values must be positive and finite, got {bad}\n")
         assert captured.out == ""
 
+    def test_inverted_a_range_exits_1_naming_the_a_flags(self, capsys):
+        # --a-min 20 with the default --a-max 10 would run the grid from 20 down to 10
+        assert run_cli("check-inequalities", "--a-min", "20") == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: --a-min/--a-max/--a-count: a_values need "
+                                "a_max >= a_min, got a_min=20.0 and a_max=10.0\n")
+        assert captured.out == ""
+
     def test_infinite_b_prints_only_its_nan_fail_lines(self, capsys):
         code = run_cli("check-inequalities", "--b-rule", "fixed", "--b-value", "inf",
                        "--a-count", "3", "--grid", "11")
@@ -386,6 +394,18 @@ class TestConfigValidation:
         cfg["checks"] = ["instant-bounds"]
         with pytest.raises(ConfigError, match="exact"):
             parse_config(cfg)
+
+    @pytest.mark.parametrize("grid, field", [
+        ({"a_min": 20}, "proof_grid.a_min"),
+        ({"a_min": 20, "a_max": 10}, "proof_grid.a_max"),
+        ({"a_max": 0.05}, "proof_grid.a_max"),
+    ], ids=["a-min-above-default-a-max", "both-given", "a-max-below-default-a-min"])
+    def test_inverted_a_range_names_its_end(self, grid, field):
+        cfg = self.base()
+        cfg["proof_grid"] = grid
+        with pytest.raises(ConfigError, match="a_max >= a_min") as exc:
+            parse_config(cfg)
+        assert exc.value.field_path == field
 
     def test_named_loss_requires_binary_alphabet(self):
         cfg = load_preset_dict("three-symbol")

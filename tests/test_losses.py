@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import DegenerateLossError, grid_bayes_action, threshold_gamma
 from seqpred.losses import (
     AbsoluteLoss,
     AlphaLoss,
-    DegenerateLossError,
     ErrorLoss,
     HellingerLoss,
     LogLoss,
     MatrixLoss,
     QuadraticLoss,
-    grid_bayes_action,
-    threshold_gamma,
 )
 
 CONTINUOUS_LOSSES = [ErrorLoss(), AbsoluteLoss(), AlphaLoss(0.7), AlphaLoss(1.0),

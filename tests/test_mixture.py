@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from oracles import posterior_weights
 from seqpred.measures import (BernoulliMeasure, DeterministicMeasure, DistributionError,
                               MarkovMeasure, UndefinedConditionalError, draw_symbols)
 from seqpred.mixture import MixtureModel
@@ -74,13 +75,13 @@ class TestConditional:
 
 class TestPosteriorWeights:
     def test_empty_history_gives_prior(self):
-        np.testing.assert_allclose(two_coin().posterior_weights(""), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(posterior_weights(two_coin(), ""), [0.5, 0.5], atol=1e-15)
 
     def test_collapse(self):
-        np.testing.assert_allclose(point_coins().posterior_weights("1"), [0.0, 1.0], atol=0)
+        np.testing.assert_allclose(posterior_weights(point_coins(), "1"), [0.0, 1.0], atol=0)
 
     def test_hand_value_and_normalization(self):
-        w = two_coin().posterior_weights("11")
+        w = posterior_weights(two_coin(), "11")
         np.testing.assert_allclose(w, [0.04 / 0.68, 0.64 / 0.68], atol=1e-12)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 

@@ -1,7 +1,7 @@
 """The scripts under ``tools/``: ``bench_pairs.py``'s summary of paired runs
 and its refusal of checkouts at paths of different lengths (no benchmark is
-run here), ``report_diff.py``'s diff of two runs, and the runs of
-``output_digests.py``."""
+run here), ``report_diff.py``'s diff of two runs, the runs of
+``output_digests.py`` and ``mc_slack_sweep.py`` at a tiny size."""
 import importlib.util
 import sys
 from pathlib import Path
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from seqpred import config, presets
+from seqpred.bounds import EXACT_TOL, BoundCheckResult
 from seqpred.losses import MatrixLoss
 
 
@@ -21,6 +22,7 @@ def _load_tool(name):
 
 
 bench_pairs = _load_tool("bench_pairs")
+mc_slack_sweep = _load_tool("mc_slack_sweep")
 output_digests = _load_tool("output_digests")
 report_diff = _load_tool("report_diff")
 
@@ -94,3 +96,29 @@ def test_digest_runs_end_with_a_lone_row_under_wide_matrix_losses():
     assert (cfg.engine, cfg.horizon, cfg.alphabet_size) == ("exact", 1, 3)
     assert sorted(loss.matrix.shape for loss in cfg.losses.values()
                   if isinstance(loss, MatrixLoss)) == [(3, 4), (3, 5)]
+
+
+def test_slack_sweep_passes_at_a_tiny_size(capsys):
+    argv = ["--seeds", "1", "--horizon", "4", "--samples", "100", "--mc-long-seeds"]
+    assert mc_slack_sweep.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = {tuple(line.split()[:2]): line.split()[2:4] for line in lines[1:-1]}
+    # the two checks against an expectation are the only statistical ones
+    assert {kind for kind, mode in rows if mode == "statistical"} == {
+        "kl-total<=log-inv-weight", "kl-telescoping-identity"}
+    assert ("logloss-identity", "exact") in rows and ("loss-plateau", "exact") in rows
+    # every preset ran once: a convergence kind counts one check per run
+    assert rows["square-total<=kl-total", "exact"] == [str(len(presets.PRESET_NAMES)), "0"]
+    assert lines[-1] == "exact-mode kinds with a failed check: none"
+
+
+def test_slack_sweep_keeps_each_kinds_worst_check():
+    results = [("a", [BoundCheckResult("regret-nonneg[error]", 1.0, 1.0),
+                      BoundCheckResult("regret-nonneg[log]", 1.0, 0.5)]),
+               ("b", [BoundCheckResult("regret-nonneg[error]", 1.0, float("nan")),
+                      BoundCheckResult("regret-nonneg[log]", 1.0, 0.0)])]
+    kinds = mc_slack_sweep.sweep(results)
+    row = kinds["regret-nonneg", "exact"]
+    assert (row["checks"], row["fails"]) == (4, 3)
+    slack, tol, run = row["worst"]
+    assert slack != slack and (tol, run) == (EXACT_TOL, "b")  # a NaN slack is the worst
