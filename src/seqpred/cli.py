@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bound_checks
-from .bounds import B_RULES, BoundCheckResult, ProofGridConfig, grid_verify_proof_inequalities
+from .bounds import (B_RULES, DEFAULT_A_VALUES, BoundCheckResult, ProofGridConfig,
+                     grid_verify_proof_inequalities)
 from .config import ConfigError, ExperimentConfig, load_config
 from .engine import BudgetExceededError, TotalsReport, exact_evaluate, monte_carlo_evaluate
 from .reporting import describe_columns, report_json, report_text, write_series_csv
@@ -56,11 +57,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[TotalsReport, list[BoundCh
     if "instant-bounds" in config.checks:
         results += bound_checks.check_instant_distance_bounds(report.records)
     if "proof-inequalities" in config.checks:
-        g = config.proof_grid
-        for rule in g.b_rules:
+        for rule in B_RULES:
             results += grid_verify_proof_inequalities(
-                rule, a_values=g.a_values(), grid_points=g.grid_points,
-                edge_margin=g.edge_margin)
+                rule, a_values=DEFAULT_A_VALUES, grid_points=ProofGridConfig.grid_points,
+                edge_margin=ProofGridConfig.edge_margin)
     return report, results
 
 
@@ -102,7 +102,7 @@ def _a_values(args) -> np.ndarray:
 def _cmd_check_inequalities(args) -> int:
     if args.b_rule == "fixed":
         if args.b_value is None:
-            print("--b-rule fixed requires --b-value", file=sys.stderr)
+            print("config error: --b-value: required by --b-rule fixed", file=sys.stderr)
             return EXIT_CONFIG
         rules = [float(args.b_value)]
     elif args.b_rule == "both":
@@ -110,8 +110,8 @@ def _cmd_check_inequalities(args) -> int:
     else:
         rules = [args.b_rule]
     a_flag = "--a-value" if args.a_value is not None else "--a-min/--a-max/--a-count"
-    flags = {"a_values": a_flag, "b_rule": "--b-value", "grid_points": "--grid",
-             "edge_margin": "--edge-margin"}
+    flags = {"a_values": a_flag, "a_count": a_flag, "b_rule": "--b-value",
+             "grid_points": "--grid", "edge_margin": "--edge-margin"}
     results: list[BoundCheckResult] = []
     try:
         a_values = _a_values(args)
@@ -119,9 +119,8 @@ def _cmd_check_inequalities(args) -> int:
             results += grid_verify_proof_inequalities(
                 rule, a_values=a_values, grid_points=args.grid, edge_margin=args.edge_margin)
     except ValueError as exc:
-        # grid_verify_proof_inequalities and _a_values name the keyword first;
-        # np.geomspace (a negative count) names none, and only A flags reach it
-        flag = flags.get(str(exc).split(" ", 1)[0], a_flag)
+        # grid_verify_proof_inequalities and _a_values name the keyword first
+        flag = flags[str(exc).split(" ", 1)[0]]
         print(f"config error: {flag}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for r in results:

@@ -10,8 +10,10 @@ checks while it builds the runnable objects: one weight per component,
 summing to 1; the true component's index against the component count;
 measures, losses and patterns against the alphabet; an explicit table's
 horizon against the run's; unique loss labels; every scheme's actions
-playable under every loss; instant bounds on the exact engine only;
-``a_max`` >= ``a_min``; and the engine-dependent default ``checks``.
+playable under every loss; instant bounds on the exact engine only; and
+the engine-dependent default ``checks``.  A config has no proof-grid
+settings: ``proof-inequalities`` certifies ``bounds.ProofGridConfig()``'s
+grid, and ``seqpred check-inequalities`` is the one way to run another.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
 
-from .bounds import DEFAULT_DEVIATION_EPSILON, ProofGridConfig
+from .bounds import DEFAULT_DEVIATION_EPSILON
 from .engine import DEFAULT_NODE_BUDGET
 from .losses import NAMED_LOSSES, AlphaLoss, LossSpec, MatrixLoss
 from .measures import (BernoulliMeasure, DeterministicMeasure, DistributionError,
@@ -192,7 +194,6 @@ class ExperimentConfig:
     checks: list[str]
     deviation_epsilon: float
     node_budget: int
-    proof_grid: ProofGridConfig
     outputs: dict[str, str] = field(default_factory=dict)
 
 
@@ -239,17 +240,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "instant-bounds" in checks and engine["kind"] != "exact":
         raise ConfigError("checks", "instant-bounds needs the exact engine")
 
-    grid_raw = raw.get("proof_grid", {})
-    grid = ProofGridConfig(**grid_raw)
-    grid.b_rules = tuple(grid.b_rules)
-    grid.a_min, grid.a_max = float(grid.a_min), float(grid.a_max)
-    grid.edge_margin = float(grid.edge_margin)
-    try:
-        grid.a_values()
-    except ValueError as exc:
-        raise ConfigError("proof_grid.a_max" if "a_max" in grid_raw else "proof_grid.a_min",
-                          str(exc)) from None
-
     return ExperimentConfig(
         alphabet_size=alphabet_size,
         horizon=horizon,
@@ -263,7 +253,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         checks=list(checks),
         deviation_epsilon=float(raw.get("deviation_epsilon", DEFAULT_DEVIATION_EPSILON)),
         node_budget=raw.get("node_budget", DEFAULT_NODE_BUDGET),
-        proof_grid=grid,
         outputs=dict(raw.get("output", {})),
     )
 

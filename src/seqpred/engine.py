@@ -606,8 +606,8 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
                          kl_direct_se=float(_standard_errors(ratios[None, :])[0]))
 
 
-def ratio_trace(mixture: MixtureModel, true_index: int, path, horizon: int | None = None,
-                *, symbol: int | None = None) -> np.ndarray:
+def ratio_trace(mixture: MixtureModel, true_index: int, path, *,
+                symbol: int | None = None) -> np.ndarray:
     """Per-step conditional ratio mixture / true along a fixed history path.
 
     By default the ratio is taken at the path's own next symbol, the
@@ -621,18 +621,15 @@ def ratio_trace(mixture: MixtureModel, true_index: int, path, horizon: int | Non
     when given) is a domain error.
     """
     symbols = as_symbols(path, mixture.alphabet)
-    if horizon is None:
-        horizon = len(symbols)
-    if not 1 <= horizon <= len(symbols):
-        raise ValueError("horizon must be in 1..len(path)")
+    if not symbols:
+        raise ValueError("path must not be empty")
     if symbol is not None:
         symbol = mixture.alphabet.check(symbol)
     ev = _StepEvaluator(mixture, true_index, {}, ())
     rows = ev.start(1)
     # walk the path, keeping each step's rows; evaluate them in one block
     block = _Block(ev)
-    for t in range(horizon):
-        x = symbols[t]
+    for t, x in enumerate(symbols):
         at = x if symbol is None else symbol
         true_cond, log_cond = block.add(rows, t)
         if true_cond[0, x] <= 0.0:
@@ -641,6 +638,6 @@ def ratio_trace(mixture: MixtureModel, true_index: int, path, horizon: int | Non
             raise ValueError(f"symbol {at} at step {t + 1} has zero true-measure probability")
         rows = ev.extend(rows, log_cond[:, :, x].T, np.array([x]))
     true_b, log_b, logm_b, _ = block.arrays()
-    steps = np.arange(horizon)
-    cols = np.array(symbols[:horizon]) if symbol is None else np.full(horizon, symbol)
+    steps = np.arange(len(symbols))
+    cols = np.array(symbols) if symbol is None else np.full(len(symbols), symbol)
     return mixture.conditionals(log_b, logm_b)[steps, cols] / true_b[steps, cols]

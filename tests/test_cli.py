@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from seqpred.bounds import B_RULES
 from seqpred.cli import main, run_experiment
 from seqpred.config import SCHEMA, ConfigError, load_config, parse_config, validate
 from seqpred.engine import exact_evaluate
@@ -148,14 +147,18 @@ class TestRunCommand:
         assert run_cli("run", str(p)) == 1
         assert "losses[0].label" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("rule", [[1], {"x": 1}, 5], ids=["list", "object", "int"])
-    def test_non_string_b_rule_exit_1(self, in_tmp, tmp_path, capsys, rule):
+    @pytest.mark.parametrize("grid", [{}, {"a_count": 2, "grid_points": 5},
+                                      {"b_rules": ["1/A+1", 5]}], ids=["empty", "grid", "b-rules"])
+    def test_proof_grid_is_an_unknown_field_exit_1(self, in_tmp, tmp_path, capsys, grid):
+        # a custom grid runs only through check-inequalities' flags
         cfg = load_preset_dict("collapse")
-        cfg["proof_grid"] = {"b_rules": ["1/A+1", rule]}
-        p = tmp_path / "rule.json"
+        cfg["proof_grid"] = grid
+        p = tmp_path / "grid.json"
         p.write_text(json.dumps(cfg))
         assert run_cli("run", str(p)) == 1
-        assert "proof_grid.b_rules[1]" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == "config error: config: unknown field(s): proof_grid\n"
+        assert captured.out == ""
 
     def test_budget_exhaustion_exit_1_names_fallback(self, in_tmp, tmp_path, capsys):
         cfg = load_preset_dict("three-bernoulli")
@@ -218,6 +221,9 @@ class TestCheckInequalities:
 
     def test_fixed_rule_requires_value(self, capsys):
         assert run_cli("check-inequalities", "--b-rule", "fixed") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --b-value: ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv, flag", [
         (["--a-count", "0"], "--a-min/--a-max/--a-count"),
@@ -245,6 +251,14 @@ class TestCheckInequalities:
         captured = capsys.readouterr()
         assert captured.err == ("config error: --a-min/--a-max/--a-count: "
                                 f"a_values must be positive and finite, got {bad}\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_a_count_below_one_prints_only_its_config_error(self, capsys, count):
+        assert run_cli("check-inequalities", "--a-count", count) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: --a-min/--a-max/--a-count: "
+                                f"a_count must be >= 1, got {count}\n")
         assert captured.out == ""
 
     def test_inverted_a_range_exits_1_naming_the_a_flags(self, capsys):
@@ -395,18 +409,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="exact"):
             parse_config(cfg)
 
-    @pytest.mark.parametrize("grid, field", [
-        ({"a_min": 20}, "proof_grid.a_min"),
-        ({"a_min": 20, "a_max": 10}, "proof_grid.a_max"),
-        ({"a_max": 0.05}, "proof_grid.a_max"),
-    ], ids=["a-min-above-default-a-max", "both-given", "a-max-below-default-a-min"])
-    def test_inverted_a_range_names_its_end(self, grid, field):
-        cfg = self.base()
-        cfg["proof_grid"] = grid
-        with pytest.raises(ConfigError, match="a_max >= a_min") as exc:
-            parse_config(cfg)
-        assert exc.value.field_path == field
-
     def test_named_loss_requires_binary_alphabet(self):
         cfg = load_preset_dict("three-symbol")
         cfg["losses"].append({"kind": "quadratic"})
@@ -545,10 +547,8 @@ class TestSchema:
 
     @pytest.mark.parametrize("where, value, field", [
         (("deviation_epsilon",), 1e-10, "deviation_epsilon"),
-        (("proof_grid",), {"a_min": 1e-10}, "proof_grid.a_min"),
-        (("proof_grid",), {"edge_margin": 1e-13}, "proof_grid.edge_margin"),
         (("output", "csv"), "", "output.csv"),
-    ], ids=["deviation-epsilon", "a-min", "edge-margin", "empty-output"])
+    ], ids=["deviation-epsilon", "empty-output"])
     def test_schema_states_the_parsers_ranges(self, where, value, field):
         jsonschema = pytest.importorskip("jsonschema")
         cfg = edited_preset("collapse", where, value)
@@ -561,8 +561,6 @@ class TestSchema:
         named = [b["properties"]["kind"]["enum"] for b in SCHEMA["$defs"]["loss"]["oneOf"]
                  if "enum" in b["properties"]["kind"]]
         assert named == [list(NAMED_LOSSES)]
-        rules = SCHEMA["properties"]["proof_grid"]["properties"]["b_rules"]["items"]["enum"]
-        assert rules == list(B_RULES)
 
 
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
@@ -659,7 +657,6 @@ TINY = {
     "losses": [{"kind": "error"}, {"kind": "log"}],
     "schemes": [{"kind": "majority-vote"}],
     "engine": {"kind": "exact"},
-    "proof_grid": {"a_count": 2, "grid_points": 5},
 }
 CHECK_NAMES = SCHEMA["properties"]["checks"]["items"]["enum"]
 BOUND_FIELDS = {"bound_id", "lhs", "rhs", "slack", "tolerance", "pass", "mode", "location"}
@@ -680,6 +677,12 @@ class TestChecks:
         # a name the schema admits but the run skips would certify nothing
         _, results = run_experiment(parse_config({**TINY, "checks": [check]}))
         assert results
+
+    def test_a_run_certifies_the_default_check_inequalities_grid(self, capsys):
+        # one default grid: the config has no grid of its own
+        _, results = run_experiment(parse_config({**TINY, "checks": ["proof-inequalities"]}))
+        assert run_cli("check-inequalities") == 0
+        assert [r.line() for r in results] == capsys.readouterr().out.splitlines()
 
     def test_report_bounds_carry_exactly_the_result_fields(self):
         report, results = run_experiment(parse_config({**TINY, "checks": CHECK_NAMES}))

@@ -1226,3 +1226,9 @@ class TestRatioTrace:
         mix = MixtureModel([BernoulliMeasure(1.0), BernoulliMeasure(0.5)], [0.5, 0.5])
         with pytest.raises(ValueError, match="zero true-measure probability"):
             ratio_trace(mix, 0, [0, 0])
+
+    @pytest.mark.parametrize("path", [[], ""], ids=["list", "string"])
+    def test_empty_path_is_an_error_naming_the_path(self, path):
+        mix = MixtureModel([BernoulliMeasure(0.3)], [1.0])
+        with pytest.raises(ValueError, match="^path must not be empty$"):
+            ratio_trace(mix, 0, path)
