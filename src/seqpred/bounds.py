@@ -85,6 +85,9 @@ EXACT_TOL = 1e-9
 GRID_TOL = 1e-12
 PLATEAU_TOL = 1e-12
 DEFAULT_DEVIATION_EPSILON = 0.1
+# cells of the proof grid's (y, z) grid: its arrays hold ~56 bytes per cell,
+# so 2**22 cells (2048 points per axis) take ~235 MB
+MAX_GRID_CELLS = 2**22
 
 B_RULES: dict[str, Callable[[float], float]] = {
     "1/A+1": lambda a: 1.0 / a + 1.0,
@@ -476,6 +479,9 @@ def grid_verify_proof_inequalities(b_rule, *,
         raise ValueError(f"a_values must be positive and finite, got {bad[0]}")
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    if grid_points**2 > MAX_GRID_CELLS:
+        raise ValueError(f"grid_points must be <= {math.isqrt(MAX_GRID_CELLS)} (at most "
+                         f"{MAX_GRID_CELLS} (y, z) cells), got {grid_points}")
     if not 0.0 < edge_margin < 0.5:
         raise ValueError(f"edge_margin must lie in (0, 1/2), got {edge_margin}")
     ys = np.linspace(edge_margin, 1.0 - edge_margin, grid_points)

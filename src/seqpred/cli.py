@@ -10,6 +10,7 @@ Exit codes: 0 all requested checks pass, 2 at least one check fails,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -91,25 +92,45 @@ def _cmd_run(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 
+# the A-grid flags: each one's ProofGridConfig field
+A_GRID_FLAGS = {"--a-min": "a_min", "--a-max": "a_max", "--a-count": "a_count"}
+
+
+def _flag_error(args) -> str | None:
+    """The config error of flags that do not go together, or None: a flag
+    the others leave unread, or ``--b-rule fixed`` without its value."""
+    grid_flags = [flag for flag, field in A_GRID_FLAGS.items()
+                  if getattr(args, field) is not None]
+    if args.a_value is not None and grid_flags:
+        return f"--a-value: replaces the A grid, so {', '.join(grid_flags)} would go unread"
+    if args.b_rule == "fixed" and args.b_value is None:
+        return "--b-value: required by --b-rule fixed"
+    if args.b_rule != "fixed" and args.b_value is not None:
+        return f"--b-value: read only by --b-rule fixed, got --b-rule {args.b_rule}"
+    return None
+
+
 def _a_values(args) -> np.ndarray:
     """The A grid of ``check-inequalities``: ``--a-value`` alone, or the
     ``ProofGridConfig`` grid of ``--a-min``, ``--a-max`` and ``--a-count``."""
     if args.a_value is not None:
         return np.array([float(args.a_value)])
-    return ProofGridConfig(a_min=args.a_min, a_max=args.a_max, a_count=args.a_count).a_values()
+    return ProofGridConfig(**{field: getattr(args, field) for field in A_GRID_FLAGS.values()
+                              if getattr(args, field) is not None}).a_values()
 
 
 def _cmd_check_inequalities(args) -> int:
+    error = _flag_error(args)
+    if error is not None:
+        print(f"config error: {error}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.b_rule == "fixed":
-        if args.b_value is None:
-            print("config error: --b-value: required by --b-rule fixed", file=sys.stderr)
-            return EXIT_CONFIG
         rules = [float(args.b_value)]
     elif args.b_rule == "both":
         rules = list(B_RULES)
     else:
         rules = [args.b_rule]
-    a_flag = "--a-value" if args.a_value is not None else "--a-min/--a-max/--a-count"
+    a_flag = "--a-value" if args.a_value is not None else "/".join(A_GRID_FLAGS)
     flags = {"a_values": a_flag, "a_count": a_flag, "b_rule": "--b-value",
              "grid_points": "--grid", "edge_margin": "--edge-margin"}
     results: list[BoundCheckResult] = []
@@ -142,11 +163,15 @@ def main(argv=None) -> int:
                        help="B(A) rule; 'fixed' uses --b-value as a constant")
     p_chk.add_argument("--b-value", type=float, default=None, help="constant B for --b-rule fixed")
     p_chk.add_argument("--a-value", type=float, default=None, help="check a single A instead of the A grid")
-    p_chk.add_argument("--a-min", type=float, default=ProofGridConfig.a_min)
-    p_chk.add_argument("--a-max", type=float, default=ProofGridConfig.a_max)
-    p_chk.add_argument("--a-count", type=int, default=ProofGridConfig.a_count)
+    p_chk.add_argument("--a-min", type=float, default=None,
+                       help=f"smallest A of the grid (default {ProofGridConfig.a_min})")
+    p_chk.add_argument("--a-max", type=float, default=None,
+                       help=f"largest A of the grid (default {ProofGridConfig.a_max})")
+    p_chk.add_argument("--a-count", type=int, default=None,
+                       help=f"points of the A grid (default {ProofGridConfig.a_count})")
     p_chk.add_argument("--grid", type=int, default=ProofGridConfig.grid_points,
-                       help="points per axis of the (y, z) grid")
+                       help="points per axis of the (y, z) grid, at most "
+                            f"{math.isqrt(bound_checks.MAX_GRID_CELLS)}")
     p_chk.add_argument("--edge-margin", type=float, default=ProofGridConfig.edge_margin)
     p_chk.set_defaults(func=_cmd_check_inequalities)
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .columns import sum_columns
 from .measures import POSTERIOR_SUM_TOL, _check_distribution
 
 DISTANCE_NAMES = ("absolute", "square", "hellinger", "kl", "abs_divergence")
@@ -74,19 +75,6 @@ def ratio_term(true_vec, predicted_vec) -> float:
 
 # -- vectorized forms used by the evaluation engines ---------------------------
 
-def _sum_columns(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last (symbol) axis by adding whole columns left to right,
-    ((t0 + t1) + t2) + ..., at every alphabet size.
-
-    ``terms.sum(axis=-1)`` adds each row pairwise from 8 symbols on and pays
-    one inner-loop call per row; a column add is one call for all rows.
-    """
-    out = terms[..., 0]
-    for j in range(1, terms.shape[-1]):
-        out = out + terms[..., j]
-    return out
-
-
 def distances_batch(Y: np.ndarray, Z: np.ndarray) -> dict[str, np.ndarray]:
     """Distances for row-aligned batches of posterior vectors (no validation)."""
     terms = np.empty((len(DISTANCE_NAMES),) + Y.shape)   # (distance, M, N)
@@ -102,9 +90,9 @@ def distances_batch(Y: np.ndarray, Z: np.ndarray) -> dict[str, np.ndarray]:
     log_ratio = np.where(support & ~infinite, log_ratio, 0.0)
     terms[3] = np.where(infinite, np.inf, Y * log_ratio)
     terms[4] = np.where(infinite, np.inf, Y * np.abs(log_ratio))
-    return dict(zip(DISTANCE_NAMES, _sum_columns(terms)))
+    return dict(zip(DISTANCE_NAMES, sum_columns(terms)))
 
 
 def ratio_term_batch(Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
     sqrt_gap = np.sqrt(Z) - np.sqrt(Y)
-    return _sum_columns(np.where(Y > 0.0, sqrt_gap * sqrt_gap, 0.0))
+    return sum_columns(np.where(Y > 0.0, sqrt_gap * sqrt_gap, 0.0))

@@ -46,13 +46,21 @@ Each block is one ``_StepEvaluator.conditionals`` call per step and one
 ``evaluate`` over all its rows, with one numpy call per layer:
 
 * the K components' log-conditionals are stacked component-major, (K, M, N)
-  for M histories and N symbols, so the mixture's log-sum-exp reduces over
-  the outer axis 0 and adds the components in order;
+  for M histories and N symbols, and the mixture writes its (K, M) prior
+  terms component-major too, so both log-sum-exps of its conditional
+  reduce over axis 0 and add the components in order;
 * each distance adds its symbol columns left to right;
+* each scheme's actions are computed once per block, under the first loss
+  (``__init__`` checks every (scheme, loss) pair on one empty history);
 * per loss, ``bayes_actions`` runs once on the mixture and true conditionals
   stacked together, and ``expected_losses`` once on a (P, M) action array
-  holding the mixture, informed and every scheme's actions (P = 2 + schemes).
+  holding the mixture, informed and every scheme's actions, cast to the
+  loss's action type (P = 2 + schemes).
 
+Every reduction over the K components or the N symbols in these layers, and
+the Monte Carlo symbol draw (``measures.draw_symbols``), takes K or N whole
+columns or slabs (``columns``, ``logdomain.log_sum_exp_over_axis``): numpy's
+own reduction over a short last axis runs one inner loop per history.
 ``evaluate`` returns every series as one (series, M) array.
 
 The state of a history is one ``_Rows`` row: its per-component
@@ -233,6 +241,10 @@ class _StepEvaluator:
                 raise ValueError(f"scheme {s.label!r} is built for an alphabet of "
                                  f"{s.alphabet_size} symbols; the mixture's has "
                                  f"{mixture.alphabet.size}")
+            # every loss must play the scheme's actions: ``evaluate`` computes
+            # them once, under the first loss, and the others only cast them
+            for loss in losses.values():
+                s.actions(s.initial_state(1), loss)
         self.components = mixture.components
         # everything that carries a state, in the order of ``_Rows.states``
         self.carriers = (*self.components, *self.schemes)
@@ -282,13 +294,16 @@ class _StepEvaluator:
         for row, key in enumerate(DISTANCE_NAMES):
             values[row] = distances[key]
         values[len(DISTANCE_NAMES)] = ratio_term_batch(true_cond, mix_cond)
-        # one (P, M) action array per loss: mixture, informed, then each scheme
+        # one (P, M) action array per loss: mixture, informed, then each
+        # scheme's actions, computed once and cast to each loss's dtype
         both = np.concatenate([mix_cond, true_cond])
+        losses = list(self.losses.values())
+        played = [s.actions(st, losses[0])
+                  for s, st in zip(self.schemes, scheme_states)] if losses else []
         row = len(DISTANCE_KEYS)
-        for loss in self.losses.values():
+        for loss in losses:
             actions = np.vstack([loss.bayes_actions(both).reshape(2, m),
-                                 *(s.actions(st, loss)
-                                   for s, st in zip(self.schemes, scheme_states))])
+                                 *(a.astype(loss.action_dtype, copy=False) for a in played)])
             values[row:row + actions.shape[0]] = loss.expected_losses(true_cond, actions)
             row += actions.shape[0]
         return mix_cond, values

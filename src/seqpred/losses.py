@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .columns import argmin_columns
 from .measures import POSTERIOR_SUM_TOL, _check_distribution
 
 # exp() overflow guard for the alpha-loss closed form; beyond this the
@@ -145,8 +146,8 @@ class MatrixLoss(LossSpec):
         return posteriors @ self.matrix
 
     def bayes_actions(self, posteriors):
-        # exhaustive scan; argmin takes the lowest index on ties
-        return np.argmin(self._risks(posteriors), axis=1)
+        # exhaustive scan by action columns; the lowest index wins ties
+        return argmin_columns(self._risks(posteriors))
 
     def expected_losses(self, true_posteriors, actions):
         table = self._risks(true_posteriors)

@@ -87,11 +87,19 @@ def draw_symbols(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     Row i gets the number of cdf entries <= u[i] (searchsorted, side
     "right"), so a zero-probability symbol below the last positive one is
     never drawn, not even at u == 0.  When rounding leaves the cdf below 1
-    and u lands past it, the row gets its last positive-probability symbol.
+    and u lands past it, the row gets its last positive-probability symbol
+    (the last symbol on a row of zeros).  The cdf, the count and the last
+    positive symbol are built one whole symbol column at a time; the cdf
+    adds the columns in order, as ``np.cumsum`` does.
     """
-    cdf = np.cumsum(probs, axis=1)
-    drawn = (u[:, None] >= cdf).sum(axis=1)
-    last_positive = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
+    cdf = probs[:, 0]
+    drawn = (u >= cdf).astype(np.int64)
+    last_positive = np.full(probs.shape[0], probs.shape[1] - 1)
+    np.copyto(last_positive, 0, where=cdf > 0.0)
+    for j in range(1, probs.shape[1]):
+        cdf = cdf + probs[:, j]
+        drawn += u >= cdf
+        np.copyto(last_positive, j, where=probs[:, j] > 0.0)
     return np.minimum(drawn, last_positive)
 
 

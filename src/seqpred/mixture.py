@@ -57,19 +57,26 @@ class MixtureModel(SequenceMeasure):
         return f"MixtureModel({len(self.components)} components, N={self.alphabet.size})"
 
     # -- the formula ------------------------------------------------------------
+    def _prior_terms(self, comp_logm: np.ndarray) -> np.ndarray:
+        """The component-major (K, M) terms log w_k + log nu_k(h) of M
+        histories from their (M, K) component log-marginals, written
+        C-contiguous: the log-sum-exp over the components then adds whole
+        contiguous slabs."""
+        return np.add(self.log_weights[:, None], comp_logm.T, order="C")
+
     def log_marginals(self, comp_logm: np.ndarray) -> np.ndarray:
         """The (M,) mixture log-marginals of M histories from their (M, K)
         component log-marginals."""
-        return log_sum_exp_over_axis(self.log_weights[None, :] + comp_logm, axis=1)
+        return log_sum_exp_over_axis(self._prior_terms(comp_logm), axis=0)
 
     def conditionals(self, log_cond: np.ndarray, comp_logm: np.ndarray) -> np.ndarray:
         """The (M, N) mixture conditionals of M histories: a ratio of mixture
         marginals, from the component-major (K, M, N) log-conditionals and
         the (M, K) log-marginals.  A history the mixture rules out gets the
         uniform row."""
-        prior_terms = self.log_weights[None, :] + comp_logm              # (M, K)
-        log_mix_h = log_sum_exp_over_axis(prior_terms, axis=1)           # (M,)
-        log_mix_hx = log_sum_exp_over_axis(prior_terms.T[:, :, None] + log_cond, axis=0)  # (M, N)
+        prior_terms = self._prior_terms(comp_logm)                       # (K, M)
+        log_mix_h = log_sum_exp_over_axis(prior_terms, axis=0)           # (M,)
+        log_mix_hx = log_sum_exp_over_axis(prior_terms[:, :, None] + log_cond, axis=0)  # (M, N)
         with np.errstate(invalid="ignore"):
             cond = np.exp(log_mix_hx - log_mix_h[:, None])
         cond[np.isneginf(log_mix_h)] = 1.0 / self.alphabet.size

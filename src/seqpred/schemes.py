@@ -10,13 +10,17 @@ A scheme is a carried state plus an action: it follows the measures' state
 protocol (``measures.StateCarrier``: ``initial_state`` and ``extend_state``,
 whole history by default), and ``actions`` maps a batch of states to
 actions, each one passed through ``loss.action`` so that a scheme plays only
-what the loss can play.  A subclass that only overrides ``actions``
-receives histories; schemes that depend on less carry less.
+what the loss can play.  The loss may change the actions only through that
+rule: the engines check every (scheme, loss) pair on one empty history, then
+compute each block's actions once, under the first loss, and cast them to
+each other loss's ``action_dtype``.  A subclass that only overrides
+``actions`` receives histories; schemes that depend on less carry less.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .columns import argmax_columns
 from .losses import LossSpec
 from .measures import StateCarrier
 
@@ -63,4 +67,4 @@ class MajorityVoteScheme(PredictionScheme):
 
     def actions(self, states, loss):
         loss.action(self.alphabet_size - 1)  # every symbol must be playable
-        return np.argmax(states, axis=1).astype(loss.action_dtype, copy=False)
+        return argmax_columns(states).astype(loss.action_dtype, copy=False)

@@ -269,6 +269,44 @@ class TestCheckInequalities:
                                 "a_max >= a_min, got a_min=20.0 and a_max=10.0\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, unread", [
+        (["--a-value", "1", "--a-count", "-1", "--a-min", "-5"], "--a-min, --a-count"),
+        (["--a-value", "1", "--a-max", "20"], "--a-max"),
+        (["--a-min", "0.5", "--a-value", "2"], "--a-min"),
+    ])
+    def test_a_value_with_grid_flags_names_the_unread_flags(self, capsys, argv, unread):
+        assert run_cli("check-inequalities", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: --a-value: replaces the A grid, so {unread} "
+                                "would go unread\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("rule", [None, "both", "1/A+1", "A/4+1/A"])
+    def test_b_value_without_fixed_rule_is_a_config_error(self, capsys, rule):
+        argv = ["--b-value", "3"] + ([] if rule is None else ["--b-rule", rule])
+        assert run_cli("check-inequalities", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: --b-value: read only by --b-rule fixed, "
+                                f"got --b-rule {rule or 'both'}\n")
+        assert captured.out == ""
+
+    def test_oversized_grid_is_refused_before_any_allocation(self, capsys):
+        import time
+        start = time.perf_counter()
+        assert run_cli("check-inequalities", "--grid", "100001") == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: --grid: grid_points must be <= 2048 "
+                                "(at most 4194304 (y, z) cells), got 100001\n")
+        assert captured.out == ""
+
+    def test_the_limit_is_the_first_side_past_the_cell_limit(self):
+        from seqpred.bounds import MAX_GRID_CELLS, grid_verify_proof_inequalities
+        side = math.isqrt(MAX_GRID_CELLS)
+        assert side**2 == MAX_GRID_CELLS
+        with pytest.raises(ValueError, match=f"grid_points must be <= {side} "):
+            grid_verify_proof_inequalities("1/A+1", a_values=[1.0], grid_points=side + 1)
+
     def test_infinite_b_prints_only_its_nan_fail_lines(self, capsys):
         code = run_cli("check-inequalities", "--b-rule", "fixed", "--b-value", "inf",
                        "--a-count", "3", "--grid", "11")

@@ -1030,6 +1030,52 @@ class TestSchemeAlphabet:
                                  schemes=[MajorityVoteScheme()])
 
 
+class _WalkWatch(BernoulliMeasure):
+    """A coin that counts the step matrices the engines ask it for."""
+
+    def __init__(self, theta):
+        super().__init__(theta)
+        self.steps = 0
+
+    def _step_matrix(self, states, t):
+        self.steps += 1
+        return super()._step_matrix(states, t)
+
+
+class TestUnplayableScheme:
+    """A (scheme, loss) pair whose actions the loss cannot play fails before
+    the walk starts, on the Python API path that no config checked."""
+
+    LOSSES = {"error": ErrorLoss(), "matrix": MatrixLoss([[0.0, 1.0], [1.0, 0.0]])}
+
+    @pytest.mark.parametrize("engine_name", ["exact", "monte-carlo"])
+    def test_fails_before_any_step_matrix(self, engine_name):
+        coin = _WalkWatch(0.3)
+        mixture = MixtureModel([coin, BernoulliMeasure(0.7)], [0.5, 0.5])
+        run = (partial(exact_evaluate, horizon=6) if engine_name == "exact"
+               else partial(monte_carlo_evaluate, horizon=6, samples=100, seed=1))
+        with pytest.raises(ValueError, match="not an action index"):
+            run(mixture, 0, self.LOSSES, schemes=[ConstantScheme(0.5)])
+        assert coin.steps == 0
+
+
+class TestSchemeActionsOncePerBlock:
+    def test_one_actions_call_per_block_whatever_the_losses(self):
+        calls = []
+
+        class Counted(MajorityVoteScheme):
+            def actions(self, states, loss):
+                calls.append(states.shape[0])
+                return super().actions(states, loss)
+
+        losses = [ErrorLoss(), AbsoluteLoss(), QuadraticLoss(), HellingerLoss()]
+        # 100 paths, 40 steps a block: horizon 60 is two blocks
+        monte_carlo_evaluate(three_coin_mixture(), 0, losses, 60, samples=100, seed=3,
+                             schemes=[Counted()])
+        # one playability check per loss on one row, then one call per block
+        assert calls == [1] * len(losses) + [4000, 2000]
+
+
 def _nested_and_flat():
     """One mixture nested in another, and the flat mixture with the same
     marginal.  The inner mixture rules out every history that starts with

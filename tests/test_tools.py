@@ -98,6 +98,16 @@ def test_digest_runs_end_with_a_lone_row_under_wide_matrix_losses():
                   if isinstance(loss, MatrixLoss)) == [(3, 4), (3, 5)]
 
 
+def test_digest_runs_draw_past_a_zero_probability_symbol():
+    runs = dict(output_digests._runs(presets))
+    cfg = config.parse_config(runs["zero-symbol"])
+    assert (cfg.engine, cfg.alphabet_size) == ("monte-carlo", 4)
+    truth = cfg.mixture.components[cfg.true_index]
+    # symbol 1 never, symbol 3 not from every state: zeros inside and at the end
+    assert (truth.transitions[:, 1] == 0.0).all() and truth.initial[1] == 0.0
+    assert (truth.transitions[:, 3] == 0.0).any() and (truth.transitions[:, 3] > 0.0).any()
+
+
 def test_slack_sweep_passes_at_a_tiny_size(capsys):
     argv = ["--seeds", "1", "--horizon", "4", "--samples", "100", "--mc-long-seeds"]
     assert mc_slack_sweep.main(argv) == 0

@@ -6,10 +6,10 @@ SRC_DIR is the directory that holds the ``seqpred`` package (default: this
 checkout's ``src``).  Each line is ``<digest>  <run>``: the sha256 of
 ``render_series_csv`` followed by ``report_json`` for every shipped preset
 (the Monte Carlo ``counterexample`` at three seeds), every benchmark
-config under ``bench/configs`` (``mc-long`` at two seeds) and ``LONE_ROW``,
-then the sha256 of the default ``seqpred check-inequalities`` stdout.  Two
-trees whose lines match give byte-identical reports; ``diff`` the output of
-two runs.
+config under ``bench/configs`` (``mc-long`` at two seeds), ``ZERO_SYMBOL``
+and ``LONE_ROW``, then the sha256 of the default ``seqpred
+check-inequalities`` stdout.  Two trees whose lines match give
+byte-identical reports; ``diff`` the output of two runs.
 
 ``LONE_ROW`` is the one run whose config lives here: the exact engine at
 horizon 1, so its only level is the empty history's lone row, under 3x4
@@ -18,6 +18,11 @@ through different BLAS routines, which round differently on such tables;
 this run's digest moves if a lone row is not multiplied as a batch is.  At
 longer horizons the exact engine puts level 0 into a block with later
 levels, and no other run has a lone row under a table this wide.
+
+``ZERO_SYMBOL`` is the one Monte Carlo run over more than two symbols: four,
+and the true chain never emits symbol 1 and emits symbol 3 only from some
+states.  Its digest moves if a symbol draw picks a zero-probability symbol,
+or picks another symbol than the inverse-cdf rule does.
 """
 from __future__ import annotations
 
@@ -54,6 +59,30 @@ LONE_ROW = {
     ],
     "engine": {"kind": "exact"},
 }
+ZERO_SYMBOL = {
+    "alphabet_size": 4,
+    "horizon": 60,
+    "mixture": {
+        "components": [
+            {"kind": "markov", "initial": [0.3, 0.0, 0.5, 0.2],
+             "transitions": [[0.7, 0.0, 0.3, 0.0], [0.25, 0.0, 0.25, 0.5],
+                             [0.1, 0.0, 0.6, 0.3], [0.45, 0.0, 0.15, 0.4]]},
+            {"kind": "markov", "initial": [0.25, 0.25, 0.25, 0.25],
+             "transitions": [[0.4, 0.1, 0.3, 0.2], [0.3, 0.3, 0.2, 0.2],
+                             [0.2, 0.1, 0.4, 0.3], [0.25, 0.25, 0.25, 0.25]]},
+        ],
+        "weights": [0.6, 0.4],
+        "true_component_index": 0,
+    },
+    "losses": [
+        {"kind": "matrix", "label": "error4",
+         "matrix": [[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0],
+                    [1.0, 1.0, 1.0, 0.0]]},
+    ],
+    "schemes": [{"kind": "constant", "action": 3}, {"kind": "majority-vote"}],
+    "engine": {"kind": "monte-carlo", "samples": 300, "seed": 11},
+    "checks": ["convergence", "loss-bounds"],
+}
 
 
 def _runs(presets):
@@ -61,7 +90,7 @@ def _runs(presets):
     configs = [(name, presets.load_preset_dict(name)) for name in presets.PRESET_NAMES]
     configs += [(path.stem, json.loads(path.read_text()))
                 for path in sorted((ROOT / "bench" / "configs").glob("*.json"))]
-    configs.append(("lone-row", LONE_ROW))
+    configs += [("zero-symbol", ZERO_SYMBOL), ("lone-row", LONE_ROW)]
     for name, raw in configs:
         if name not in SEEDS:
             yield name, raw
