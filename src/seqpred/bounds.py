@@ -88,6 +88,10 @@ DEFAULT_DEVIATION_EPSILON = 0.1
 # cells of the proof grid's (y, z) grid: its arrays hold ~56 bytes per cell,
 # so 2**22 cells (2048 points per axis) take ~235 MB
 MAX_GRID_CELLS = 2**22
+# points of the A grid: each (rule, A) evaluates both branches over the whole
+# (y, z) grid, ~115 us on the default 201 x 201 grid (2-CPU x86), so 2**16
+# points take ~8 s per rule; the A array itself is then 0.5 MB
+MAX_A_COUNT = 2**16
 
 B_RULES: dict[str, Callable[[float], float]] = {
     "1/A+1": lambda a: 1.0 / a + 1.0,
@@ -109,13 +113,15 @@ class ProofGridConfig:
     edge_margin: float = 1e-4
 
     def a_values(self) -> np.ndarray:
-        """The A grid, ``a_count`` >= 1 points spaced geometrically from
-        ``a_min`` to ``a_max``.  The ends must be positive and finite with
-        a_max >= a_min; they are checked before ``np.geomspace`` sees them,
-        which warns on a negative or infinite end and runs backwards on an
-        inverted range."""
+        """The A grid, 1 <= ``a_count`` <= ``MAX_A_COUNT`` points spaced
+        geometrically from ``a_min`` to ``a_max``.  The ends must be positive
+        and finite with a_max >= a_min.  Everything is checked before
+        ``np.geomspace`` sees it: it warns on a negative or infinite end,
+        runs backwards on an inverted range and allocates any count."""
         if self.a_count < 1:
             raise ValueError(f"a_count must be >= 1, got {self.a_count}")
+        if self.a_count > MAX_A_COUNT:
+            raise ValueError(f"a_count must be <= {MAX_A_COUNT}, got {self.a_count}")
         for end in (self.a_min, self.a_max):
             if not 0.0 < end < math.inf:  # false for NaN too
                 raise ValueError(f"a_values must be positive and finite, got {float(end)}")
@@ -472,8 +478,8 @@ def grid_verify_proof_inequalities(b_rule, *,
         if not const > 0:  # false for NaN too
             raise ValueError(f"b_rule must be > 0, got {const}")
         rule_name, rule = f"B={const}", lambda a: const
-    if len(a_values) == 0:
-        raise ValueError("a_values must not be empty")
+    if not 1 <= len(a_values) <= MAX_A_COUNT:
+        raise ValueError(f"a_values must hold 1 to {MAX_A_COUNT} values, got {len(a_values)}")
     bad = [float(a) for a in a_values if not 0.0 < float(a) < math.inf]
     if bad:
         raise ValueError(f"a_values must be positive and finite, got {bad[0]}")

@@ -103,6 +103,8 @@ def _flag_error(args) -> str | None:
                   if getattr(args, field) is not None]
     if args.a_value is not None and grid_flags:
         return f"--a-value: replaces the A grid, so {', '.join(grid_flags)} would go unread"
+    if args.a_count == 1 and args.a_max is not None:
+        return "--a-count: a grid of 1 point is its --a-min alone, so --a-max would go unread"
     if args.b_rule == "fixed" and args.b_value is None:
         return "--b-value: required by --b-rule fixed"
     if args.b_rule != "fixed" and args.b_value is not None:
@@ -168,7 +170,8 @@ def main(argv=None) -> int:
     p_chk.add_argument("--a-max", type=float, default=None,
                        help=f"largest A of the grid (default {ProofGridConfig.a_max})")
     p_chk.add_argument("--a-count", type=int, default=None,
-                       help=f"points of the A grid (default {ProofGridConfig.a_count})")
+                       help=f"points of the A grid (default {ProofGridConfig.a_count}), "
+                            f"at most {bound_checks.MAX_A_COUNT}")
     p_chk.add_argument("--grid", type=int, default=ProofGridConfig.grid_points,
                        help="points per axis of the (y, z) grid, at most "
                             f"{math.isqrt(bound_checks.MAX_GRID_CELLS)}")

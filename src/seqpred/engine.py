@@ -33,14 +33,14 @@ changes width (whole-history states grow every step).
 * ``monte_carlo_evaluate`` samples paths from the true measure and averages.
   Per-step conditionals along each path are computed exactly, so randomness
   enters only through path selection; standard errors come from the sample
-  variance across paths (per step, and of per-path cumulative sums for the
-  cumulative series).  A step draws ``samples`` uniforms, so a block holds
+  variance across paths.  A step draws ``samples`` uniforms, so a block holds
   ``max(1, BLOCK_ROWS // samples)`` steps.  After each ``evaluate``, the
-  means and standard errors of every series are one reduction over the last
-  axis of a (series, steps, samples) array, with the running sums added step
-  by step in place.  No path history is kept: S paths of length n cost
-  O(S·n) time, and the memory the paths hold does not grow with n when every
-  state has a fixed width.
+  per-step means and standard errors of every series are one reduction over
+  the last axis of a (series, steps, samples) array, and each step is added
+  to every path's running sum.  The standard error of each series' total is
+  taken once, from those sums after the walk.  No path history is kept: S
+  paths of length n cost O(S·n) time, and the memory the paths hold does not
+  grow with n when every state has a fixed width.
 
 Each block is one ``_StepEvaluator.conditionals`` call per step and one
 ``evaluate`` over all its rows, with one numpy call per layer:
@@ -155,6 +155,12 @@ class TotalsReport:
     checks run, else None.  It keeps no per-level data; the field is still
     called ``records`` because the benchmark counts ``len(report.records)``,
     and the accumulator's ``len()`` is the number of levels it observed.
+
+    A Monte Carlo report also holds standard errors across its paths:
+    ``se_per_step`` maps each series to a length-n array, ``se_total`` to
+    the standard error of its total, and ``kl_direct_se`` is that of
+    ``kl_direct``.  An exact report leaves them None, and ``total_se`` reads
+    0 there.
     """
 
     horizon: int
@@ -173,7 +179,7 @@ class TotalsReport:
     samples: int | None = None
     seed: int | None = None
     se_per_step: dict[str, np.ndarray] | None = None
-    se_cumulative: dict[str, np.ndarray] | None = None
+    se_total: dict[str, float] | None = None
     kl_direct_se: float | None = None
     records: InstantChecks | None = field(default=None, repr=False)
 
@@ -189,9 +195,7 @@ class TotalsReport:
         return float(self.cumulative[key][-1])
 
     def total_se(self, key: str) -> float:
-        if self.se_cumulative is None:
-            return 0.0
-        return float(self.se_cumulative[key][-1])
+        return 0.0 if self.se_total is None else self.se_total[key]
 
 
 def _series_keys(loss_labels, schemes):
@@ -284,8 +288,7 @@ class _StepEvaluator:
 
         ``comp_logm`` holds each row's component log-marginals and
         ``scheme_states`` each scheme's carried state, one row per history.
-        Returns (mix_cond, values): the (M, N) mixture conditionals and one
-        (series, M) array whose rows follow ``self.keys``.
+        Returns one (series, M) array whose rows follow ``self.keys``.
         """
         mix_cond = self.mixture.conditionals(log_cond, comp_logm)
         m = true_cond.shape[0]
@@ -306,7 +309,7 @@ class _StepEvaluator:
                                  *(a.astype(loss.action_dtype, copy=False) for a in played)])
             values[row:row + actions.shape[0]] = loss.expected_losses(true_cond, actions)
             row += actions.shape[0]
-        return mix_cond, values
+        return values
 
 
 class _Block:
@@ -506,7 +509,7 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
     def finish():
         """Evaluate the walked block; each level dots its weights with its
         share of the values, then the observer sees it."""
-        values = ev.evaluate(*block.arrays())[1]
+        values = ev.evaluate(*block.arrays())
         lo = 0
         for step, level_mult, weights in levels:
             level = values[:, lo:lo + weights.shape[0]]
@@ -571,7 +574,7 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
 
     Per-step conditionals are evaluated exactly along each sampled path;
     only the path selection is random.  Standard errors are reported per
-    step and for the cumulative series.
+    step and for each series' total over the horizon.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -583,10 +586,9 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
     rng = np.random.default_rng(seed)
 
     # one row per series: per-step means and standard errors, and each
-    # path's running sum for the standard error of the cumulative series
+    # path's running sum for the standard error of the series' total
     means = np.empty((len(keys), horizon))
     se_step = np.empty((len(keys), horizon))
-    se_cum = np.empty((len(keys), horizon))
     running = np.zeros((len(keys), samples))
 
     paths = ev.start(samples)
@@ -601,23 +603,17 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
             nxt = draw_symbols(true_cond, rng.random(samples))
             paths = ev.extend(paths, log_cond[:, rows, nxt].T, nxt)
             t += 1
-        vals = ev.evaluate(*block.arrays())[1]
-        vals = vals.reshape(len(keys), t - start, samples)
+        vals = ev.evaluate(*block.arrays()).reshape(len(keys), t - start, samples)
         means[:, start:t] = vals.mean(axis=-1)
         se_step[:, start:t] = _standard_errors(vals)
-        # running sums step by step, in place: the bits of ``running += vals``
-        for j in range(t - start):
-            running = np.add(running, vals[:, j], out=vals[:, j])
-        se_cum[:, start:t] = _standard_errors(vals)
-        running = running.copy()               # lets the block's buffer go
+        for j in range(t - start):             # one add per step: a per-step loop's bits
+            running += vals[:, j]
 
     ratios = ev.log_ratio(paths)
-    kl_direct = float(ratios.mean())
-
     return _build_report("monte-carlo", mixture, true_index, labelled, ev.schemes, horizon,
-                         dict(zip(keys, means)), kl_direct, samples=samples, seed=seed,
+                         dict(zip(keys, means)), float(ratios.mean()), samples=samples, seed=seed,
                          se_per_step=dict(zip(keys, se_step)),
-                         se_cumulative=dict(zip(keys, se_cum)),
+                         se_total=dict(zip(keys, _standard_errors(running).tolist())),
                          kl_direct_se=float(_standard_errors(ratios[None, :])[0]))
 
 

@@ -172,13 +172,13 @@ def _base_tolerance(result):
 def _statistical_report(se_key, se):
     """A Monte Carlo report whose only non-zero standard error is ``se_key``'s."""
     per_step = {k: np.full(4, v) for k, v in _STEP_VALUES.items()}
-    se_cumulative = {k: np.full(4, se if k == se_key else 0.0) for k in per_step}
+    se_total = {k: se if k == se_key else 0.0 for k in per_step}
     return TotalsReport(
         horizon=4, alphabet_size=2, engine="monte-carlo", true_index=0, true_weight=0.5,
         mu_is_deterministic=True, loss_labels=("error", "log"), scheme_labels=("const",),
         losses={"error": ErrorLoss(), "log": LogLoss()}, per_step=per_step,
         cumulative={k: np.cumsum(v) for k, v in per_step.items()}, kl_direct=0.4,
-        samples=100, seed=0, se_cumulative=se_cumulative,
+        samples=100, seed=0, se_total=se_total,
         kl_direct_se=se if se_key == "kl_direct" else 0.0)
 
 
@@ -203,7 +203,7 @@ class TestStatisticalWidening:
                     assert (r.tolerance, r.mode) == (_base_tolerance(r), "exact"), (key, r.bound_id)
         # the same totals from an exact engine: the base tolerances
         exact = _all_checks(dataclasses.replace(_statistical_report("kl", se), engine="exact",
-                                                se_cumulative=None))
+                                                se_total=None))
         assert [(r.tolerance, r.mode) for r in exact] == [(_base_tolerance(r), "exact") for r in exact]
         # an estimated report: every check passes, and the two are widened
         # by 3 SE of each estimate in them

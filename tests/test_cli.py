@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seqpred.cli import main, run_experiment
@@ -299,6 +300,49 @@ class TestCheckInequalities:
         assert captured.err == ("config error: --grid: grid_points must be <= 2048 "
                                 "(at most 4194304 (y, z) cells), got 100001\n")
         assert captured.out == ""
+
+    def test_oversized_a_count_is_refused_before_any_allocation(self, capsys, monkeypatch):
+        import tracemalloc
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.geomspace would build the A grid")
+
+        # without the limit this grid would take ~8 GB
+        monkeypatch.setattr(np, "geomspace", refuse)
+        tracemalloc.start()
+        try:
+            assert run_cli("check-inequalities", "--a-count", "1000000000") == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: --a-min/--a-max/--a-count: a_count must be "
+                                "<= 65536, got 1000000000\n")
+        assert captured.out == ""
+
+    def test_the_a_limit_holds_for_a_given_a_grid(self):
+        from seqpred.bounds import MAX_A_COUNT, ProofGridConfig, grid_verify_proof_inequalities
+        assert len(ProofGridConfig(a_count=MAX_A_COUNT).a_values()) == MAX_A_COUNT
+        for count in (0, MAX_A_COUNT + 1):
+            with pytest.raises(ValueError, match=f"^a_values must hold 1 to {MAX_A_COUNT} "
+                                                 f"values, got {count}$"):
+                grid_verify_proof_inequalities("1/A+1", a_values=[1.0] * count)
+
+    @pytest.mark.parametrize("argv", [["--a-count", "1", "--a-max", "5"],
+                                      ["--a-min", "1", "--a-max", "5", "--a-count", "1"]])
+    def test_a_count_of_one_leaves_a_max_unread(self, capsys, argv):
+        # np.geomspace(a_min, a_max, 1) is [a_min]
+        assert run_cli("check-inequalities", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: --a-count: a grid of 1 point is its --a-min "
+                                "alone, so --a-max would go unread\n")
+        assert captured.out == ""
+
+    def test_a_count_of_one_runs_its_a_min(self, capsys):
+        assert run_cli("check-inequalities", "--a-min", "2", "--a-count", "1",
+                       "--b-rule", "1/A+1") == 0
+        assert capsys.readouterr().out.count("at A=2 ") == 2
 
     def test_the_limit_is_the_first_side_past_the_cell_limit(self):
         from seqpred.bounds import MAX_GRID_CELLS, grid_verify_proof_inequalities

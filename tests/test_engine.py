@@ -676,7 +676,8 @@ class TestFusedStepKernel:
             ref_log_cond, ref_mix, ref_values = ref
             # every shipped measure reads its state from a whole history too
             true_cond, log_cond = ev.conditionals([histories] * len(mix.components), t)
-            mix_cond, values = ev.evaluate(true_cond, log_cond, comp_logm, states)
+            values = ev.evaluate(true_cond, log_cond, comp_logm, states)
+            mix_cond = ev.mixture.conditionals(log_cond, comp_logm)
             assert log_cond.shape == (len(mix.components),) + true_cond.shape
             assert np.array_equal(log_cond.transpose(1, 0, 2).view(np.int64),
                                   ref_log_cond.view(np.int64))
@@ -768,7 +769,7 @@ class TestCarriedSchemeKeys:
         ex = exact_evaluate(mixture(), 0, losses, 7, schemes=schemes)
         self._assert_same_series(ex, ("per_step", "cumulative"))
         mc = monte_carlo_evaluate(mixture(), 0, losses, 40, samples=200, seed=3, schemes=schemes)
-        self._assert_same_series(mc, ("per_step", "cumulative", "se_per_step", "se_cumulative"))
+        self._assert_same_series(mc, ("per_step", "cumulative", "se_per_step", "se_total"))
 
     def test_whole_history_key_merges_nothing(self):
         rep = exact_evaluate(three_coin_mixture(), 0, [ErrorLoss()], 6,
@@ -790,7 +791,7 @@ def _per_step_monte_carlo(mixture, true_index, losses, horizon, samples, seed, s
     whole histories from a (samples, horizon) buffer as every component's
     state, running sums added per step and the true path's log-probability
     summed on its own.  Returns (series names, {field: (series, horizon)},
-    kl_direct, kl_direct_se)."""
+    the (series,) standard errors of the totals, kl_direct, kl_direct_se)."""
     ev = _StepEvaluator(mixture, true_index, losses, schemes)
     rng = np.random.default_rng(seed)
     histories = np.empty((samples, horizon), dtype=np.int64)
@@ -799,14 +800,13 @@ def _per_step_monte_carlo(mixture, true_index, losses, horizon, samples, seed, s
     log_true_path = np.zeros(samples)
     running = np.zeros((len(ev.keys), samples))
     rows = np.arange(samples)
-    out = {"per_step": [], "se_per_step": [], "se_cumulative": []}
+    out = {"per_step": [], "se_per_step": []}
     for t in range(horizon):
         true_cond, log_cond = ev.conditionals([histories[:, :t]] * len(ev.components), t)
-        vals = ev.evaluate(true_cond, log_cond, comp_logm, states)[1]
+        vals = ev.evaluate(true_cond, log_cond, comp_logm, states)
         out["per_step"].append(vals.mean(axis=1))
         out["se_per_step"].append(_standard_errors(vals))
         running += vals
-        out["se_cumulative"].append(_standard_errors(running))
         nxt = draw_symbols(true_cond, rng.random(samples))
         log_true_path = log_true_path + np.log(true_cond[rows, nxt])
         comp_logm = comp_logm + log_cond[:, rows, nxt].T
@@ -814,8 +814,8 @@ def _per_step_monte_carlo(mixture, true_index, losses, horizon, samples, seed, s
         states = [s.extend_state(st, nxt) for s, st in zip(ev.schemes, states)]
     ratios = log_true_path - log_sum_exp_over_axis(ev.mixture.log_weights[None, :] + comp_logm,
                                                    axis=1)
-    return (ev.keys, {k: np.array(v).T for k, v in out.items()}, float(ratios.mean()),
-            float(_standard_errors(ratios[None, :])[0]))
+    return (ev.keys, {k: np.array(v).T for k, v in out.items()}, _standard_errors(running),
+            float(ratios.mean()), float(_standard_errors(ratios[None, :])[0]))
 
 
 def _blocked_case(name):
@@ -865,16 +865,33 @@ class TestBlockedMonteCarlo:
         mc = monte_carlo_evaluate(mix, true_index, losses, horizon, samples=samples, seed=8,
                                   schemes=schemes)
         assert seen == block_rows
-        names, want, kl_direct, kl_direct_se = _per_step_monte_carlo(
+        names, want, se_total, kl_direct, kl_direct_se = _per_step_monte_carlo(
             mix, true_index, losses, horizon, samples, 8, schemes)
         assert list(mc.per_step) == names
         for field, rows in want.items():
             for key, row in zip(names, rows):
                 assert _hex(getattr(mc, field)[key]) == _hex(row), (field, key)
+        assert [mc.total_se(key).hex() for key in names] == _hex(se_total)
         assert float(mc.kl_direct).hex() == kl_direct.hex()
         assert float(mc.kl_direct_se).hex() == kl_direct_se.hex()
         # the constant scheme's log loss is infinite on every path
-        assert np.isposinf(mc.se_cumulative["scheme_loss[constant-0|log]"]).all()
+        assert mc.total_se("scheme_loss[constant-0|log]") == math.inf
+
+    def test_standard_errors_are_taken_once_per_block_and_per_total(self, monkeypatch):
+        """One ``_standard_errors`` call per block (the per-step SEs), then
+        one for every series' total and one for ``kl_direct``."""
+        calls = []
+
+        def counting(vals):
+            calls.append(vals.shape)
+            return _standard_errors(vals)
+
+        monkeypatch.setattr(engine, "_standard_errors", counting)
+        mix, true_index, losses, schemes = _blocked_case("mixed")
+        mc = monte_carlo_evaluate(mix, true_index, losses, 50, samples=300, seed=8,
+                                  schemes=schemes)
+        series = len(mc.per_step)
+        assert calls == [(series, 13, 300)] * 3 + [(series, 11, 300), (series, 300), (1, 300)]
 
     def test_bernoulli_paths_carry_no_history(self, monkeypatch):
         """Bernoulli components carry no state: no array grows with the horizon."""
@@ -903,7 +920,7 @@ def _per_level_exact(mixture, true_index, losses, horizon, schemes, node_budget,
         if visits > node_budget:
             raise BudgetExceededError(visits, node_budget)
         true_cond, log_cond = ev.conditionals(rows.states, t)
-        values = ev.evaluate(true_cond, log_cond, rows.comp_logm, ev.scheme_states(rows))[1]
+        values = ev.evaluate(true_cond, log_cond, rows.comp_logm, ev.scheme_states(rows))
         weights = mult * np.exp(rows.comp_logm[:, true_index])
         for row, series in enumerate(values):
             per_step[row, t] = weights @ series
@@ -1186,7 +1203,7 @@ class TestMonteCarlo:
         b = monte_carlo_evaluate(mix, 0, [ErrorLoss()], 6, samples=500, seed=7)
         for key in a.per_step:
             assert np.array_equal(a.per_step[key], b.per_step[key])
-            assert np.array_equal(a.se_cumulative[key], b.se_cumulative[key])
+            assert a.total_se(key) == b.total_se(key)
 
     def test_sample_floor(self):
         with pytest.raises(ValueError, match="100"):
@@ -1201,10 +1218,10 @@ class TestMonteCarlo:
         key = "scheme_loss[constant-0|log]"
         assert np.isposinf(mc.per_step[key]).all()
         assert np.isposinf(mc.se_per_step[key]).all()
-        assert np.isposinf(mc.se_cumulative[key]).all()
+        assert mc.total_se(key) == math.inf
         for other in mc.per_step:
             if other != key:
-                assert np.isfinite(mc.se_cumulative[other]).all(), other
+                assert math.isfinite(mc.total_se(other)), other
 
     def test_batched_standard_errors_match_per_series(self):
         rng = np.random.default_rng(0)
@@ -1263,7 +1280,7 @@ class TestRatioTrace:
             at = x if symbol is None else symbol
             history = np.array([path[:t]])
             true_cond, log_cond = ev.conditionals([history, history], t)
-            mix_cond, _ = ev.evaluate(true_cond, log_cond, comp_logm, ())
+            mix_cond = ev.mixture.conditionals(log_cond, comp_logm)
             want.append(mix_cond[0, at] / true_cond[0, at])
             comp_logm = comp_logm + log_cond[:, :, x].T
         assert np.array_equal(ratio_trace(mix, 0, path, symbol=symbol), want)
