@@ -10,13 +10,11 @@ ratio term, and per-loss expected instantaneous losses of the mixture,
 informed, and any alternative prediction schemes.
 
 Both engines walk ahead and evaluate in blocks.  Only the walk is
-sequential: per step (a tree level, or one step of every path), the
-conditionals, the choice of children and the extension of every carried
-state.  Every per-history value depends only on that history's row, so the
-rest runs once per block of steps (``_Block``): one ``evaluate`` over the
-rows of all its steps.  A block takes steps while its rows stay within
-``BLOCK_ROWS``, always at least one, and closes early when a scheme state
-changes width (whole-history states grow every step).
+sequential.  Every per-history value depends only on that history's row, so
+the rest runs once per block of steps: one ``evaluate`` over the rows of all
+its steps.  A block takes steps while its rows stay within ``BLOCK_ROWS``,
+always at least one, and holds one step when a scheme state widens
+(whole-history states grow every step), since its rows must stack.
 
 * ``exact_evaluate`` enumerates every history with positive true-measure
   probability (zero-probability branches are pruned; they carry no
@@ -25,25 +23,43 @@ changes width (whole-history states grow every step).
   product of the level's weights with its slice of the block's values.  A
   block that no further level can join (``BLOCK_ROWS`` rows or more) is
   evaluated before the tree grows past it, while its arrays are still in
-  cache.  The work budget counts visited (merged) nodes.  An ``observer`` sees each
-  level, in level order once its block is evaluated: its weights,
-  multiplicities and per-node values, and the first-seen history of any
-  node, rebuilt from per-level parent links.  The links are the only
+  cache.  The work budget counts visited (merged) nodes.  The tree's
+  children depend on every component's conditionals, so each level is one
+  ``_StepEvaluator.conditionals`` call, and ``_Block`` keeps the levels'
+  rows until the block is evaluated, into a values array of its own.  An
+  ``observer`` sees each level, in level order once its block is evaluated:
+  its weights, multiplicities and per-node values (views of the block's
+  array, which the walk never writes again), and the first-seen history of
+  any node, rebuilt from per-level parent links.  The links are the only
   per-level data kept, and only when an observer is given.
 * ``monte_carlo_evaluate`` samples paths from the true measure and averages.
   Per-step conditionals along each path are computed exactly, so randomness
   enters only through path selection; standard errors come from the sample
   variance across paths.  A step draws ``samples`` uniforms, so a block holds
-  ``max(1, BLOCK_ROWS // samples)`` steps.  After each ``evaluate``, the
-  per-step means and standard errors of every series are one reduction over
-  the last axis of a (series, steps, samples) array, and each step is added
-  to every path's running sum.  The standard error of each series' total is
-  taken once, from those sums after the walk.  No path history is kept: S
-  paths of length n cost O(S·n) time, and the memory the paths hold does not
-  grow with n when every state has a fixed width.
+  L = ``max(1, BLOCK_ROWS // samples)`` steps, and draws them as one
+  ``rng.random((L, samples))``: the doubles of L per-step draws.  The next
+  symbol depends on a path only through the true measure's state, so only
+  the truth takes the walk one step at a time (``_walk_block``): its
+  ``_step_matrix`` on the paths, the draw, and its one-symbol
+  ``extend_state``.  Every other state then extends by the block's symbols
+  in one ``extend_state`` call, and each other component's conditionals are
+  one ``_step_matrix`` call over the block's L·S rows, one step per row.
+  The truth's per-step matrices, concatenated, are its share; one stack and
+  one ``log_or_neg_inf`` give the block's log-conditionals, and the
+  log-marginals before each step are one running sum along the steps
+  (``mixture.log_marginals_through``).  A component whose state widens (the
+  whole-history default) walks with the truth, one symbol at a time.  Every
+  block is evaluated into one (series, L·S) array kept for the whole run.
+  After each ``evaluate``, the per-step means and standard errors of every
+  series are one reduction over the last axis of a (series, steps, samples)
+  array, and each step is added to every path's running sum.  The standard
+  error of each series' total is taken once, from those sums after the
+  walk.  No path history is kept: S paths of length n cost O(S·n) time, and
+  the memory the paths hold does not grow with n when every state has a
+  fixed width.
 
-Each block is one ``_StepEvaluator.conditionals`` call per step and one
-``evaluate`` over all its rows, with one numpy call per layer:
+Each block's ``evaluate`` runs over all its rows, with one numpy call per
+layer:
 
 * the K components' log-conditionals are stacked component-major, (K, M, N)
   for M histories and N symbols, and the mixture writes its (K, M) prior
@@ -68,19 +84,22 @@ log-marginals and the carried state of each component, then of each scheme.
 Components and schemes follow one protocol (``measures.StateCarrier``), so
 ``_Rows`` holds their states in one tuple; ``take(idx)`` selects rows.  The
 three walks -- the exact tree, the Monte Carlo paths and ``ratio_trace`` --
-start from ``_StepEvaluator.start(n)`` and grow by one rule,
+start from ``_StepEvaluator.start(n)``.  ``extend_state`` takes a block of
+symbols, (L, M), and returns the (L, M, W) states after each; the exact tree
+and the trace grow one symbol at a time by
 ``_StepEvaluator.extend(rows, log_p, symbols)``: add each row's component
-log-conditionals of its symbol, then ``extend_state`` every state with that
-symbol.  The caller picks the parents first: the exact engine takes every
-(parent, symbol) of positive true probability, symbol-major (all children
-by symbol 0, then by symbol 1, ...); Monte Carlo extends each path by its
-drawn symbol, the trace by the path's next symbol.  The states feed
+log-conditionals of its symbol, then extend every state by that symbol.
+The exact engine picks the parents first, every (parent, symbol) of
+positive true probability, symbol-major (all children by symbol 0, then by
+symbol 1, ...); the trace follows the path's next symbol, and Monte Carlo
+extends each path by a block of drawn symbols.  The states feed
 ``_step_matrix(states, t)`` and ``actions(states, loss)``, so nothing
 rescans a history.  The default state is the whole history.  Bernoulli,
 time-varying and deterministic measures and constant schemes carry nothing,
-a Markov chain its last ``order`` symbols, a mixture used as a component
-its components' log-marginals and states, and majority vote its symbol
-counts.  ``log_ratio(rows)`` gives each row's full-history
+a Markov chain its last ``order`` symbols (a window of the block's), a
+mixture used as a component its components' log-marginals and states, and
+majority vote its symbol counts (the start plus a running sum of one-hot
+rows).  ``log_ratio(rows)`` gives each row's full-history
 log(true/mixture), the ``kl_direct`` of both engines.
 
 ``_Rows.merge_key`` packs a row into int64s: the bit pattern of the
@@ -117,8 +136,8 @@ from .distances import DISTANCE_NAMES, distances_batch, ratio_term_batch
 # bench/tracing.py wraps this module's log_sum_exp_over_axis by name
 from .logdomain import log_or_neg_inf, log_sum_exp_over_axis  # noqa: F401
 from .losses import LossSpec
-from .measures import as_symbols, draw_symbols
-from .mixture import MixtureModel
+from .measures import StateCarrier, as_symbols, draw_symbols, states_before
+from .mixture import MixtureModel, log_marginals_through
 from .schemes import PredictionScheme
 
 if TYPE_CHECKING:
@@ -262,8 +281,9 @@ class _StepEvaluator:
     def extend(self, rows: _Rows, log_p: np.ndarray, symbols: np.ndarray) -> _Rows:
         """Each row's history extended by its symbol; ``log_p`` holds the
         (M, K) component log-conditionals of the symbols."""
+        block = symbols[None]
         return _Rows(rows.comp_logm + log_p,
-                     tuple([c.extend_state(st, symbols)
+                     tuple([c.extend_state(st, block)[0]
                             for c, st in zip(self.carriers, rows.states)]))
 
     def scheme_states(self, rows: _Rows) -> tuple[np.ndarray, ...]:
@@ -283,16 +303,17 @@ class _StepEvaluator:
         return mats[self.true_index], log_or_neg_inf(np.stack(mats))
 
     def evaluate(self, true_cond: np.ndarray, log_cond: np.ndarray, comp_logm: np.ndarray,
-                 scheme_states: Sequence[np.ndarray]):
+                 scheme_states: Sequence[np.ndarray], out: np.ndarray | None = None):
         """Per-history values of M rows, which may come from several steps.
 
         ``comp_logm`` holds each row's component log-marginals and
         ``scheme_states`` each scheme's carried state, one row per history.
-        Returns one (series, M) array whose rows follow ``self.keys``.
+        Writes every series into ``out``, a (series, M) array whose rows
+        follow ``self.keys`` (a new one when None), and returns it.
         """
         mix_cond = self.mixture.conditionals(log_cond, comp_logm)
         m = true_cond.shape[0]
-        values = np.empty((len(self.keys), m))
+        values = np.empty((len(self.keys), m)) if out is None else out
         distances = distances_batch(true_cond, mix_cond)
         for row, key in enumerate(DISTANCE_NAMES):
             values[row] = distances[key]
@@ -313,7 +334,8 @@ class _StepEvaluator:
 
 
 class _Block:
-    """Steps walked ahead of one evaluation, and the rule that closes them.
+    """Steps walked ahead of one evaluation, and the rule that closes them
+    (the exact tree and ``ratio_trace``).
 
     Each step adds its rows' ``(true_cond, log_cond, comp_logm,
     *scheme_states)``: what ``_StepEvaluator.evaluate`` reads.  A block takes
@@ -507,8 +529,9 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
     visits = 0
 
     def finish():
-        """Evaluate the walked block; each level dots its weights with its
-        share of the values, then the observer sees it."""
+        """Evaluate the walked block into a new array, as the observer may
+        keep views of it; each level dots its weights with its share of the
+        values, then the observer sees it."""
         values = ev.evaluate(*block.arrays())
         lo = 0
         for step, level_mult, weights in levels:
@@ -558,6 +581,52 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
                          dict(zip(ev.keys, per_step)), kl_direct, node_visits=visits)
 
 
+def _widens(carrier: StateCarrier) -> bool:
+    """Whether a symbol widens the carrier's state, as it widens the
+    whole-history default's: such a state takes one symbol per
+    ``extend_state`` call."""
+    start = carrier.initial_state(1)
+    after = carrier.extend_state(start, np.zeros((1, 1), dtype=np.int64))
+    return after.shape[2] != start.shape[1]
+
+
+def _walk_block(ev: _StepEvaluator, paths: _Rows, t: int, uniforms: np.ndarray,
+                walked: Sequence[int], out: np.ndarray) -> tuple[_Rows, np.ndarray]:
+    """One block of L Monte Carlo steps from ``paths`` at step t, drawn from
+    the (L, S) ``uniforms``: the paths after the block, and the (series, L,
+    S) values of the block's rows, written into the (series, L·S) ``out``.
+
+    Per step, only the ``walked`` components take the step: their
+    conditionals at the paths' states, the truth's draw, and their
+    one-symbol extension.  Every other state then extends by the block's
+    symbols at once, and each other component's conditionals are one
+    ``_step_matrix`` call over the block's rows, one step per row.
+    """
+    steps, samples = uniforms.shape
+    symbols = np.empty((steps, samples), dtype=np.int64)
+    states = list(paths.states)
+    walked_mats: dict[int, list[np.ndarray]] = {k: [] for k in walked}
+    for j in range(steps):
+        for k, mats in walked_mats.items():
+            mats.append(ev.components[k]._step_matrix(states[k], t + j))
+        symbols[j] = draw_symbols(walked_mats[ev.true_index][-1], uniforms[j])
+        for k in walked:
+            states[k] = ev.components[k].extend_state(states[k], symbols[j:j + 1])[0]
+    before = list(paths.states)
+    for k, carrier in enumerate(ev.carriers):
+        if k not in walked_mats:
+            after = carrier.extend_state(paths.states[k], symbols)
+            before[k], states[k] = states_before(paths.states[k], after), after[-1]
+    step_of_row = np.repeat(np.arange(t, t + steps), samples)
+    mats = [np.concatenate(walked_mats[k]) if k in walked_mats
+            else c._step_matrix(before[k], step_of_row) for k, c in enumerate(ev.components)]
+    log_cond = log_or_neg_inf(np.stack(mats))
+    logm = log_marginals_through(paths.comp_logm, log_cond, symbols)
+    values = ev.evaluate(mats[ev.true_index], log_cond, logm[:-1].reshape(steps * samples, -1),
+                         before[len(ev.components):], out)
+    return _Rows(logm[-1], tuple(states)), values.reshape(len(ev.keys), steps, samples)
+
+
 def _standard_errors(vals: np.ndarray) -> np.ndarray:
     """Standard error of the mean over the last axis (the samples); inf where
     a row holds a non-finite value (its std is NaN)."""
@@ -584,29 +653,28 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
     ev = _StepEvaluator(mixture, true_index, labelled, schemes)
     keys = ev.keys
     rng = np.random.default_rng(seed)
+    # the truth draws every step's symbols, and a widening state takes one
+    # symbol at a time: those components walk step by step.  A widening
+    # scheme state holds a block to one step, as its rows must stack.
+    walked = [k for k, c in enumerate(ev.components) if k == true_index or _widens(c)]
+    steps = 1 if any(_widens(s) for s in ev.schemes) else max(1, BLOCK_ROWS // samples)
 
     # one row per series: per-step means and standard errors, and each
     # path's running sum for the standard error of the series' total
     means = np.empty((len(keys), horizon))
     se_step = np.empty((len(keys), horizon))
     running = np.zeros((len(keys), samples))
+    # every block's values, in one array for the whole run
+    values = np.empty((len(keys), steps * samples))
 
     paths = ev.start(samples)
-    rows = np.arange(samples)
-
-    t = 0
-    while t < horizon:
-        # walk the paths one block of steps ahead, keeping what evaluate needs
-        start, block = t, _Block(ev)
-        while t < horizon and block.accepts(paths):
-            true_cond, log_cond = block.add(paths, t)
-            nxt = draw_symbols(true_cond, rng.random(samples))
-            paths = ev.extend(paths, log_cond[:, rows, nxt].T, nxt)
-            t += 1
-        vals = ev.evaluate(*block.arrays()).reshape(len(keys), t - start, samples)
-        means[:, start:t] = vals.mean(axis=-1)
-        se_step[:, start:t] = _standard_errors(vals)
-        for j in range(t - start):             # one add per step: a per-step loop's bits
+    for t in range(0, horizon, steps):
+        n = min(steps, horizon - t)
+        paths, vals = _walk_block(ev, paths, t, rng.random((n, samples)), walked,
+                                  values[:, :n * samples])
+        means[:, t:t + n] = vals.mean(axis=-1)
+        se_step[:, t:t + n] = _standard_errors(vals)
+        for j in range(n):                     # one add per step: a per-step loop's bits
             running += vals[:, j]
 
     ratios = ev.log_ratio(paths)

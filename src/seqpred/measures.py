@@ -7,7 +7,8 @@ symbol after a batch of histories, each seen through a carried state
 (``StateCarrier``).  Marginals are chain-rule products of those
 conditionals, accumulated in the log domain by one walk that the scalar API
 and the evaluation engines share (``initial_state``, then per symbol
-``_step_matrix`` and ``extend_state``, logs by ``log_or_neg_inf``), so
+``_step_matrix`` and ``extend_state``, logs by ``log_or_neg_inf``; the
+engines take a block of steps at a time), so
 
     log_marginal(x_1..x_t) == log_marginal(x_1..x_{t-1}) + log(cond)
 
@@ -107,7 +108,7 @@ class StateCarrier:
     """A causal rule that sees a history only through its carried *state*.
 
     The evaluation engines carry one int64 row per history, start it with
-    ``initial_state`` and extend it by one symbol per step with
+    ``initial_state`` and extend it by a block of symbols at a time with
     ``extend_state``.  The default state is the whole history; a rule that
     depends on less overrides both to carry less.  The state must fix every
     later value of the rule, because the exact engine merges histories that
@@ -120,9 +121,35 @@ class StateCarrier:
         return np.zeros((n, 0), dtype=np.int64)
 
     def extend_state(self, states: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-        """States of the histories ``states`` stand for, each followed by its
-        symbol.  The default appends the symbol, so the state is the history."""
-        return np.concatenate([states, symbols[:, None]], axis=1)
+        """The (L, M, W) states of the M histories ``states`` stands for after
+        each of their next L symbols: ``symbols`` is (L, M), row j every
+        history's (j+1)-th next symbol.  The default appends the symbol, so
+        the state is the history; it widens every step, so it takes one
+        symbol at a time (L == 1)."""
+        if symbols.shape[0] != 1:
+            raise ValueError("a whole-history state widens every step: extend it one symbol "
+                             "at a time")
+        return np.concatenate([states, symbols.T], axis=1)[None]
+
+
+def states_before(states: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """The states of M histories before each of the L steps of a block, as
+    L·M rows in step order: ``states`` at the block's start, then each
+    step's of ``after``, the (L, M, W) ``extend_state`` of the block, but
+    its last.  A one-step block, whose state may widen, gives ``states``."""
+    steps, m, width = after.shape
+    if steps == 1:
+        return states
+    return np.concatenate([states[None], after[:-1]]).reshape(steps * m, width)
+
+
+def _rows_by_step(t, n: int, row_at: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The (n, N) rows of a law that depends on the step only: ``row_at(s)``
+    at step ``t``, one step for every row or an (n,) array of them."""
+    if isinstance(t, (int, np.integer)):
+        return np.tile(row_at(int(t)), (n, 1))
+    steps, inverse = np.unique(t, return_inverse=True)
+    return np.stack([row_at(s) for s in steps.tolist()])[inverse]
 
 
 class SequenceMeasure(StateCarrier):
@@ -131,13 +158,16 @@ class SequenceMeasure(StateCarrier):
     Subclasses implement ``_step_matrix(states, t)``, the measure's one
     statement of its law: the next-symbol distributions of a batch of
     carried states at step t (histories of t symbols), one row per state.
+    ``t`` is one int for every row, or an (M,) int array, one step per row,
+    when the rows come from a block of steps.
     On a history of probability 0 a row may be any probability vector: the
     engines reach such histories whenever a component rules out a history
     that the true measure allows, and give them weight 0;
     ``conditional_vector`` raises there instead.  Families whose
     conditionals depend on less than the whole history carry less:
     Bernoulli, time-varying and deterministic measures carry nothing, and a
-    Markov chain its last ``order`` symbols.
+    Markov chain its last ``order`` symbols.  A state that keeps its width
+    extends by a whole block of symbols in one ``extend_state`` call.
 
     The scalar API walks one row the way the engines walk many:
     ``initial_state``, then per symbol ``_step_matrix`` and ``extend_state``,
@@ -161,7 +191,7 @@ class SequenceMeasure(StateCarrier):
             total += float(log_or_neg_inf(self._step_matrix(state, t))[0, x])
             if total == NEG_INF:
                 break
-            state = self.extend_state(state, np.array([x]))
+            state = self.extend_state(state, np.array([[x]]))[0]
         return total, state
 
     # -- public API -------------------------------------------------------------
@@ -193,7 +223,7 @@ class SequenceMeasure(StateCarrier):
         state = self.initial_state(1)
         for t in range(n):
             out[t:t + 1] = draw_symbols(self._step_matrix(state, t), np.array([rng.random()]))
-            state = self.extend_state(state, out[t:t + 1])
+            state = self.extend_state(state, out[None, t:t + 1])[0]
         return out
 
 
@@ -240,7 +270,7 @@ class BernoulliMeasure(SequenceMeasure):
         return np.tile(self._vec, (states.shape[0], 1))
 
     def extend_state(self, states, symbols):
-        return states
+        return states[None].repeat(symbols.shape[0], axis=0)
 
     def __repr__(self):
         return f"BernoulliMeasure({self.theta})"
@@ -273,15 +303,26 @@ class MarkovMeasure(SequenceMeasure):
         self.transitions = transitions
         self.initial = _check_distribution(initial, "initial distribution", "initial", size=n)
 
+    def initial_state(self, n):
+        # the last ``order`` symbols; before step ``order`` the first columns
+        # are padding
+        return np.zeros((n, self.order), dtype=np.int64)
+
     def extend_state(self, states, symbols):
-        # the last ``order`` symbols; fewer before step ``order``
-        return np.concatenate([states, symbols[:, None]], axis=1)[:, -self.order:]
+        # a window of ``order`` symbols sliding over the block's
+        window = np.concatenate([states, symbols.T], axis=1)
+        return np.stack([window[:, j:j + self.order] for j in range(1, symbols.shape[0] + 1)])
 
     def _step_matrix(self, states, t):
         # context columns counted from the end: a carried state or a whole history
-        if t < self.order:
+        one_step = isinstance(t, (int, np.integer))
+        if one_step and t < self.order:
             return np.tile(self.initial, (states.shape[0], 1))
-        return self.transitions[tuple(states[:, j - self.order] for j in range(self.order))]
+        mats = self.transitions[tuple(states[:, j - self.order] for j in range(self.order))]
+        if not one_step:
+            # a block's rows before step ``order`` read padding
+            mats[t < self.order] = self.initial
+        return mats
 
     def __repr__(self):
         return f"MarkovMeasure(order={self.order}, N={self.alphabet.size})"
@@ -311,12 +352,15 @@ class DeterministicMeasure(SequenceMeasure):
     def _step_matrix(self, states, t):
         # depends on the position only; on an off-path history (probability
         # 0) any vector will do
+        return _rows_by_step(t, states.shape[0], self._row)
+
+    def _row(self, t):
         vec = np.zeros(self.alphabet.size)
         vec[self.alphabet.check(self.generator(t + 1))] = 1.0
-        return np.tile(vec, (states.shape[0], 1))
+        return vec
 
     def extend_state(self, states, symbols):
-        return states
+        return states[None].repeat(symbols.shape[0], axis=0)
 
     def __repr__(self):
         return f"DeterministicMeasure(N={self.alphabet.size})"
@@ -338,13 +382,16 @@ class TimeVaryingBinaryMeasure(SequenceMeasure):
         return cls(lambda t: min(1.0, max(0.0, coefficient * float(t) ** -power)))
 
     def _step_matrix(self, states, t):
+        return _rows_by_step(t, states.shape[0], self._row)
+
+    def _row(self, t):
         p = float(self.rule(t + 1))
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"rule({t + 1}) = {p} outside [0, 1]")
-        return np.tile(np.array([1.0 - p, p]), (states.shape[0], 1))
+        return np.array([1.0 - p, p])
 
     def extend_state(self, states, symbols):
-        return states
+        return states[None].repeat(symbols.shape[0], axis=0)
 
     def __repr__(self):
         return "TimeVaryingBinaryMeasure"
@@ -382,9 +429,9 @@ class ExplicitTableMeasure(SequenceMeasure):
     def _step_matrix(self, states, t):
         # the state is the whole history; one the table lacks has
         # probability 0 (prefix-completeness), so any row will do
-        if t >= self.horizon:
+        if np.max(t) >= self.horizon:
             raise UndefinedConditionalError(
-                f"history of length {t} beyond table horizon {self.horizon}")
+                f"history of length {np.max(t)} beyond table horizon {self.horizon}")
         return np.stack([self.table.get(tuple(row), self._uniform) for row in states.tolist()])
 
     def __repr__(self):

@@ -19,10 +19,11 @@ engines, ``ratio_trace`` and a mixture's own ``_step_matrix`` call it.
 A mixture carries one int64 state row per history, like any measure: a
 header (the step t, then each component's state width), the components'
 log-marginals as float64 bit patterns, then the components' states.
-``extend_state`` adds each component's log-conditional of the symbol and
-extends each component's state, so a mixture nested in another merges in
-the exact tree as its components do, and ``sample(n)`` costs O(n K)
-component steps.
+``extend_state`` extends each component's state by the block of symbols
+and adds, one step at a time, each component's log-conditional of the
+step's symbol (``log_marginals_through``, which the Monte Carlo engine
+shares), so a mixture nested in another merges in the exact tree as its
+components do, and ``sample(n)`` costs O(n K) component steps.
 """
 from __future__ import annotations
 
@@ -31,7 +32,28 @@ from typing import Sequence
 import numpy as np
 
 from .logdomain import log_or_neg_inf, log_sum_exp_over_axis
-from .measures import DistributionError, SequenceMeasure, _check_distribution
+from .measures import DistributionError, SequenceMeasure, _check_distribution, states_before
+
+
+def log_marginals_through(comp_logm: np.ndarray, log_cond: np.ndarray,
+                          symbols: np.ndarray) -> np.ndarray:
+    """The (L + 1, M, K) component log-marginals of M histories before each
+    of the L symbols of a block and after the last.
+
+    ``comp_logm`` holds the (M, K) log-marginals at the block's start,
+    ``symbols`` the (L, M) symbols, as for ``extend_state``, and
+    ``log_cond`` the component-major (K, L·M, N) log-conditionals of the
+    block's rows in step order.  A running sum along the steps, one whole
+    step at a time, adds each step's log-conditionals of its symbols to the
+    last step's sums: the adds of a walk that extends one symbol at a time,
+    in the same order.
+    """
+    steps, m = symbols.shape
+    log_p = log_cond[:, np.arange(steps * m), symbols.ravel()]          # (K, L·M)
+    through = np.concatenate([comp_logm[None], log_p.T.reshape(steps, m, -1)])
+    for j in range(1, steps + 1):
+        through[j] += through[j - 1]
+    return through
 
 
 class MixtureModel(SequenceMeasure):
@@ -83,10 +105,12 @@ class MixtureModel(SequenceMeasure):
         return cond
 
     # -- the carried state --------------------------------------------------------
-    def _pack(self, t: int, comp_logm: np.ndarray, states: Sequence[np.ndarray]) -> np.ndarray:
-        header = np.array([t, *(s.shape[1] for s in states)], dtype=np.int64)
-        return np.concatenate([np.tile(header, (comp_logm.shape[0], 1)),
-                               comp_logm.view(np.int64), *states],
+    def _pack(self, t, comp_logm: np.ndarray, states: Sequence[np.ndarray]) -> np.ndarray:
+        """Rows of step ``t``: one int, or an (M,) array of one step per row."""
+        header = np.tile(np.array([0, *(s.shape[1] for s in states)], dtype=np.int64),
+                         (comp_logm.shape[0], 1))
+        header[:, 0] = t
+        return np.concatenate([header, comp_logm.view(np.int64), *states],
                               axis=1, dtype=np.int64, casting="same_kind")
 
     def _unpack(self, states: np.ndarray):
@@ -96,8 +120,9 @@ class MixtureModel(SequenceMeasure):
         comp_states = np.split(states[:, 2 * k + 1:], np.cumsum(widths)[:-1], axis=1)
         return int(states[0, 0]), states[:, k + 1:2 * k + 1].view(np.float64), comp_states
 
-    def _component_log_conditionals(self, comp_states, t: int) -> np.ndarray:
-        """The component-major (K, M, N) log-conditionals at step t."""
+    def _component_log_conditionals(self, comp_states, t) -> np.ndarray:
+        """The component-major (K, M, N) log-conditionals at step t (one int,
+        or one step per row)."""
         return log_or_neg_inf(np.stack([c._step_matrix(s, t)
                                         for c, s in zip(self.components, comp_states)]))
 
@@ -107,11 +132,15 @@ class MixtureModel(SequenceMeasure):
 
     def extend_state(self, states, symbols):
         t, comp_logm, comp_states = self._unpack(states)
-        log_cond = self._component_log_conditionals(comp_states, t)
-        log_p = log_cond[:, np.arange(symbols.shape[0]), symbols].T
-        return self._pack(t + 1, comp_logm + log_p,
-                          [c.extend_state(s, symbols)
-                           for c, s in zip(self.components, comp_states)])
+        steps, m = symbols.shape
+        after = [c.extend_state(s, symbols) for c, s in zip(self.components, comp_states)]
+        step_of_row = np.repeat(np.arange(t, t + steps), m)
+        log_cond = self._component_log_conditionals(
+            [states_before(s, a) for s, a in zip(comp_states, after)], step_of_row)
+        logm = log_marginals_through(comp_logm, log_cond, symbols)
+        packed = self._pack(step_of_row + 1, logm[1:].reshape(steps * m, -1),
+                            [a.reshape(steps * m, a.shape[2]) for a in after])
+        return packed.reshape(steps, m, -1)
 
     def _step_matrix(self, states, t):
         _, comp_logm, comp_states = self._unpack(states)
@@ -123,5 +152,5 @@ class MixtureModel(SequenceMeasure):
         log-sum-exp of the components' walked log-marginals."""
         state = self.initial_state(1)
         for x in symbols:
-            state = self.extend_state(state, np.array([x]))
+            state = self.extend_state(state, np.array([[x]]))[0]
         return float(self.log_marginals(self._unpack(state)[1])[0]), state

@@ -44,7 +44,7 @@ class ConstantScheme(PredictionScheme):
         self.label = f"constant-{action}"
 
     def extend_state(self, states, symbols):
-        return states
+        return states[None].repeat(symbols.shape[0], axis=0)
 
     def actions(self, states, loss):
         return np.full(states.shape[0], loss.action(self.action), dtype=loss.action_dtype)
@@ -58,12 +58,19 @@ class MajorityVoteScheme(PredictionScheme):
 
     def __init__(self, alphabet_size: int = 2):
         self.alphabet_size = alphabet_size
+        self._one_hot = np.eye(alphabet_size, dtype=np.int64)
 
     def initial_state(self, n):
         return np.zeros((n, self.alphabet_size), dtype=np.int64)
 
     def extend_state(self, states, symbols):
-        return states + np.eye(self.alphabet_size, dtype=np.int64)[symbols]
+        # the counts after each symbol: the start plus a running sum of
+        # one-hot rows, one whole step at a time
+        counts = self._one_hot[symbols]
+        counts[0] += states
+        for j in range(1, counts.shape[0]):
+            counts[j] += counts[j - 1]
+        return counts
 
     def actions(self, states, loss):
         loss.action(self.alphabet_size - 1)  # every symbol must be playable

@@ -17,6 +17,7 @@ from seqpred.engine import (
     _StepEvaluator,
     _merge_equal_rows,
     _standard_errors,
+    _widens,
     exact_evaluate,
     monte_carlo_evaluate,
     ratio_trace,
@@ -39,6 +40,7 @@ from seqpred.measures import (
     SequenceMeasure,
     TimeVaryingBinaryMeasure,
     draw_symbols,
+    states_before,
 )
 from seqpred.mixture import MixtureModel
 from seqpred.schemes import ConstantScheme, MajorityVoteScheme, PredictionScheme
@@ -269,8 +271,9 @@ def _first_seen_histories(mixture, true_index, schemes, depth):
             if true_cond[0, x] <= 0.0:
                 break
             comp_logm = comp_logm + log_cond[:, :, x].T
-            states = [c.extend_state(st, np.array([x])) for c, st in zip(ev.components, states)]
-            scheme_states = [s.extend_state(st, np.array([x]))
+            states = [c.extend_state(st, np.array([[x]]))[0]
+                      for c, st in zip(ev.components, states)]
+            scheme_states = [s.extend_state(st, np.array([[x]]))[0]
                              for s, st in zip(ev.schemes, scheme_states)]
         else:
             key = _Rows(comp_logm, tuple(states + scheme_states)).merge_key().tobytes()
@@ -657,7 +660,8 @@ def _kernel_levels(ev, n_sym, depth):
         comp_logm = comp_logm[rows] + log_cond[rows, :, sym]
         live = np.isfinite(comp_logm[:, ev.true_index])
         histories = np.hstack([histories[rows], sym[:, None]])[live]
-        states = [s.extend_state(st[rows], sym)[live] for s, st in zip(ev.schemes, states)]
+        states = [s.extend_state(st[rows], sym[None])[0][live]
+                  for s, st in zip(ev.schemes, states)]
         comp_logm = comp_logm[live]
 
 
@@ -811,7 +815,7 @@ def _per_step_monte_carlo(mixture, true_index, losses, horizon, samples, seed, s
         log_true_path = log_true_path + np.log(true_cond[rows, nxt])
         comp_logm = comp_logm + log_cond[:, rows, nxt].T
         histories[:, t] = nxt
-        states = [s.extend_state(st, nxt) for s, st in zip(ev.schemes, states)]
+        states = [s.extend_state(st, nxt[None])[0] for s, st in zip(ev.schemes, states)]
     ratios = log_true_path - log_sum_exp_over_axis(ev.mixture.log_weights[None, :] + comp_logm,
                                                    axis=1)
     return (ev.keys, {k: np.array(v).T for k, v in out.items()}, _standard_errors(running),
@@ -894,17 +898,102 @@ class TestBlockedMonteCarlo:
         assert calls == [(series, 13, 300)] * 3 + [(series, 11, 300), (series, 300), (1, 300)]
 
     def test_bernoulli_paths_carry_no_history(self, monkeypatch):
-        """Bernoulli components carry no state: no array grows with the horizon."""
-        widths = []
+        """Bernoulli components carry no state: no array grows with the
+        horizon.  The true coin takes one width-0 call per step, on the
+        paths; each other coin one per block, on the block's rows."""
+        calls = []
         step_matrix = BernoulliMeasure._step_matrix
 
         def recording(measure, states, t):
-            widths.append(states.shape[1])
+            calls.append((measure.theta, states.shape))
             return step_matrix(measure, states, t)
 
         monkeypatch.setattr(BernoulliMeasure, "_step_matrix", recording)
-        monte_carlo_evaluate(three_coin_mixture(), 0, [ErrorLoss()], 30, samples=100, seed=1)
-        assert widths == [0] * 90
+        # 100 paths, 40 steps a block: horizon 60 is two blocks
+        monte_carlo_evaluate(three_coin_mixture(), 0, [ErrorLoss()], 60, samples=100, seed=1)
+        truth = [(0.2, (100, 0))] * 40
+        others = [(0.5, (4000, 0)), (0.8, (4000, 0))]
+        assert calls == (truth + others + [(0.2, (100, 0))] * 20
+                         + [(0.5, (2000, 0)), (0.8, (2000, 0))])
+
+
+def _carrier_families():
+    """{family: (carrier, alphabet size)}: every state-carrier family."""
+    rng = np.random.default_rng(29)
+    chain_2 = MarkovMeasure(rng.dirichlet(np.ones(2), size=(2, 2)), [0.35, 0.65], order=2)
+    inner = [BernoulliMeasure(0.3), TimeVaryingBinaryMeasure.from_power_law(0.5, 1.0),
+             MarkovMeasure(rng.dirichlet(np.ones(2), size=(2, 2)), [0.6, 0.4], order=2)]
+    return {
+        "bernoulli": (BernoulliMeasure(0.3), 2),
+        "markov-1": (MarkovMeasure(rng.dirichlet(np.ones(3), size=3), [0.2, 0.5, 0.3]), 3),
+        "markov-2": (chain_2, 2),
+        "time-varying": (TimeVaryingBinaryMeasure.from_power_law(0.5, 1.0), 2),
+        "deterministic": (DeterministicMeasure.from_pattern([0, 1, 1]), 2),
+        "table": (ExplicitTableMeasure(_random_table(rng, 2, 7), 2), 2),
+        "nested-mixture": (MixtureModel(inner, [0.2, 0.5, 0.3]), 2),
+        "majority-vote": (MajorityVoteScheme(3), 3),
+        "constant": (ConstantScheme(1), 2),
+        "whole-history": (_HistoryStateCoin(0.3), 2),
+    }
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+class TestBlockForm:
+    """One block call gives the bits of L one-step calls: ``extend_state``
+    over a block of symbols, and ``_step_matrix`` over the block's rows with
+    one step per row.  A whole-history state widens every step, so its block
+    is one step."""
+
+    HISTORIES, STEPS = 6, 5
+    WIDENING = ("table", "whole-history")
+
+    # a block from step 0, 1 or 3: the order-2 chain's rows fall on both
+    # sides of t < order in the first two
+    @pytest.mark.parametrize("start_step", [0, 1, 3])
+    @pytest.mark.parametrize("family", list(_carrier_families()))
+    def test_one_block_call_is_l_one_step_calls(self, family, start_step):
+        carrier, n_sym = _carrier_families()[family]
+        assert _widens(carrier) == (family in self.WIDENING)
+        steps = 1 if family in self.WIDENING else self.STEPS
+        symbols = np.random.default_rng(start_step).integers(
+            0, n_sym, size=(start_step + steps, self.HISTORIES))
+        state = carrier.initial_state(self.HISTORIES)
+        for row in symbols[:start_step]:
+            state = carrier.extend_state(state, row[None])[0]
+        start, block = state, symbols[start_step:]
+        after = carrier.extend_state(start, block)
+        is_measure = isinstance(carrier, SequenceMeasure)
+        mats = []
+        for j, row in enumerate(block):
+            if is_measure:
+                mats.append(carrier._step_matrix(state, start_step + j))
+            state = carrier.extend_state(state, row[None])[0]
+            assert _same_bits(after[j], state), j
+        if is_measure:
+            step_of_row = np.repeat(np.arange(start_step, start_step + steps), self.HISTORIES)
+            got = carrier._step_matrix(states_before(start, after), step_of_row)
+            assert _same_bits(got, np.concatenate(mats))
+        if family in self.WIDENING:
+            with pytest.raises(ValueError, match="one symbol at a time"):
+                carrier.extend_state(start, np.zeros((2, self.HISTORIES), dtype=np.int64))
+
+
+class TestDrawStream:
+    """A Monte Carlo block draws its uniforms at once: ``rng.random((L,
+    S))`` gives the doubles of L successive ``rng.random(S)`` calls, and
+    leaves the generator where they leave it."""
+
+    @pytest.mark.parametrize("steps, samples", [(1, 100), (8, 500), (40, 100), (3, 5001)])
+    def test_a_block_of_uniforms_is_the_per_step_stream(self, steps, samples):
+        by_block, by_step = np.random.default_rng(11), np.random.default_rng(11)
+        block = by_block.random((steps, samples))
+        assert block.tobytes() == np.stack([by_step.random(samples)
+                                            for _ in range(steps)]).tobytes()
+        assert by_block.random(7).tobytes() == by_step.random(7).tobytes()
 
 
 def _per_level_exact(mixture, true_index, losses, horizon, schemes, node_budget, observer):
@@ -1012,6 +1101,23 @@ class TestBlockedExact:
         assert len(got_levels) == len(want_levels) == horizon
         for got, want in zip(got_levels, want_levels):
             assert got == want, want[0]
+
+    def test_an_observer_may_keep_every_level_value_array(self, monkeypatch):
+        """Each block is evaluated into an array of its own: an observer that
+        keeps the views it is handed finds them unchanged after the walk."""
+        mix, true_index, losses, schemes, horizon = _blocked_exact_case("mixed")
+        monkeypatch.setattr(engine, "BLOCK_ROWS", 16)          # six blocks
+        kept = []
+
+        def keep(step, weights, multiplicity, values, history):
+            kept.append((values, {key: row.copy() for key, row in values.items()}))
+
+        exact_evaluate(mix, true_index, losses, horizon, schemes=schemes, observer=keep)
+        assert len(kept) == horizon
+        assert len({id(next(iter(values.values())).base) for values, _ in kept}) == 6
+        for values, copies in kept:
+            for key, row in values.items():
+                assert _same_bits(row, copies[key]), key
 
     # visits reach 1, 3, 7, 14, 26, 47, 84, 149 and 263 over the levels and
     # 463 with the leaves: budgets 2 and 5 trip inside the first block, 40 at

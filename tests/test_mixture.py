@@ -67,7 +67,7 @@ class TestConditional:
         # any probability vector is allowed there; the mixture gives the uniform one
         mix = MixtureModel([DeterministicMeasure.from_pattern([0, 1], alphabet_size=3),
                             DeterministicMeasure.from_pattern([0], alphabet_size=3)], [0.5, 0.5])
-        ruled_out = mix.extend_state(mix.initial_state(1), np.array([2]))
+        ruled_out = mix.extend_state(mix.initial_state(1), np.array([[2]]))[0]
         assert mix._step_matrix(ruled_out, 1).tolist() == [[1 / 3] * 3]
         with pytest.raises(UndefinedConditionalError):
             mix.conditional_vector((2,))
