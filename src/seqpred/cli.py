@@ -151,7 +151,7 @@ def _cmd_check_inequalities(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="seqpred", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -175,13 +175,18 @@ def main(argv=None) -> int:
     p_chk.add_argument("--grid", type=int, default=ProofGridConfig.grid_points,
                        help="points per axis of the (y, z) grid, at most "
                             f"{math.isqrt(bound_checks.MAX_GRID_CELLS)}")
-    p_chk.add_argument("--edge-margin", type=float, default=ProofGridConfig.edge_margin)
+    p_chk.add_argument("--edge-margin", type=float, default=ProofGridConfig.edge_margin,
+                       help="the (y, z) grid spans [margin, 1 - margin], margin in (0, 1/2) "
+                            f"(default {ProofGridConfig.edge_margin})")
     p_chk.set_defaults(func=_cmd_check_inequalities)
 
     p_desc = sub.add_parser("describe-columns", help="document the series CSV columns")
     p_desc.set_defaults(func=lambda args: (print(describe_columns()), EXIT_OK)[1])
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -19,19 +19,21 @@ always at least one, and holds one step when a scheme state widens
 * ``exact_evaluate`` enumerates every history with positive true-measure
   probability (zero-probability branches are pruned; they carry no
   expectation mass), merging histories whose state is bitwise identical.
-  Expectations are exact weighted sums: per level and series, one dot
-  product of the level's weights with its slice of the block's values.  A
-  block that no further level can join (``BLOCK_ROWS`` rows or more) is
-  evaluated before the tree grows past it, while its arrays are still in
-  cache.  The work budget counts visited (merged) nodes.  The tree's
-  children depend on every component's conditionals, so each level is one
-  ``_StepEvaluator.conditionals`` call, and ``_Block`` keeps the levels'
-  rows until the block is evaluated, into a values array of its own.  An
-  ``observer`` sees each level, in level order once its block is evaluated:
-  its weights, multiplicities and per-node values (views of the block's
-  array, which the walk never writes again), and the first-seen history of
-  any node, rebuilt from per-level parent links.  The links are the only
-  per-level data kept, and only when an observer is given.
+  Expectations are exact weighted sums: per level, one batched product of
+  the level's weights with its slice of the block's values, a (1, n) @
+  (n, 1) product per series, which numpy computes with the ddot of
+  ``weights @ series``.  A block that no further level can join
+  (``BLOCK_ROWS`` rows or more) is evaluated before the tree grows past it,
+  while its arrays are still in cache.  The work budget counts visited
+  (merged) nodes.  The tree's children depend on every component's
+  conditionals, so each level is one ``_StepEvaluator.conditionals`` call,
+  and ``_Block`` keeps the levels' rows until the block is evaluated, into
+  a values array of its own.  An ``observer`` sees each level, in level
+  order once its block is evaluated: its weights, multiplicities and
+  per-node values (views of the block's array, which the walk never writes
+  again), and the first-seen history of any node, rebuilt from per-level
+  parent links.  The links are the only per-level data kept, and only when
+  an observer is given.
 * ``monte_carlo_evaluate`` samples paths from the true measure and averages.
   Per-step conditionals along each path are computed exactly, so randomness
   enters only through path selection; standard errors come from the sample
@@ -82,9 +84,13 @@ own reduction over a short last axis runs one inner loop per history.
 The state of a history is one ``_Rows`` row: its per-component
 log-marginals and the carried state of each component, then of each scheme.
 Components and schemes follow one protocol (``measures.StateCarrier``), so
-``_Rows`` holds their states in one tuple; ``take(idx)`` selects rows.  The
-three walks -- the exact tree, the Monte Carlo paths and ``ratio_trace`` --
-start from ``_StepEvaluator.start(n)``.  ``extend_state`` takes a block of
+``_Rows`` holds their states in one tuple; ``take(idx)`` selects rows, one
+``ndarray.take(idx, axis=0)`` per array.  That is the gather rule: every
+row gather in the per-level and per-block paths is a ``take``, and every
+repeated row a ``row[None].repeat(n, axis=0)``, since a 2-D fancy index and
+``np.tile`` run several times slower.  The three walks -- the exact tree,
+the Monte Carlo paths and ``ratio_trace`` -- start from
+``_StepEvaluator.start(n)``.  ``extend_state`` takes a block of
 symbols, (L, M), and returns the (L, M, W) states after each; the exact tree
 and the trace grow one symbol at a time by
 ``_StepEvaluator.extend(rows, log_p, symbols)``: add each row's component
@@ -240,7 +246,8 @@ class _Rows(NamedTuple):
     states: tuple[np.ndarray, ...]
 
     def take(self, idx: np.ndarray) -> _Rows:
-        return _Rows(self.comp_logm[idx], tuple([s[idx] for s in self.states]))
+        return _Rows(self.comp_logm.take(idx, axis=0),
+                     tuple([s.take(idx, axis=0) for s in self.states]))
 
     def merge_key(self) -> np.ndarray:
         """One int64 row per history: everything its later values depend on."""
@@ -488,6 +495,13 @@ def _build_report(engine: str, mixture, true_index, labelled, schemes, horizon,
     )
 
 
+def _level_sums(level: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``weights @ series`` of every (series, n) row of ``level``, as one
+    batched product: per row a (1, n) @ (n, 1) product, which numpy sends to
+    the same ddot as the 1-D dot, so each sum keeps its bits."""
+    return (level[:, None] @ weights[:, None])[:, 0, 0]
+
+
 def _first_history(links, depth: int, node: int) -> list[int]:
     """The first-seen history of ``node`` at tree level ``depth``, followed
     back through ``links[:depth]``: per level, each node's parent index in
@@ -530,15 +544,14 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
 
     def finish():
         """Evaluate the walked block into a new array, as the observer may
-        keep views of it; each level dots its weights with its share of the
-        values, then the observer sees it."""
+        keep views of it; each level reduces its share of the values with
+        one batched product of its weights, then the observer sees it."""
         values = ev.evaluate(*block.arrays())
         lo = 0
         for step, level_mult, weights in levels:
             level = values[:, lo:lo + weights.shape[0]]
             lo += weights.shape[0]
-            for row, series in enumerate(level):
-                per_step[row, step] = weights @ series
+            per_step[:, step] = _level_sums(level, weights)
             if observer is not None:
                 observer(step + 1, weights, level_mult, dict(zip(ev.keys, level)),
                          partial(_first_history, links, step))

@@ -147,9 +147,9 @@ def _rows_by_step(t, n: int, row_at: Callable[[int], np.ndarray]) -> np.ndarray:
     """The (n, N) rows of a law that depends on the step only: ``row_at(s)``
     at step ``t``, one step for every row or an (n,) array of them."""
     if isinstance(t, (int, np.integer)):
-        return np.tile(row_at(int(t)), (n, 1))
+        return row_at(int(t))[None].repeat(n, axis=0)
     steps, inverse = np.unique(t, return_inverse=True)
-    return np.stack([row_at(s) for s in steps.tolist()])[inverse]
+    return np.stack([row_at(s) for s in steps.tolist()]).take(inverse, axis=0)
 
 
 class SequenceMeasure(StateCarrier):
@@ -252,7 +252,8 @@ def _check_distribution(vec, what: str, field: str, tol: float = SUM_TOL,
     if (vec < 0).any() or (vec > 1).any():
         raise DistributionError(field, f"{what} entries must lie in [0, 1]")
     if abs(float(vec.sum()) - 1.0) > tol:
-        raise DistributionError(field, f"{what} must sum to 1 within {tol}, got {vec.sum()!r}")
+        raise DistributionError(field, f"{what} must sum to 1 within {tol}, "
+                                       f"got {float(vec.sum())!r}")
     return vec
 
 
@@ -267,7 +268,7 @@ class BernoulliMeasure(SequenceMeasure):
         self._vec = np.array([1.0 - self.theta, self.theta])
 
     def _step_matrix(self, states, t):
-        return np.tile(self._vec, (states.shape[0], 1))
+        return self._vec[None].repeat(states.shape[0], axis=0)
 
     def extend_state(self, states, symbols):
         return states[None].repeat(symbols.shape[0], axis=0)
@@ -301,6 +302,7 @@ class MarkovMeasure(SequenceMeasure):
             _check_distribution(row, f"transition row {i}", "transitions")
         self.order = order
         self.transitions = transitions
+        self._flat = flat
         self.initial = _check_distribution(initial, "initial distribution", "initial", size=n)
 
     def initial_state(self, n):
@@ -317,8 +319,12 @@ class MarkovMeasure(SequenceMeasure):
         # context columns counted from the end: a carried state or a whole history
         one_step = isinstance(t, (int, np.integer))
         if one_step and t < self.order:
-            return np.tile(self.initial, (states.shape[0], 1))
-        mats = self.transitions[tuple(states[:, j - self.order] for j in range(self.order))]
+            return self.initial[None].repeat(states.shape[0], axis=0)
+        # the context's row of the flat (N**order, N) table, oldest symbol first
+        context = states[:, -self.order]
+        for j in range(1 - self.order, 0):
+            context = context * self.alphabet.size + states[:, j]
+        mats = self._flat.take(context, axis=0)
         if not one_step:
             # a block's rows before step ``order`` read padding
             mats[t < self.order] = self.initial

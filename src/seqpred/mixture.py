@@ -107,8 +107,8 @@ class MixtureModel(SequenceMeasure):
     # -- the carried state --------------------------------------------------------
     def _pack(self, t, comp_logm: np.ndarray, states: Sequence[np.ndarray]) -> np.ndarray:
         """Rows of step ``t``: one int, or an (M,) array of one step per row."""
-        header = np.tile(np.array([0, *(s.shape[1] for s in states)], dtype=np.int64),
-                         (comp_logm.shape[0], 1))
+        header = np.array([[0, *(s.shape[1] for s in states)]],
+                          dtype=np.int64).repeat(comp_logm.shape[0], axis=0)
         header[:, 0] = t
         return np.concatenate([header, comp_logm.view(np.int64), *states],
                               axis=1, dtype=np.int64, casting="same_kind")

@@ -66,7 +66,7 @@ class MajorityVoteScheme(PredictionScheme):
     def extend_state(self, states, symbols):
         # the counts after each symbol: the start plus a running sum of
         # one-hot rows, one whole step at a time
-        counts = self._one_hot[symbols]
+        counts = self._one_hot.take(symbols, axis=0)
         counts[0] += states
         for j in range(1, counts.shape[0]):
             counts[j] += counts[j - 1]

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import math
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqpred.cli import main, run_experiment
+from seqpred.cli import build_parser, main, run_experiment
 from seqpred.config import SCHEMA, ConfigError, load_config, parse_config, validate
 from seqpred.engine import exact_evaluate
 from seqpred.losses import NAMED_LOSSES, ErrorLoss, LogLoss
@@ -201,6 +202,19 @@ class TestRunCommand:
 
 
 class TestCheckInequalities:
+    def test_every_option_has_help_text(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = [a for a in sub.choices["check-inequalities"]._actions if a.option_strings]
+        assert "--edge-margin" in {flag for a in options for flag in a.option_strings}
+        assert [a.option_strings for a in options if not a.help] == []
+
+    def test_edge_margin_help_names_its_default_and_range(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("check-inequalities", "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        assert "margin in (0, 1/2) (default 0.0001)" in text
+
     def test_default_rules_pass(self, capsys):
         code = run_cli("check-inequalities", "--grid", "31")
         out = capsys.readouterr().out
@@ -471,6 +485,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="one weight per component") as exc:
             parse_config(cfg)
         assert exc.value.field_path == "mixture.weights"
+
+    def test_weight_sum_prints_a_plain_float(self):
+        # not ``np.float64(1.5)``, which numpy 2 prints as the sum's repr
+        cfg = load_preset_dict("three-bernoulli")
+        cfg["mixture"]["weights"] = [0.5, 0.5, 0.5]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert str(exc.value) == ("mixture.weights: prior weights must sum to 1 within 1e-12, "
+                                  "got 1.5")
 
     def test_engine_kind(self):
         cfg = self.base()

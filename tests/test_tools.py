@@ -11,6 +11,8 @@ import pytest
 from seqpred import config, presets
 from seqpred.bounds import EXACT_TOL, BoundCheckResult
 from seqpred.losses import MatrixLoss
+from seqpred.measures import MarkovMeasure
+from seqpred.schemes import MajorityVoteScheme
 
 
 def _load_tool(name):
@@ -106,6 +108,18 @@ def test_digest_runs_draw_past_a_zero_probability_symbol():
     # symbol 1 never, symbol 3 not from every state: zeros inside and at the end
     assert (truth.transitions[:, 1] == 0.0).all() and truth.initial[1] == 0.0
     assert (truth.transitions[:, 3] == 0.0).any() and (truth.transitions[:, 3] > 0.0).any()
+
+
+def test_digest_runs_hold_higher_order_chains_on_both_engines():
+    # the byte-identity evidence must see a context of two and of three symbols
+    found = {}
+    for label, raw in output_digests._runs(presets):
+        cfg = config.parse_config(raw)
+        orders = {c.order for c in cfg.mixture.components if isinstance(c, MarkovMeasure)}
+        if (cfg.alphabet_size == 3 and {2, 3} <= orders
+                and any(isinstance(s, MajorityVoteScheme) for s in cfg.schemes)):
+            found.setdefault(cfg.engine, label)
+    assert set(found) == {"exact", "monte-carlo"}
 
 
 def test_slack_sweep_passes_at_a_tiny_size(capsys):

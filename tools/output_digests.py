@@ -6,9 +6,9 @@ SRC_DIR is the directory that holds the ``seqpred`` package (default: this
 checkout's ``src``).  Each line is ``<digest>  <run>``: the sha256 of
 ``render_series_csv`` followed by ``report_json`` for every shipped preset
 (the Monte Carlo ``counterexample`` at three seeds), every benchmark
-config under ``bench/configs`` (``mc-long`` at two seeds), ``ZERO_SYMBOL``
-and ``LONE_ROW``, then the sha256 of the default ``seqpred
-check-inequalities`` stdout.  Two trees whose lines match give
+config under ``bench/configs`` (``mc-long`` at two seeds), ``ZERO_SYMBOL``,
+``HIGHER_ORDER`` on both engines and ``LONE_ROW``, then the sha256 of the
+default ``seqpred check-inequalities`` stdout.  Two trees whose lines match give
 byte-identical reports; ``diff`` the output of two runs.
 
 ``LONE_ROW`` is the one run whose config lives here: the exact engine at
@@ -23,6 +23,14 @@ levels, and no other run has a lone row under a table this wide.
 and the true chain never emits symbol 1 and emits symbol 3 only from some
 states.  Its digest moves if a symbol draw picks a zero-probability symbol,
 or picks another symbol than the inverse-cdf rule does.
+
+``HIGHER_ORDER`` mixes an order-2 and an order-3 chain over three symbols
+under majority vote, run on the exact engine and on Monte Carlo: no preset
+or benchmark config has a chain of order 2 or more.  Its digests move if a
+chain reads another context row than ``transitions[c_1, .., c_k]``, or if a
+row of a Monte Carlo block before step ``order`` reads anything but the
+initial distribution (the order-3 chain is not the truth, so its rows come
+from a whole block at once).
 """
 from __future__ import annotations
 
@@ -85,12 +93,53 @@ ZERO_SYMBOL = {
 }
 
 
+def _chain(order: int, step: int) -> list:
+    """The (3,)*order + (3,) transition table of an order-``order`` chain over
+    three symbols.  Context c (row c of the flat table) weighs the symbols
+    c + 1, 10 and 1 + (step·c mod 7), normalized: the first two tell every
+    row apart."""
+    rows = []
+    for c in range(3 ** order):
+        weights = [c + 1, 10, 1 + step * c % 7]
+        rows.append([w / sum(weights) for w in weights])
+    for _ in range(order):
+        rows = [rows[i:i + 3] for i in range(0, len(rows), 3)]
+    return rows[0]
+
+
+HIGHER_ORDER = {
+    "alphabet_size": 3,
+    "horizon": 7,
+    "mixture": {
+        "components": [
+            {"kind": "markov", "order": 2, "initial": [0.2, 0.5, 0.3],
+             "transitions": _chain(2, 3)},
+            {"kind": "markov", "order": 3, "initial": [0.45, 0.15, 0.4],
+             "transitions": _chain(3, 5)},
+        ],
+        "weights": [0.35, 0.65],
+        "true_component_index": 0,
+    },
+    "losses": [
+        {"kind": "matrix", "label": "error3",
+         "matrix": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]},
+        {"kind": "matrix", "label": "skewed",
+         "matrix": [[0.0, 0.8, 0.35], [0.6, 0.0, 0.9], [0.25, 0.7, 0.0]]},
+    ],
+    "schemes": [{"kind": "majority-vote"}],
+    "engine": {"kind": "exact"},
+}
+HIGHER_ORDER_MC = {**HIGHER_ORDER, "horizon": 40,
+                   "engine": {"kind": "monte-carlo", "samples": 300, "seed": 5}}
+
+
 def _runs(presets):
     """(label, raw config) of every run, presets first."""
     configs = [(name, presets.load_preset_dict(name)) for name in presets.PRESET_NAMES]
     configs += [(path.stem, json.loads(path.read_text()))
                 for path in sorted((ROOT / "bench" / "configs").glob("*.json"))]
-    configs += [("zero-symbol", ZERO_SYMBOL), ("lone-row", LONE_ROW)]
+    configs += [("zero-symbol", ZERO_SYMBOL), ("higher-order", HIGHER_ORDER),
+                ("higher-order monte-carlo", HIGHER_ORDER_MC), ("lone-row", LONE_ROW)]
     for name, raw in configs:
         if name not in SEEDS:
             yield name, raw
