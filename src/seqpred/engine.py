@@ -246,8 +246,10 @@ class _Rows(NamedTuple):
     states: tuple[np.ndarray, ...]
 
     def take(self, idx: np.ndarray) -> _Rows:
+        """The rows ``idx``; a state of width 0 needs no gather."""
         return _Rows(self.comp_logm.take(idx, axis=0),
-                     tuple([s.take(idx, axis=0) for s in self.states]))
+                     tuple([s.take(idx, axis=0) if s.shape[1]
+                            else np.empty((idx.size, 0), s.dtype) for s in self.states]))
 
     def merge_key(self) -> np.ndarray:
         """One int64 row per history: everything its later values depend on."""
@@ -325,18 +327,26 @@ class _StepEvaluator:
         for row, key in enumerate(DISTANCE_NAMES):
             values[row] = distances[key]
         values[len(DISTANCE_NAMES)] = ratio_term_batch(true_cond, mix_cond)
-        # one (P, M) action array per loss: mixture, informed, then each
-        # scheme's actions, computed once and cast to each loss's dtype
+        # one (P, M) action array per action dtype: mixture, informed, then
+        # each scheme's actions, computed once and cast into the array's rows
+        # 2.. once; each loss overwrites rows 0-1 with its Bayes actions and
+        # scores the array into its P rows of ``values``
         both = np.concatenate([mix_cond, true_cond])
         losses = list(self.losses.values())
         played = [s.actions(st, losses[0])
                   for s, st in zip(self.schemes, scheme_states)] if losses else []
-        row = len(DISTANCE_KEYS)
+        by_dtype: dict[np.dtype, np.ndarray] = {}
+        row, p = len(DISTANCE_KEYS), 2 + len(played)
         for loss in losses:
-            actions = np.vstack([loss.bayes_actions(both).reshape(2, m),
-                                 *(a.astype(loss.action_dtype, copy=False) for a in played)])
-            values[row:row + actions.shape[0]] = loss.expected_losses(true_cond, actions)
-            row += actions.shape[0]
+            dtype = np.dtype(loss.action_dtype)
+            actions = by_dtype.get(dtype)
+            if actions is None:
+                actions = by_dtype[dtype] = np.empty((p, m), dtype)
+                for r, a in enumerate(played, 2):
+                    actions[r] = a
+            actions[:2] = loss.bayes_actions(both).reshape(2, m)
+            loss.expected_losses(true_cond, actions, out=values[row:row + p])
+            row += p
         return values
 
 
@@ -640,13 +650,27 @@ def _walk_block(ev: _StepEvaluator, paths: _Rows, t: int, uniforms: np.ndarray,
     return _Rows(logm[-1], tuple(states)), values.reshape(len(ev.keys), steps, samples)
 
 
-def _standard_errors(vals: np.ndarray) -> np.ndarray:
-    """Standard error of the mean over the last axis (the samples); inf where
-    a row holds a non-finite value (its std is NaN)."""
+def _means_and_standard_errors(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean over the last axis (the samples) and its standard error; the
+    error is inf where a row holds a non-finite value (its std is NaN).
+
+    Both come from one sum, by the steps of numpy's own ``mean`` and ``std``,
+    so they have the bits of ``vals.mean(-1)`` and ``vals.std(-1, ddof=1) /
+    sqrt(n)``: the sum over n, the deviations from it squared in place, and
+    their sum over n - 1, square-rooted.
+    """
+    n = vals.shape[-1]
     with np.errstate(invalid="ignore"):
-        se = vals.std(axis=-1, ddof=1) / math.sqrt(vals.shape[-1])
+        mean = vals.sum(axis=-1, keepdims=True)
+        mean /= n
+        dev = np.subtract(vals, mean)
+        np.multiply(dev, dev, out=dev)
+        se = dev.sum(axis=-1)
+        se /= n - 1
+        np.sqrt(se, out=se)
+        se /= math.sqrt(n)
     se[~np.isfinite(se)] = math.inf
-    return se
+    return mean[..., 0], se
 
 
 def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
@@ -685,17 +709,17 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
         n = min(steps, horizon - t)
         paths, vals = _walk_block(ev, paths, t, rng.random((n, samples)), walked,
                                   values[:, :n * samples])
-        means[:, t:t + n] = vals.mean(axis=-1)
-        se_step[:, t:t + n] = _standard_errors(vals)
+        means[:, t:t + n], se_step[:, t:t + n] = _means_and_standard_errors(vals)
         for j in range(n):                     # one add per step: a per-step loop's bits
             running += vals[:, j]
 
-    ratios = ev.log_ratio(paths)
+    se_total = _means_and_standard_errors(running)[1]
+    kl_direct, kl_direct_se = _means_and_standard_errors(ev.log_ratio(paths)[None, :])
     return _build_report("monte-carlo", mixture, true_index, labelled, ev.schemes, horizon,
-                         dict(zip(keys, means)), float(ratios.mean()), samples=samples, seed=seed,
+                         dict(zip(keys, means)), float(kl_direct[0]), samples=samples, seed=seed,
                          se_per_step=dict(zip(keys, se_step)),
-                         se_total=dict(zip(keys, _standard_errors(running).tolist())),
-                         kl_direct_se=float(_standard_errors(ratios[None, :])[0]))
+                         se_total=dict(zip(keys, se_total.tolist())),
+                         kl_direct_se=float(kl_direct_se[0]))
 
 
 def ratio_trace(mixture: MixtureModel, true_index: int, path, *,

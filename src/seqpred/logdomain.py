@@ -26,12 +26,15 @@ def log_sum_exp_over_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     """
     slabs = np.moveaxis(np.asarray(arr, dtype=float), axis, 0)
     # three slab-sized buffers, each written in place: the running maximum
-    # (then the shift), the total (then the result) and one term
+    # (then the shift), the total (then the result) and one term.  The masks
+    # of empty entries are written only when there is one.
     shift = np.array(slabs[0])
     for slab in slabs[1:]:
         np.maximum(shift, slab, out=shift)
-    empty = np.isneginf(shift)
-    shift[empty] = 0.0
+    empty = shift == NEG_INF
+    any_empty = empty.any()
+    if any_empty:
+        shift[empty] = 0.0
     total, term = np.empty_like(shift), np.empty_like(shift)
     with np.errstate(invalid="ignore", divide="ignore"):
         np.exp(np.subtract(slabs[0], shift, out=total), out=total)
@@ -39,7 +42,8 @@ def log_sum_exp_over_axis(arr: np.ndarray, axis: int) -> np.ndarray:
             total += np.exp(np.subtract(slab, shift, out=term), out=term)
         np.log(total, out=total)
         total += shift
-    total[empty] = NEG_INF
+    if any_empty:
+        total[empty] = NEG_INF
     return total
 
 

@@ -38,6 +38,15 @@ from .measures import POSTERIOR_SUM_TOL, _check_distribution
 _EXP_CLAMP = 700.0
 
 
+def _out(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """``out``, which must have ``shape``, or a new array of that shape."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}; the actions give {shape}")
+    return out
+
+
 def _threshold_actions(posteriors: np.ndarray) -> np.ndarray:
     """Act 1.0 exactly when rho1 > 1/2, else 0.0: the Bayes rule of every
     binary loss whose optima sit at the endpoints."""
@@ -62,18 +71,27 @@ class LossSpec:
     def bayes_actions(self, posteriors: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def expected_losses(self, true_posteriors: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    def expected_losses(self, true_posteriors: np.ndarray, actions: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
         """Expected loss of each action under the matching row of the (M, N)
         ``true_posteriors``.
 
         ``actions`` is (M,), one action per row, or (P, M), one row of actions
         per predictor, each scored against the same posteriors; the result has
         the shape of ``actions``.  Every form works elementwise per action, so
-        a (P, M) call gives the bits of P separate (M,) calls.
+        a (P, M) call gives the bits of P separate (M,) calls.  The result is
+        written into ``out`` when given (ValueError unless it has the shape of
+        ``actions``), and ``out`` is returned.
+
+        The binary form weighs each outcome's losses in place: ``loss``
+        returns a new array.
         """
+        out = _out(out, np.shape(actions))
         x0 = self.loss(0, actions)
         x1 = self.loss(1, actions)
-        return true_posteriors[:, 0] * x0 + true_posteriors[:, 1] * x1
+        np.multiply(true_posteriors[:, 0], x0, out=x0)
+        np.multiply(true_posteriors[:, 1], x1, out=x1)
+        return np.add(x0, x1, out=out)
 
     # -- scalar conveniences ----------------------------------------------------
     def bayes_action(self, posterior):
@@ -149,9 +167,11 @@ class MatrixLoss(LossSpec):
         # exhaustive scan by action columns; the lowest index wins ties
         return argmin_columns(self._risks(posteriors))
 
-    def expected_losses(self, true_posteriors, actions):
+    def expected_losses(self, true_posteriors, actions, out=None):
+        out = _out(out, np.shape(actions))
         table = self._risks(true_posteriors)
-        return table[np.arange(table.shape[0]), np.asarray(actions, dtype=np.int64)]
+        out[...] = table[np.arange(table.shape[0]), np.asarray(actions, dtype=np.int64)]
+        return out
 
     def has_zero_loss_action(self) -> bool:
         return bool((self.matrix.min(axis=1) == 0.0).all())
@@ -179,7 +199,7 @@ class ErrorLoss(LossSpec):
     kind = "error"
 
     def loss(self, x, y):
-        return np.where(np.asarray(x, dtype=float) == np.asarray(y, dtype=float), 0.0, 1.0)
+        return (np.asarray(x, dtype=float) != np.asarray(y, dtype=float)).astype(float)
 
     bayes_actions = staticmethod(_threshold_actions)
 
@@ -220,13 +240,13 @@ class AlphaLoss(LossSpec):
             return _threshold_actions(posteriors)
         with np.errstate(divide="ignore"):
             t = (np.log(posteriors[:, 0]) - np.log(posteriors[:, 1])) / (self.alpha - 1.0)
-        out = np.empty(posteriors.shape[0])
-        hi = t >= _EXP_CLAMP   # rho1 vanishingly small -> act 0
-        lo = t <= -_EXP_CLAMP  # rho0 vanishingly small -> act 1
-        mid = ~(hi | lo)
-        out[hi] = 0.0
-        out[lo] = 1.0
-        out[mid] = 1.0 / (1.0 + np.exp(t[mid]))
+        # the logistic of every t, then the saturated ends over it
+        with np.errstate(over="ignore"):
+            out = np.exp(t)
+        out += 1.0
+        np.divide(1.0, out, out=out)
+        np.copyto(out, 0.0, where=t >= _EXP_CLAMP)   # rho1 vanishingly small -> act 0
+        np.copyto(out, 1.0, where=t <= -_EXP_CLAMP)  # rho0 vanishingly small -> act 1
         return out
 
     def __repr__(self):
@@ -277,15 +297,26 @@ class LogLoss(LossSpec):
     def bayes_actions(self, posteriors):
         return posteriors[:, 1].copy()
 
-    def expected_losses(self, true_posteriors, actions):
+    def expected_losses(self, true_posteriors, actions, out=None):
+        """Per outcome x of mass rho(x) and probability p: -rho(x) ln p where
+        rho(x) > 0, inf where also p <= 0, and 0 where rho(x) is not > 0.
+        Each outcome's term is one ``log`` written in place; the two terms
+        then add into ``out``."""
         y = np.asarray(actions, dtype=float)
-        out = np.zeros(true_posteriors.shape[0])
+        out = _out(out, y.shape)
+        first = np.subtract(1.0, y)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for x, prob in ((0, 1.0 - y), (1, y)):
-                mass = true_posteriors[:, x]
-                term = np.where(mass > 0.0, -mass * np.log(prob), 0.0)
-                out = out + np.where((mass > 0.0) & (prob <= 0.0), np.inf, term)
-        return out
+            for mass, prob, term in ((true_posteriors[:, 0], first, first),
+                                     (true_posteriors[:, 1], y, out)):
+                ruled_out = prob <= 0.0
+                np.log(prob, out=term)
+                np.multiply(-mass, term, out=term)
+                np.copyto(term, np.inf, where=ruled_out)
+                np.copyto(term, 0.0, where=~(mass > 0.0))
+        # the terms add in outcome order.  A sum from +0.0 would differ only
+        # where both terms are -0.0; a term is -0.0 only where its p >= 1, and
+        # p = 1 - y and p = y are never both >= 1
+        return np.add(first, out, out=out)
 
 
 NAMED_LOSSES = {

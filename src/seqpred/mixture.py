@@ -13,8 +13,10 @@ so the mixture never assigns zero probability where a positively-weighted
 component assigns positive probability.  A mixture conditional is the
 marginal ratio mixture(h x) / mixture(h) (the defining identity), formed by
 ``MixtureModel.conditionals`` from the components' log-marginals of h and
-their log-conditionals.  That is the one statement of the formula: the
-engines, ``ratio_trace`` and a mixture's own ``_step_matrix`` call it.
+their log-conditionals, with one log-sum-exp over the components for
+log mixture(h) and every log mixture(h x).  That is the one statement of
+the formula: the engines, ``ratio_trace`` and a mixture's own
+``_step_matrix`` call it.
 
 A mixture carries one int64 state row per history, like any measure: a
 header (the step t, then each component's state width), the components'
@@ -79,12 +81,12 @@ class MixtureModel(SequenceMeasure):
         return f"MixtureModel({len(self.components)} components, N={self.alphabet.size})"
 
     # -- the formula ------------------------------------------------------------
-    def _prior_terms(self, comp_logm: np.ndarray) -> np.ndarray:
+    def _prior_terms(self, comp_logm: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The component-major (K, M) terms log w_k + log nu_k(h) of M
         histories from their (M, K) component log-marginals, written
-        C-contiguous: the log-sum-exp over the components then adds whole
-        contiguous slabs."""
-        return np.add(self.log_weights[:, None], comp_logm.T, order="C")
+        C-contiguous (into ``out`` when given): the log-sum-exp over the
+        components then adds whole contiguous slabs."""
+        return np.add(self.log_weights[:, None], comp_logm.T, out=out, order="C")
 
     def log_marginals(self, comp_logm: np.ndarray) -> np.ndarray:
         """The (M,) mixture log-marginals of M histories from their (M, K)
@@ -95,13 +97,24 @@ class MixtureModel(SequenceMeasure):
         """The (M, N) mixture conditionals of M histories: a ratio of mixture
         marginals, from the component-major (K, M, N) log-conditionals and
         the (M, K) log-marginals.  A history the mixture rules out gets the
-        uniform row."""
-        prior_terms = self._prior_terms(comp_logm)                       # (K, M)
-        log_mix_h = log_sum_exp_over_axis(prior_terms, axis=0)           # (M,)
-        log_mix_hx = log_sum_exp_over_axis(prior_terms[:, :, None] + log_cond, axis=0)  # (M, N)
+        uniform row.
+
+        One log-sum-exp gives log xi(h) and every log xi(hx): it reduces a
+        (K, N + 1, M) array over the components, whose slab 0 holds each
+        component's prior term and slab j + 1 the prior term plus symbol j's
+        log-conditional, each added one whole (M,) row at a time."""
+        k, m, n = log_cond.shape
+        terms = np.empty((k, n + 1, m))
+        self._prior_terms(comp_logm, out=terms[:, 0])
+        np.add(terms[:, :1], log_cond.transpose(0, 2, 1), out=terms[:, 1:])
+        log_mix = log_sum_exp_over_axis(terms, axis=0)       # (N + 1, M)
+        log_mix_h, log_mix_hx = log_mix[0], log_mix[1:]
         with np.errstate(invalid="ignore"):
-            cond = np.exp(log_mix_hx - log_mix_h[:, None])
-        cond[np.isneginf(log_mix_h)] = 1.0 / self.alphabet.size
+            log_mix_hx -= log_mix_h
+            # written (M, N) in C order: a Fortran-ordered result slows the
+            # per-symbol column reads of ``distances_batch``
+            cond = np.exp(log_mix_hx.T, order="C")
+        cond[log_mix_h == -np.inf] = 1.0 / self.alphabet.size
         return cond
 
     # -- the carried state --------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import product, repeat
+from itertools import product
 from pathlib import Path
 from typing import Sequence
 
@@ -68,15 +68,16 @@ def render_series_csv(report: TotalsReport) -> str:
     names, values = zip(*_columns(report))
     steps = sum(name.startswith("E_") for name in names)
     # one row of floats per step, converted by one ``tolist`` per row and
-    # written with 17 significant digits (``format`` writes inf, -inf, nan
-    # and -0 as such); the rows are formatted one at a time, so no string
-    # outlives its line
+    # written by one format string with 17 significant digits (``%.17g``
+    # writes inf, -inf, nan and -0 as such); the rows are formatted one at a
+    # time, so no string outlives its line
     table = np.column_stack(values)[:report.horizon]
+    row_format = ",".join(["%d", *["%.17g"] * len(names)])
     lines = [",".join(["t", *names])]
     for t, row in enumerate(table, 1):
-        lines.append(",".join([str(t), *map(format, row.tolist(), repeat(".17g"))]))
-    last = map(format, table[-1, steps:].tolist(), repeat(".17g"))
-    lines.append(",".join(["total", *[""] * steps, *last]))
+        lines.append(row_format % (t, *row.tolist()))
+    total_format = ",".join(["total", *[""] * steps, *["%.17g"] * (len(names) - steps)])
+    lines.append(total_format % tuple(table[-1, steps:].tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -15,8 +15,8 @@ from seqpred.engine import (
     BudgetExceededError,
     _Rows,
     _StepEvaluator,
+    _means_and_standard_errors,
     _merge_equal_rows,
-    _standard_errors,
     _widens,
     exact_evaluate,
     monte_carlo_evaluate,
@@ -703,6 +703,56 @@ class TestFusedStepKernel:
             seen["inf"] |= bool(np.isposinf(ref[2]["scheme_loss[constant-0|log]"]).any())
         assert seen == {"inf": True, "zero-mass": True}
 
+    @staticmethod
+    def _two_lse_conditionals(mixture, log_cond, comp_logm):
+        """``MixtureModel.conditionals`` before its one log-sum-exp: log xi(h)
+        and log xi(hx) reduced apart, by the masked log-sum-exp of that
+        form, and exp written in the layout of the (M, N) difference."""
+        def lse(arr):
+            shift = arr.max(axis=0)
+            empty = np.isneginf(shift)
+            shift[empty] = 0.0
+            with np.errstate(invalid="ignore", divide="ignore"):
+                total = np.exp(arr[0] - shift)
+                for slab in arr[1:]:
+                    total = total + np.exp(slab - shift)
+                total = np.log(total) + shift
+            total[empty] = -np.inf
+            return total
+
+        prior_terms = np.add(mixture.log_weights[:, None], comp_logm.T, order="C")
+        log_mix_h = lse(prior_terms)
+        log_mix_hx = lse(prior_terms[:, :, None] + log_cond)
+        with np.errstate(invalid="ignore"):
+            cond = np.exp(log_mix_hx - log_mix_h[:, None])
+        cond[np.isneginf(log_mix_h)] = 1.0 / mixture.alphabet.size
+        return cond
+
+    @pytest.mark.parametrize("m", [1, 4096])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 8, 9])
+    def test_one_log_sum_exp_gives_the_two_reduction_bits(self, k, n, m):
+        rng = np.random.default_rng(100 * k + 10 * n + m)
+        uniform = MarkovMeasure(np.full((n, n), 1.0 / n), np.full(n, 1.0 / n))
+        mixture = MixtureModel([uniform] * k, rng.dirichlet(np.ones(k)))
+        with np.errstate(divide="ignore"):
+            log_cond = np.log(rng.dirichlet(np.ones(n), size=(k, m)))
+            comp_logm = np.log(rng.random((m, k))) * rng.integers(1, 60, size=(m, 1))
+        # zero conditionals, components that rule a history out, and
+        # histories every component rules out (the mixture's too)
+        log_cond[rng.random(log_cond.shape) < 0.2] = -np.inf
+        comp_logm[rng.random(comp_logm.shape) < 0.3] = -np.inf
+        ruled_out = rng.random(m) < 0.1
+        ruled_out[0] = m > 1
+        comp_logm[ruled_out] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mixture.conditionals(log_cond, comp_logm)
+        want = self._two_lse_conditionals(mixture, log_cond, comp_logm)
+        assert got.shape == (m, n) and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert (got[ruled_out] == 1.0 / n).all()
+
 
 class TestAlternativeSchemes:
     def test_informed_predictor_is_never_beaten(self):
@@ -788,6 +838,15 @@ class TestCarriedSchemeKeys:
         with pytest.raises(TypeError):
             exact_evaluate(three_coin_mixture(), 0, [ErrorLoss()], 3,
                            schemes=[FloatStateScheme(2)])
+
+
+def _standard_errors(vals):
+    """The standard errors as numpy's ``std`` gives them: inf where a row holds
+    a non-finite value."""
+    with np.errstate(invalid="ignore"):
+        se = vals.std(axis=-1, ddof=1) / math.sqrt(vals.shape[-1])
+    se[~np.isfinite(se)] = math.inf
+    return se
 
 
 def _per_step_monte_carlo(mixture, true_index, losses, horizon, samples, seed, schemes):
@@ -882,15 +941,16 @@ class TestBlockedMonteCarlo:
         assert mc.total_se("scheme_loss[constant-0|log]") == math.inf
 
     def test_standard_errors_are_taken_once_per_block_and_per_total(self, monkeypatch):
-        """One ``_standard_errors`` call per block (the per-step SEs), then
-        one for every series' total and one for ``kl_direct``."""
+        """One ``_means_and_standard_errors`` call per block (the per-step
+        means and SEs), then one for every series' total and one for
+        ``kl_direct`` and its SE."""
         calls = []
 
         def counting(vals):
             calls.append(vals.shape)
-            return _standard_errors(vals)
+            return _means_and_standard_errors(vals)
 
-        monkeypatch.setattr(engine, "_standard_errors", counting)
+        monkeypatch.setattr(engine, "_means_and_standard_errors", counting)
         mix, true_index, losses, schemes = _blocked_case("mixed")
         mc = monte_carlo_evaluate(mix, true_index, losses, 50, samples=300, seed=8,
                                   schemes=schemes)
@@ -1331,17 +1391,33 @@ class TestMonteCarlo:
 
     def test_batched_standard_errors_match_per_series(self):
         rng = np.random.default_rng(0)
-        vals = rng.normal(size=(4, 150))
+        vals = rng.normal(size=(8, 150))
         vals[1, 7] = np.inf
         vals[2, 3] = np.nan
+        vals[4, 0] = -np.inf
+        vals[5, [2, 9]] = [np.inf, -np.inf]
+        vals[6, 0] = np.nan
+        vals[7, 40] = np.nan
+        vals[7, 41] = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            se = _standard_errors(vals)
-        assert se[1] == se[2] == math.inf
+            means, se = _means_and_standard_errors(vals)
+        assert (se[[1, 2, 4, 5, 6, 7]] == math.inf).all()
+        # one shared sum gives the bits of numpy's own mean and std
+        with np.errstate(invalid="ignore"):
+            assert _hex(means) == _hex(vals.mean(axis=-1))
+            assert _hex(se) == _hex(_standard_errors(vals))
         for row in (0, 3):
             assert se[row] == float(vals[row].std(ddof=1) / math.sqrt(150))
-        # a (series, steps, samples) block reduces over its last axis alike
-        assert np.array_equal(_standard_errors(vals.reshape(2, 2, 150)), se.reshape(2, 2))
+            assert means[row] == float(vals[row].mean())
+        # a (series, steps, samples) block reduces over its last axis alike,
+        # also as the first steps of a wider run-long array
+        run_long = np.zeros((2, 7 * 150))
+        run_long[:, :600] = vals.reshape(2, 600)
+        for block in (vals.reshape(2, 4, 150), run_long[:, :600].reshape(2, 4, 150)):
+            block_means, block_se = _means_and_standard_errors(block)
+            assert np.array_equal(block_se, se.reshape(2, 4))
+            assert block_means.tobytes() == means.reshape(2, 4).tobytes()
 
     def test_counterexample_run_is_finite_and_on_the_zero_path(self):
         mix = MixtureModel([TimeVaryingBinaryMeasure.from_power_law(0.5, 3.0),

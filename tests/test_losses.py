@@ -247,9 +247,15 @@ class TestValidation:
                 ErrorLoss().expected_loss([0.5, 0.5], bad)
 
 
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
 class TestStackedActions:
     """``expected_losses`` scores a (P, M) action array row by row with the
-    bits of P separate (M,) calls: the engine makes one call per loss."""
+    bits of P separate (M,) calls: the engine makes one call per loss, into
+    its rows of the block's values.  The in-place kernels give the bits of
+    the forms they replaced, and ``out`` is filled and returned."""
 
     @staticmethod
     def _rows(loss, posteriors, per_predictor):
@@ -282,3 +288,122 @@ class TestStackedActions:
                          loss.bayes_actions(posteriors),
                          np.full(30, 3), rng.integers(0, 4, 30)]
         self._rows(loss, posteriors, per_predictor)
+
+    ALL_LOSSES = [*CONTINUOUS_LOSSES, MatrixLoss([[0.0, 3.0, 1.0], [2.5, 0.0, 1.0]])]
+
+    @staticmethod
+    def _binary_expected_losses(loss, posteriors, actions):
+        """``LossSpec.expected_losses`` before it wrote in place."""
+        return posteriors[:, 0] * loss.loss(0, actions) + posteriors[:, 1] * loss.loss(1, actions)
+
+    @staticmethod
+    def _log_expected_losses(posteriors, actions):
+        """``LogLoss.expected_losses`` before it wrote in place."""
+        y = np.asarray(actions, dtype=float)
+        out = np.zeros(posteriors.shape[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for x, prob in ((0, 1.0 - y), (1, y)):
+                mass = posteriors[:, x]
+                term = np.where(mass > 0.0, -mass * np.log(prob), 0.0)
+                out = out + np.where((mass > 0.0) & (prob <= 0.0), np.inf, term)
+        return out
+
+    @staticmethod
+    def _alpha_actions(alpha, posteriors):
+        """``AlphaLoss.bayes_actions`` (alpha > 1) before it wrote in place:
+        masked writes of the saturated ends and a gather of the rest."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (np.log(posteriors[:, 0]) - np.log(posteriors[:, 1])) / (alpha - 1.0)
+        out = np.empty(posteriors.shape[0])
+        hi, lo = t >= 700.0, t <= -700.0
+        mid = ~(hi | lo)
+        out[hi] = 0.0
+        out[lo] = 1.0
+        out[mid] = 1.0 / (1.0 + np.exp(t[mid]))
+        return out, t
+
+    def test_error_loss_matches_the_where_form(self):
+        actions = np.array([0.0, 1.0, 0.3, -0.0, np.nan])
+        for x in (0, 1):
+            want = np.where(float(x) == actions, 0.0, 1.0)
+            assert _hex(ErrorLoss().loss(x, actions)) == _hex(want)
+        posteriors = np.array([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [0.7, 0.3]])
+        stacked = np.stack([actions, actions[::-1]])
+        assert _hex(ErrorLoss().expected_losses(posteriors, stacked)) == _hex(
+            self._binary_expected_losses(ErrorLoss(), posteriors, stacked))
+
+    @pytest.mark.parametrize("loss", CONTINUOUS_LOSSES[:-1], ids=repr)
+    def test_binary_form_matches_the_product_form(self, loss):
+        rng = np.random.default_rng(11)
+        p1 = np.concatenate([rng.random(20), [0.0, 1.0, 0.5, np.nan]])
+        posteriors = np.stack([1.0 - p1, p1], axis=1)
+        actions = np.stack([rng.random(24), np.r_[rng.random(20), 0.0, 1.0, -0.0, np.nan]])
+        with np.errstate(invalid="ignore"):
+            assert _hex(loss.expected_losses(posteriors, actions)) == _hex(
+                self._binary_expected_losses(loss, posteriors, actions))
+
+    def test_log_loss_matches_the_where_form(self):
+        # every pair of masses in {0, NaN, > 0}, against actions whose
+        # probabilities p = 1 - y and p = y cover < 0, -0.0, 0, (0, 1), 1, NaN
+        masses = [0.0, np.nan, 0.25, 1.0, 5e-324]
+        posteriors = np.array([[a, b] for a in masses for b in masses])
+        ys = [-0.5, -0.0, 0.0, 1e-20, 0.3, 1.0 - 2**-53, 1.0, 1.0 + 2**-52, 1.5, np.nan]
+        actions = np.array([[y] * posteriors.shape[0] for y in ys])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            assert _hex(LogLoss().expected_losses(posteriors, actions)) == _hex(
+                self._log_expected_losses(posteriors, actions))
+            for row in actions:
+                assert _hex(LogLoss().expected_losses(posteriors, row)) == _hex(
+                    self._log_expected_losses(posteriors, row))
+
+    @pytest.mark.parametrize("alpha", [1.0001, 3.0])
+    def test_alpha_actions_match_the_masked_form(self, alpha):
+        # t = (ln rho0 - ln rho1) / (alpha - 1) at and around +-700 (reached
+        # only for alpha near 1; alpha = 3 sweeps around t = 1/2), +-inf (a
+        # zero mass) and NaN (two zero masses)
+        rho1 = 0.2
+        near = rho1 * np.exp(min(700.0 * (alpha - 1.0), 1.0))
+        rho0 = near + np.arange(-8, 9) * np.spacing(near)
+        rows = [*zip(rho0, [rho1] * rho0.size), *zip([rho1] * rho0.size, rho0),
+                (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (np.nan, 0.5), (0.5, 0.5), (5e-324, 1.0),
+                (1.0, 5e-324), (0.3, 0.7)]
+        posteriors = np.array(rows)
+        with np.errstate(invalid="ignore"):
+            got = AlphaLoss(alpha).bayes_actions(posteriors)
+        want, t = self._alpha_actions(alpha, posteriors)
+        assert _hex(got) == _hex(want)
+        assert {-np.inf, np.inf} <= set(t.tolist()) and np.isnan(t).any()
+        if alpha < 2:
+            assert (t == 700.0).any() and (t == -700.0).any()
+            assert ((t > 690) & (t < 700)).any() and ((t > -700) & (t < -690)).any()
+
+    @pytest.mark.parametrize("loss", ALL_LOSSES, ids=repr)
+    def test_out_is_filled_and_returned(self, loss):
+        rng = np.random.default_rng(12)
+        n = loss.n_outcomes
+        posteriors = rng.dirichlet(np.ones(n), size=30)
+        if isinstance(loss, MatrixLoss):
+            actions = rng.integers(0, loss.n_actions, size=(3, 30))
+        else:
+            actions = rng.random((3, 30))
+        want = loss.expected_losses(posteriors, actions)
+        # a row slice of a larger array, as the engine passes
+        wide = np.full((6, 30), 7.0)
+        out = wide[2:5]
+        assert loss.expected_losses(posteriors, actions, out=out) is out
+        assert _hex(out) == _hex(want)
+        assert (wide[:2] == 7.0).all() and (wide[5:] == 7.0).all()
+        one = np.empty(30)
+        assert loss.expected_losses(posteriors, actions[1], out=one) is one
+        assert _hex(one) == _hex(want[1])
+
+    @pytest.mark.parametrize("loss", ALL_LOSSES, ids=repr)
+    def test_out_of_another_shape_is_refused(self, loss):
+        posteriors = np.full((30, loss.n_outcomes), 1.0 / loss.n_outcomes)
+        actions = np.zeros(30, dtype=loss.action_dtype)
+        for shape in ((3, 30), (29,), (30, 1)):
+            with pytest.raises(ValueError, match="out has shape"):
+                loss.expected_losses(posteriors, actions, out=np.empty(shape))
+        with pytest.raises(ValueError, match="out has shape"):
+            loss.expected_losses(posteriors, np.zeros((3, 30), dtype=loss.action_dtype),
+                                 out=np.empty(30))
