@@ -53,10 +53,11 @@ always at least one, and holds one step when a scheme state widens
   whole-history default) walks with the truth, one symbol at a time.  Every
   block is evaluated into one (series, L·S) array kept for the whole run.
   After each ``evaluate``, the per-step means and standard errors of every
-  series are one reduction over the last axis of a (series, steps, samples)
-  array, and each step is added to every path's running sum.  The standard
-  error of each series' total is taken once, from those sums after the
-  walk.  No path history is kept: S paths of length n cost O(S·n) time, and
+  series come from one sum over the last axis of a (series, steps, samples)
+  array (``_means_and_standard_errors``, by the steps of numpy's ``mean``
+  and ``std``), and each step is added to every path's running sum.  The
+  standard error of each series' total is taken once, from those sums after
+  the walk.  No path history is kept: S paths of length n cost O(S·n) time, and
   the memory the paths hold does not grow with n when every state has a
   fixed width.
 
@@ -64,16 +65,22 @@ Each block's ``evaluate`` runs over all its rows, with one numpy call per
 layer:
 
 * the K components' log-conditionals are stacked component-major, (K, M, N)
-  for M histories and N symbols, and the mixture writes its (K, M) prior
-  terms component-major too, so both log-sum-exps of its conditional
-  reduce over axis 0 and add the components in order;
+  for M histories and N symbols; the mixture lays its (K, M) prior terms
+  and their sums with each symbol's log-conditionals out as one (K, N + 1,
+  M) array, so one log-sum-exp over axis 0 gives ξ(h) and every ξ(hx),
+  adding the components in order;
 * each distance adds its symbol columns left to right;
 * each scheme's actions are computed once per block, under the first loss
   (``__init__`` checks every (scheme, loss) pair on one empty history);
-* per loss, ``bayes_actions`` runs once on the mixture and true conditionals
-  stacked together, and ``expected_losses`` once on a (P, M) action array
-  holding the mixture, informed and every scheme's actions, cast to the
-  loss's action type (P = 2 + schemes).
+* per action type, one (P, M) action array holds the mixture, informed and
+  every scheme's actions (P = 2 + schemes), the schemes' rows cast into it
+  once per block; per loss, ``bayes_actions`` runs once on the mixture and
+  true conditionals stacked together and overwrites rows 0-1, and
+  ``expected_losses`` scores the array straight into the loss's P rows of
+  the block's values (its ``out``).
+
+That is the in-place rule: each per-block layer writes into an array it is
+handed or already owns, and builds no (P, M) temporary it does not need.
 
 Every reduction over the K components or the N symbols in these layers, and
 the Monte Carlo symbol draw (``measures.draw_symbols``), takes K or N whole

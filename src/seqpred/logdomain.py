@@ -26,14 +26,14 @@ def log_sum_exp_over_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     """
     slabs = np.moveaxis(np.asarray(arr, dtype=float), axis, 0)
     # three slab-sized buffers, each written in place: the running maximum
-    # (then the shift), the total (then the result) and one term.  The masks
-    # of empty entries are written only when there is one.
+    # (then the shift), the total (then the result) and one term.  An empty
+    # entry is shifted by 0, when there is one, so its total is 0 and its
+    # log -inf.
     shift = np.array(slabs[0])
     for slab in slabs[1:]:
         np.maximum(shift, slab, out=shift)
     empty = shift == NEG_INF
-    any_empty = empty.any()
-    if any_empty:
+    if empty.any():
         shift[empty] = 0.0
     total, term = np.empty_like(shift), np.empty_like(shift)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -42,8 +42,6 @@ def log_sum_exp_over_axis(arr: np.ndarray, axis: int) -> np.ndarray:
             total += np.exp(np.subtract(slab, shift, out=term), out=term)
         np.log(total, out=total)
         total += shift
-    if any_empty:
-        total[empty] = NEG_INF
     return total
 
 
