@@ -334,10 +334,10 @@ class _StepEvaluator:
         for row, key in enumerate(DISTANCE_NAMES):
             values[row] = distances[key]
         values[len(DISTANCE_NAMES)] = ratio_term_batch(true_cond, mix_cond)
-        # one (P, M) action array per action dtype: mixture, informed, then
-        # each scheme's actions, computed once and cast into the array's rows
-        # 2.. once; each loss overwrites rows 0-1 with its Bayes actions and
-        # scores the array into its P rows of ``values``
+        # one (P, M) action array per action dtype: rows 0-1 the mixture and
+        # informed actions, which each loss overwrites with its own, then
+        # each scheme's actions, computed once and cast into every array
+        # once; each loss scores its array into its P rows of ``values``
         both = np.concatenate([mix_cond, true_cond])
         losses = list(self.losses.values())
         played = [s.actions(st, losses[0])
