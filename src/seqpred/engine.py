@@ -57,9 +57,9 @@ always at least one, and holds one step when a scheme state widens
   array (``_means_and_standard_errors``, by the steps of numpy's ``mean``
   and ``std``), and each step is added to every path's running sum.  The
   standard error of each series' total is taken once, from those sums after
-  the walk.  No path history is kept: S paths of length n cost O(S·n) time, and
-  the memory the paths hold does not grow with n when every state has a
-  fixed width.
+  the walk.  No path history is kept: S paths of length n cost O(S·n) time,
+  and the memory the paths hold does not grow with n when every state has
+  a fixed width.
 
 Each block's ``evaluate`` runs over all its rows, with one numpy call per
 layer:
