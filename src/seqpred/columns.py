@@ -21,11 +21,14 @@ from typing import Callable
 import numpy as np
 
 
-def sum_columns(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, adding whole columns left to right."""
-    out = terms[..., 0]
-    for j in range(1, terms.shape[-1]):
-        out = out + terms[..., j]
+def sum_columns(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum over the last axis, adding whole columns left to right, into
+    ``out`` when given; returns the sums."""
+    if terms.shape[-1] == 1:
+        return np.positive(terms[..., 0], out=out)
+    out = np.add(terms[..., 0], terms[..., 1], out=out)
+    for j in range(2, terms.shape[-1]):
+        out += terms[..., j]
     return out
 
 

@@ -16,8 +16,8 @@ for a mixture that contains the true measure with positive weight
 (dominance), but user-supplied substitutes may trigger it.
 
 The companion ``ratio_term`` is sum'_i (sqrt(z_i) - sqrt(y_i))^2, the
-y-expectation of (sqrt(z/y) - 1)^2; it never exceeds hellinger, which never
-exceeds kl.
+y-expectation of (sqrt(z/y) - 1)^2: the Hellinger terms on the support of y
+alone, so it never exceeds hellinger, which never exceeds kl.
 
 Inputs are single-step conditional vectors, which are well scaled even when
 path marginals are tiny, so everything here is linear-domain.
@@ -32,6 +32,8 @@ from .columns import sum_columns
 from .measures import POSTERIOR_SUM_TOL, _check_distribution
 
 DISTANCE_NAMES = ("absolute", "square", "hellinger", "kl", "abs_divergence")
+# the rows of ``distances_batch``: the five distances, then the ratio term
+DISTANCE_KEYS = DISTANCE_NAMES + ("ratio_term",)
 
 
 @dataclass(frozen=True)
@@ -75,24 +77,46 @@ def ratio_term(true_vec, predicted_vec) -> float:
 
 # -- vectorized forms used by the evaluation engines ---------------------------
 
-def distances_batch(Y: np.ndarray, Z: np.ndarray) -> dict[str, np.ndarray]:
-    """Distances for row-aligned batches of posterior vectors (no validation)."""
-    terms = np.empty((len(DISTANCE_NAMES),) + Y.shape)   # (distance, M, N)
-    diff = Y - Z
-    np.abs(diff, out=terms[0])
-    np.multiply(diff, diff, out=terms[1])
-    sqrt_gap = np.sqrt(Y) - np.sqrt(Z)
-    np.multiply(sqrt_gap, sqrt_gap, out=terms[2])
+def distances_batch(Y: np.ndarray, Z: np.ndarray,
+                    out: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """The five distances and the ratio term of row-aligned (M, N) batches of
+    posterior vectors (no validation), by ``DISTANCE_KEYS``: the rows of
+    ``out``, a (6, M) array (a new one when None), which this fills.
+
+    One pass writes every per-symbol term into a (6, M, N) array, in place,
+    and one column sum adds them into ``out``.  The ratio term is the
+    Hellinger term on the support of Y, since (sqrt(z) - sqrt(y))^2 has the
+    bits of (sqrt(y) - sqrt(z))^2.  The masks of the support and of the
+    infinite terms are written only where some y_i is not > 0, or some
+    z_i == 0 on the support.
+    """
+    terms = np.empty((len(DISTANCE_KEYS),) + Y.shape)   # (distance, M, N)
+    absolute, square, hellinger, kl, abs_div, ratio = terms
+    np.subtract(Y, Z, out=square)
+    np.abs(square, out=absolute)
+    np.multiply(square, square, out=square)
+    np.sqrt(Y, out=hellinger)
+    np.subtract(hellinger, np.sqrt(Z, out=ratio), out=hellinger)
+    np.multiply(hellinger, hellinger, out=hellinger)
+    np.copyto(ratio, hellinger)
     support = Y > 0.0
     infinite = support & (Z == 0.0)
+    log_ratio = abs_div
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log(Y / Z)
-    log_ratio = np.where(support & ~infinite, log_ratio, 0.0)
-    terms[3] = np.where(infinite, np.inf, Y * log_ratio)
-    terms[4] = np.where(infinite, np.inf, Y * np.abs(log_ratio))
-    return dict(zip(DISTANCE_NAMES, sum_columns(terms)))
+        np.log(np.divide(Y, Z, out=log_ratio), out=log_ratio)
+    if not support.all():
+        np.copyto(ratio, 0.0, where=~support)
+        np.copyto(log_ratio, 0.0, where=~support)
+    np.multiply(Y, log_ratio, out=kl)
+    np.multiply(Y, np.abs(log_ratio, out=abs_div), out=abs_div)
+    # an infinite term's log ratio is +inf, or NaN for z = -0.0
+    if infinite.any():
+        np.copyto(kl, np.inf, where=infinite)
+        np.copyto(abs_div, np.inf, where=infinite)
+    return dict(zip(DISTANCE_KEYS, sum_columns(terms, out=out)))
 
 
 def ratio_term_batch(Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    sqrt_gap = np.sqrt(Z) - np.sqrt(Y)
-    return sum_columns(np.where(Y > 0.0, sqrt_gap * sqrt_gap, 0.0))
+    """sum'_i (sqrt(z_i) - sqrt(y_i))^2 of each row pair: ``distances_batch``'s
+    ratio term."""
+    return distances_batch(Y, Z)["ratio_term"]

@@ -69,7 +69,9 @@ layer:
   and their sums with each symbol's log-conditionals out as one (K, N + 1,
   M) array, so one log-sum-exp over axis 0 gives ξ(h) and every ξ(hx),
   adding the components in order;
-* each distance adds its symbol columns left to right;
+* ``distances_batch`` writes the five distances and the ratio term into
+  their rows of the block's values, each adding its symbol columns left
+  to right;
 * each scheme's actions are computed once per block, under the first loss
   (``__init__`` checks every (scheme, loss) pair on one empty history);
 * per action type, one (P, M) action array holds the mixture, informed and
@@ -145,8 +147,9 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .distances import DISTANCE_NAMES, distances_batch, ratio_term_batch
-# bench/tracing.py wraps this module's log_sum_exp_over_axis by name
+# bench/tracing.py wraps this module's distances_batch, ratio_term_batch,
+# log_sum_exp_over_axis and log_or_neg_inf by name
+from .distances import DISTANCE_KEYS, distances_batch, ratio_term_batch  # noqa: F401
 from .logdomain import log_or_neg_inf, log_sum_exp_over_axis  # noqa: F401
 from .losses import LossSpec
 from .measures import StateCarrier, as_symbols, draw_symbols, states_before
@@ -159,8 +162,6 @@ if TYPE_CHECKING:
 DEFAULT_NODE_BUDGET = 2**24
 # rows of one block of steps evaluated in one pass (``_Block``)
 BLOCK_ROWS = 4096
-
-DISTANCE_KEYS = DISTANCE_NAMES + ("ratio_term",)
 
 
 class BudgetExceededError(RuntimeError):
@@ -330,10 +331,7 @@ class _StepEvaluator:
         mix_cond = self.mixture.conditionals(log_cond, comp_logm)
         m = true_cond.shape[0]
         values = np.empty((len(self.keys), m)) if out is None else out
-        distances = distances_batch(true_cond, mix_cond)
-        for row, key in enumerate(DISTANCE_NAMES):
-            values[row] = distances[key]
-        values[len(DISTANCE_NAMES)] = ratio_term_batch(true_cond, mix_cond)
+        distances_batch(true_cond, mix_cond, out=values[:len(DISTANCE_KEYS)])
         # one (P, M) action array per action dtype: rows 0-1 the mixture and
         # informed actions, which each loss overwrites with its own, then
         # each scheme's actions, computed once and cast into every array

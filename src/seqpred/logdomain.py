@@ -10,6 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 NEG_INF = float("-inf")
+# the floor of every exponent in ``log_sum_exp_over_axis``: exp(-700) is
+# about 1e-304, a normal double.  numpy's exp runs ~10x slower where its
+# results underflow to 0 and ~100x slower where they are subnormal
+EXP_FLOOR = -700.0
 
 
 def log_sum_exp_over_axis(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -23,25 +27,41 @@ def log_sum_exp_over_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     own ``max`` and ``sum`` over a short last axis run one inner loop per
     row, and its sum adds pairwise from 8 entries on; over the slabs the sum
     is in index order for every K.
+
+    Each exponent (a slab minus the maximum) is floored at ``EXP_FLOOR``
+    before its ``exp``, and the totals keep the bits of the unfloored sum.
+    In every entry that is not all -inf, the slab holding the maximum adds
+    exactly exp(0) = 1, and the floor moves only terms below exp(-700),
+    about 1e-304.  Added to a partial sum of 1 or more, such a term moves
+    nothing.  Before the 1, the floored and unfloored partial sums can
+    differ only while both are far below the rounding unit of 1 (a term
+    large enough to absorb a floored one absorbs either), so adding the 1
+    gives exactly 1 either way.  An all -inf entry, whose terms are NaN, is
+    written -inf after the log; NaN and +inf propagate as without the floor.
     """
     slabs = np.moveaxis(np.asarray(arr, dtype=float), axis, 0)
     # three slab-sized buffers, each written in place: the running maximum
-    # (then the shift), the total (then the result) and one term.  An empty
-    # entry is shifted by 0, when there is one, so its total is 0 and its
-    # log -inf.
+    # (the shift), the total (then the result) and one term
     shift = np.array(slabs[0])
     for slab in slabs[1:]:
         np.maximum(shift, slab, out=shift)
-    empty = shift == NEG_INF
-    if empty.any():
-        shift[empty] = 0.0
+
+    def floored_exp(slab, out):
+        np.subtract(slab, shift, out=out)
+        np.maximum(out, EXP_FLOOR, out=out)
+        return np.exp(out, out=out)
+
     total, term = np.empty_like(shift), np.empty_like(shift)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.exp(np.subtract(slabs[0], shift, out=total), out=total)
+    # an empty entry's terms are NaN (-inf - -inf), and so is its total
+    with np.errstate(invalid="ignore"):
+        floored_exp(slabs[0], total)
         for slab in slabs[1:]:
-            total += np.exp(np.subtract(slab, shift, out=term), out=term)
+            total += floored_exp(slab, term)
         np.log(total, out=total)
         total += shift
+    empty = shift == NEG_INF
+    if empty.any():
+        total[empty] = NEG_INF
     return total
 
 

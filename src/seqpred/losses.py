@@ -216,7 +216,8 @@ class AbsoluteLoss(LossSpec):
 
 
 class AlphaLoss(LossSpec):
-    """ell = |x - y|**alpha for alpha > 0.
+    """ell = |x - y|**alpha for alpha > 0; exactly 0 at |x - y| = 0 and 1 at
+    |x - y| = 1, with no pow taken there.
 
     For alpha <= 1 the optimum is always an endpoint and coincides with the
     error-loss decision.  For alpha > 1 the closed form is
@@ -233,7 +234,16 @@ class AlphaLoss(LossSpec):
         self.alpha = float(alpha)
 
     def loss(self, x, y):
-        return np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) ** self.alpha
+        """|x - y|**alpha.  An array takes no pow where |x - y| is exactly 0 or
+        1, as it is for every action 0 or 1: pow(+0, alpha) = +0 and
+        pow(1, alpha) = 1 exactly, and numpy's general pow costs several
+        times the masked pass.  A scalar, and alpha 0.5, 1 and 2, keep
+        ``**``: numpy runs a scalar pow, sqrt, a copy or square for those,
+        whose bits ``np.power`` need not give."""
+        d = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+        if d.ndim == 0 or self.alpha in (0.5, 1.0, 2.0):
+            return d ** self.alpha
+        return np.power(d, self.alpha, out=d, where=(d != 0.0) & (d != 1.0))
 
     def bayes_actions(self, posteriors):
         if self.alpha <= 1.0:

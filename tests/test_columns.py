@@ -1,6 +1,7 @@
 """The whole-column reductions against the numpy forms they replace, bit for
-bit: the mixture log-sum-exp, the arg-min of a matrix loss, the majority
-vote and the symbol draw."""
+bit: the mixture log-sum-exp (and its floored exponents against the
+unfloored sum), the arg-min of a matrix loss, the majority vote and the
+symbol draw."""
 import math
 
 import numpy as np
@@ -32,6 +33,21 @@ def numpy_log_sum_exp(arr, axis):
     return np.where(np.isneginf(np.squeeze(m, axis=axis)), NEG_INF, out)
 
 
+def unfloored_log_sum_exp(arr, axis):
+    """``log_sum_exp_over_axis`` before it floored its exponents: the slab
+    maximum, an empty entry shifted by 0, the exponentials in index order."""
+    slabs = np.moveaxis(np.asarray(arr, dtype=float), axis, 0)
+    shift = np.array(slabs[0])
+    for slab in slabs[1:]:
+        np.maximum(shift, slab, out=shift)
+    shift[shift == NEG_INF] = 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        total = np.exp(slabs[0] - shift)
+        for slab in slabs[1:]:
+            total = total + np.exp(slab - shift)
+        return np.log(total) + shift
+
+
 def numpy_draw_symbols(probs, u):
     """The numpy form: a cumsum, a count and a reversed argmax over axis 1."""
     cdf = np.cumsum(probs, axis=1)
@@ -57,7 +73,42 @@ def history_major(draw, max_k):
     return arr
 
 
+# gaps below a slab maximum at and around the exponent floor (-700): exp of
+# -708.5 is subnormal, of -745.1 the least subnormal, of -745.2 zero
+FLOOR_GAPS = st.sampled_from([0.0, 1.0, 699.9, 700.0, 700.1, 708.5, 745.1, 745.2, 1e4])
+
+
+@st.composite
+def floor_prone(draw):
+    """A (K, M) array, K in 1..9, whose entries sit 0 to 1e4 below their
+    column's maximum (one slab per column holds it, others may tie), with
+    -inf, NaN and +inf entries and some all -inf columns."""
+    k = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 12))
+    top = draw(hnp.arrays(np.float64, m, elements=st.floats(-800.0, 800.0)))
+    gaps = draw(hnp.arrays(np.float64, (k, m), elements=FLOOR_GAPS | st.floats(0.0, 1e4)))
+    gaps[draw(hnp.arrays(np.int64, m, elements=st.integers(0, k - 1))), np.arange(m)] = 0.0
+    arr = top - gaps
+    special = draw(hnp.arrays(np.int64, (k, m), elements=st.integers(0, 12)))
+    arr[special == 10] = NEG_INF
+    arr[special == 11] = math.nan
+    arr[special == 12] = math.inf
+    arr[:, draw(st.lists(st.integers(0, m - 1), max_size=2))] = NEG_INF
+    return arr
+
+
 class TestLogSumExp:
+    @SETTINGS
+    @hypothesis.given(floor_prone(), st.integers(1, 3))
+    def test_floored_exponents_keep_the_unfloored_bits(self, arr, n):
+        # as a (K, M) array and as a component-major (K, M, N) stack
+        stack = np.ascontiguousarray(np.repeat(arr[:, :, None], n, axis=2))
+        for a in (arr, stack):
+            got = log_sum_exp_over_axis(a, axis=0)
+            assert got.shape == a.shape[1:]
+            assert [v.hex() for v in got.ravel().tolist()] == \
+                [v.hex() for v in unfloored_log_sum_exp(a, axis=0).ravel().tolist()]
+
     @SETTINGS
     @hypothesis.given(history_major(max_k=7))
     def test_component_slabs_match_numpy_over_the_last_axis_up_to_7(self, arr):

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from seqpred.distances import distances_batch, instant_distances, ratio_term, ratio_term_batch
+from seqpred.distances import (
+    DISTANCE_KEYS,
+    DISTANCE_NAMES,
+    distances_batch,
+    instant_distances,
+    ratio_term,
+    ratio_term_batch,
+)
 
 from oracles import distance_terms, left_to_right_row_sums
 
@@ -191,3 +198,75 @@ class TestColumnSums:
         for key, terms in distance_terms(y, z).items():
             want = left_to_right_row_sums(terms)
             assert [float(v).hex() for v in got[key]] == [v.hex() for v in want], key
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def sum_columns_before(terms):
+    """``columns.sum_columns`` before it took an ``out``."""
+    out = terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        out = out + terms[..., j]
+    return out
+
+
+def distances_batch_before(Y, Z):
+    """``distances_batch`` before it fused its passes: the five distances."""
+    terms = np.empty((len(DISTANCE_NAMES),) + Y.shape)
+    diff = Y - Z
+    np.abs(diff, out=terms[0])
+    np.multiply(diff, diff, out=terms[1])
+    sqrt_gap = np.sqrt(Y) - np.sqrt(Z)
+    np.multiply(sqrt_gap, sqrt_gap, out=terms[2])
+    support = Y > 0.0
+    infinite = support & (Z == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(Y / Z)
+    log_ratio = np.where(support & ~infinite, log_ratio, 0.0)
+    terms[3] = np.where(infinite, np.inf, Y * log_ratio)
+    terms[4] = np.where(infinite, np.inf, Y * np.abs(log_ratio))
+    return dict(zip(DISTANCE_NAMES, sum_columns_before(terms)))
+
+
+def ratio_term_batch_before(Y, Z):
+    """``ratio_term_batch`` before ``distances_batch`` gave the ratio term."""
+    sqrt_gap = np.sqrt(Z) - np.sqrt(Y)
+    return sum_columns_before(np.where(Y > 0.0, sqrt_gap * sqrt_gap, 0.0))
+
+
+class TestFusedDistances:
+    """One in-place pass gives the bits of the two batch forms it replaced,
+    written into ``out``'s rows."""
+
+    def test_matches_the_two_batch_forms(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+        # zeros off the support of y and on it (infinite kl), subnormals, and
+        # -0.0, which is not > 0 and compares equal to 0
+        entries = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0]) \
+            | st.floats(0.0, 1.0)
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.sampled_from([1, 2, 3, 5]), st.integers(1, 12), st.data())
+        def check(n, m, data):
+            Y = data.draw(hnp.arrays(np.float64, (m, n), elements=entries))
+            Z = data.draw(hnp.arrays(np.float64, (m, n), elements=entries))
+            # y / z overflows where z is subnormal, in both forms
+            with np.errstate(over="ignore"):
+                want = distances_batch_before(Y, Z)
+                want["ratio_term"] = ratio_term_batch_before(Y, Z)
+                wide = np.full((8, m), 7.0)
+                got = distances_batch(Y, Z, out=wide[1:7])
+                fresh = distances_batch(Y, Z)
+                ratio = ratio_term_batch(Y, Z)
+            assert list(got) == list(DISTANCE_KEYS)
+            assert (wide[0] == 7.0).all() and (wide[7] == 7.0).all()
+            for row, key in enumerate(DISTANCE_KEYS, 1):
+                assert np.shares_memory(got[key], wide[row])
+                assert _hex(wide[row]) == _hex(want[key]) == _hex(fresh[key]), key
+            assert _hex(ratio) == _hex(want["ratio_term"])
+
+        check()

@@ -407,3 +407,62 @@ class TestStackedActions:
         with pytest.raises(ValueError, match="out has shape"):
             loss.expected_losses(posteriors, np.zeros((3, 30), dtype=loss.action_dtype),
                                  out=np.empty(30))
+
+
+# each loss's ``loss(x, y)`` as it was written before the masked pow
+LOSS_FORMS = {
+    ErrorLoss: lambda loss, x, y: (np.asarray(x, dtype=float)
+                                   != np.asarray(y, dtype=float)).astype(float),
+    AbsoluteLoss: lambda loss, x, y: np.abs(np.asarray(x, dtype=float)
+                                            - np.asarray(y, dtype=float)),
+    AlphaLoss: lambda loss, x, y: np.abs(np.asarray(x, dtype=float)
+                                         - np.asarray(y, dtype=float)) ** loss.alpha,
+    QuadraticLoss: lambda loss, x, y: np.square(np.asarray(x, dtype=float)
+                                                - np.asarray(y, dtype=float)),
+    HellingerLoss: lambda loss, x, y: 1.0 - np.sqrt(np.abs(
+        1.0 - np.asarray(x, dtype=float) - np.asarray(y, dtype=float))),
+    LogLoss: lambda loss, x, y: -np.log(np.abs(
+        1.0 - np.asarray(x, dtype=float) - np.asarray(y, dtype=float))),
+    MatrixLoss: lambda loss, x, y: loss.matrix[np.asarray(x, dtype=np.int64),
+                                               np.asarray(y, dtype=np.int64)],
+}
+
+
+class TestElementwiseLoss:
+    @pytest.mark.parametrize("loss", [*TestStackedActions.ALL_LOSSES, AlphaLoss(0.5),
+                                      AlphaLoss(2.0), AlphaLoss(1.0001)], ids=repr)
+    def test_scalars_and_0d_arrays_keep_their_values(self, loss):
+        if isinstance(loss, MatrixLoss):
+            pairs = [(x, y) for x in range(loss.n_outcomes) for y in range(loss.n_actions)]
+        else:
+            pairs = [(x, y) for x in (0, 1) for y in (0, 1, 0.0, 1.0, 0.5, 0.3, 1e-300)]
+        with np.errstate(divide="ignore"):
+            for x, y in pairs:
+                want = LOSS_FORMS[type(loss)](loss, x, y)
+                for args in ((x, y), (np.asarray(x), np.asarray(y)), (x, np.asarray(y))):
+                    got = loss.loss(*args)
+                    assert np.ndim(got) == 0 and type(got) is type(want), (args, got)
+                    assert float(got).hex() == float(want).hex(), (args, got, want)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.0001, 3.0])
+    def test_alpha_masked_pow_matches_the_power_form(self, alpha):
+        # d = |x - y| over 0 (also from x - y = -0.0), 1, 0.5, 1e-300 and NaN,
+        # in (M,) and (P, M) arrays, against ``**`` on every element
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+        loss = AlphaLoss(alpha)
+        form = LOSS_FORMS[AlphaLoss]
+        ys = st.sampled_from([0.0, -0.0, 1.0, 0.5, 1e-300, 1.0 - 1e-16, np.nan]) \
+            | st.floats(0.0, 1.0)
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.sampled_from([0.0, -0.0, 1.0]),
+                          hnp.array_shapes(min_dims=1, max_dims=2, max_side=40), st.data())
+        def check(x, shape, data):
+            y = data.draw(hnp.arrays(np.float64, shape, elements=ys))
+            got = loss.loss(x, y)
+            assert got.shape == y.shape
+            assert _hex(got) == _hex(form(loss, x, y))
+
+        check()
