@@ -11,8 +11,8 @@ import numpy as np
 
 NEG_INF = float("-inf")
 # the floor of every exponent in ``log_sum_exp_over_axis``: exp(-700) is
-# about 1e-304, a normal double.  numpy's exp runs ~10x slower where its
-# results underflow to 0 and ~100x slower where they are subnormal
+# about 1e-304, a normal double.  numpy's exp runs an order of magnitude
+# slower where its results underflow to 0, and two where they are subnormal
 EXP_FLOOR = -700.0
 
 
