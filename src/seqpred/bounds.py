@@ -69,12 +69,28 @@ Certified families:
 * proof inequalities: the two reduced binary inequality functions f1, f2
   (and their reduced polynomial forms g1, g2) verified over (A, y, z) grids
   for a given B(A) rule.
+
+Why the proof grid may skip cells and keep every bit.  Each cell's value is
+built from correctly rounded products, quotients, sums and differences:
+f1 = ((B' rel) + ((A' (1 - y)) z) / (1 - z)) - y and
+f2 = ((B' rel) + A' (1 - y)) - y (1 - z) / z.  The other operand of each
+operation is >= 0: 1 - y, z and 1 - z are > 0 because 1 - edge_margin < 1,
+and rel is >= 0 on every cell that may be skipped.  Round-to-nearest is
+monotone, so the computed value of a cell at any A of a range is >= its
+computed value at the range's smallest A' and smallest B'.  The grid walks
+ranges of A in A order; a cell whose bound exceeds the best value found so
+far is >= that best at every A of the range, so it can never beat it, and it
+leaves the range.  Every cell that holds a beating minimum stays, in y-major
+order, so each minimum keeps its first location.  A range whose B' is not
+finite is never pruned: an infinite B' meets rel = 0 on the y = z diagonal,
+and inf * 0 is a NaN, which fails.  With finite B' no value is NaN, a NaN
+bound or best makes ``bound > best`` false, and a bound of +inf bounds only
++inf values, which beat nothing.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -88,9 +104,10 @@ DEFAULT_DEVIATION_EPSILON = 0.1
 # cells of the proof grid's (y, z) grid: its arrays hold ~56 bytes per cell,
 # so 2**22 cells (2048 points per axis) take ~235 MB
 MAX_GRID_CELLS = 2**22
-# points of the A grid: each (rule, A) evaluates both branches over the whole
-# (y, z) grid, ~115 us on the default 201 x 201 grid (2-CPU x86), so 2**16
-# points take ~8 s per rule; the A array itself is then 0.5 MB
+# points of the A grid: the A-free arrays cost the same for any count, and the
+# walk over A drops nearly every cell after the first A, so 2**16 points take
+# ~0.03 s per rule on the default 201 x 201 grid (2-CPU x86, was ~8 s with every
+# cell at every A); the A array itself is then 0.5 MB
 MAX_A_COUNT = 2**16
 
 B_RULES: dict[str, Callable[[float], float]] = {
@@ -408,9 +425,11 @@ def _binary_relative_entropy(y, z):
     return y * np.log(y / z) + (1.0 - y) * np.log((1.0 - y) / (1.0 - z))
 
 
-# f1 and f2 for one A into ``out``, with ``tmp`` holding the A term.  The
-# A-free arrays come in precomputed, so the proof grid builds them once per
-# branch; on 0-d arrays the same association gives a single point's value.
+# f1 and f2 into ``out``, with ``tmp`` holding the A term.  The A-free arrays
+# come in precomputed, so the proof grid builds them once per branch.  A' and
+# B' are scalars for one A, or (k, 1) columns against (n,) cells for a block
+# of k A values; elementwise, each association rounds the same either way, and
+# on 0-d arrays it gives a single point's value.
 # An infinite B meets rel = 0 on the y = z diagonal, and inf * 0 is NaN.
 # A NaN fails the check, so it needs no numpy warning.
 
@@ -455,6 +474,52 @@ def proof_inequality_values(point: InequalityPoint) -> dict[str, float]:
     return {"f1": f1, "f2": f2, "g1": g1, "g2": g2}
 
 
+def _branch_minimum(f, ap, bp, cells, out, tmp):
+    """The first minimum of ``f`` over (A, cell) in A-major order, as
+    (value, A index, cell index); a NaN is the minimum where one occurs.
+
+    ``ap`` and ``bp`` hold A' and B' in A order, ``cells`` binds f's A-free
+    arrays flat over the branch's cells in y-major order, and ``out`` and
+    ``tmp`` hold as many cells.  After the first A, a branch and bound walks
+    halves of the A range, left first: a cell leaves a range once its value
+    at the range's smallest A' and B' (a lower bound, see the module's proof
+    inequality notes) exceeds the best found, and a range is evaluated
+    exactly as one (A, cell) block once the block fits in ``out``.
+    """
+    n_cells = out.size
+    vals = f(ap[0], bp[0], **cells, out=out, tmp=tmp)
+    i = int(np.argmin(vals))  # the first NaN, if there is one
+    best, at = float(vals[i]), (0, i)
+    # non-finite B' up to each A index, so a range tests its B' in O(1)
+    nonfinite = np.concatenate([[0], np.cumsum(~np.isfinite(bp))]).tolist()
+    # ranges left to walk, the next one last: (lo, hi, the surviving cells'
+    # indices, their arrays); a stack, not a recursive closure, so that no
+    # reference cycle keeps the buffers alive after the call
+    todo = [(1, ap.size, np.arange(n_cells), cells)] if ap.size > 1 else []
+    while todo:
+        lo, hi, index, cells = todo.pop()
+        n = index.size
+        if n == 0:
+            continue
+        if (hi - lo) * n <= n_cells:
+            k = hi - lo
+            block = f(ap[lo:hi, None], bp[lo:hi, None], **cells,
+                      out=out[:k * n].reshape(k, n), tmp=tmp[:k * n].reshape(k, n))
+            i = int(np.argmin(block))
+            if _beats(float(block.flat[i]), best):
+                best, at = float(block.flat[i]), (lo + i // n, int(index[i % n]))
+            continue
+        if nonfinite[hi] == nonfinite[lo]:
+            bound = f(ap[lo:hi].min(), bp[lo:hi].min(), **cells, out=out[:n], tmp=tmp[:n])
+            # where rel < 0, B' * rel falls as B' grows, so no bound holds
+            keep = np.flatnonzero(~((bound > best) & (cells["rel"] >= 0.0)))
+            if keep.size < n:
+                index, cells = index[keep], {key: a[keep] for key, a in cells.items()}
+        mid = (lo + hi) // 2
+        todo += [(mid, hi, index, cells), (lo, mid, index, cells)]
+    return best, *at
+
+
 def grid_verify_proof_inequalities(b_rule, *,
                                    a_values: Sequence[float] = DEFAULT_A_VALUES,
                                    grid_points: int = ProofGridConfig.grid_points,
@@ -464,10 +529,12 @@ def grid_verify_proof_inequalities(b_rule, *,
 
     ``b_rule`` is a named rule from B_RULES, a constant, or a callable
     A -> B; a constant that is not > 0, or a rule that gives B <= 0 at some
-    A, raises ValueError.  The y, z grids span [edge_margin,
-    1 - edge_margin]; the boundary blow-up (f -> +inf at the z endpoints) is
-    checked by trend in the test suite, not at the singular points.  Returns two results whose
-    locations pinpoint the minimizing (A, y, z).
+    A, raises ValueError before any cell is evaluated.  The y, z grids span
+    [edge_margin, 1 - edge_margin]; a margin whose 1 - margin rounds to 1 is
+    refused.  The boundary blow-up (f -> +inf at the z endpoints) is
+    checked by trend in the test suite, not at the singular points.  Returns
+    two results whose locations pinpoint the first minimizing (A, y, z) in
+    (A, y, z) order.
     """
     if isinstance(b_rule, str):
         rule_name, rule = b_rule, B_RULES[b_rule]
@@ -488,42 +555,42 @@ def grid_verify_proof_inequalities(b_rule, *,
     if grid_points**2 > MAX_GRID_CELLS:
         raise ValueError(f"grid_points must be <= {math.isqrt(MAX_GRID_CELLS)} (at most "
                          f"{MAX_GRID_CELLS} (y, z) cells), got {grid_points}")
-    if not 0.0 < edge_margin < 0.5:
-        raise ValueError(f"edge_margin must lie in (0, 1/2), got {edge_margin}")
+    # below ~5.6e-17, 1 - margin rounds to 1 and the grid reaches z = 1
+    if not (0.0 < edge_margin < 0.5 and 1.0 - edge_margin < 1.0):
+        raise ValueError(f"edge_margin must lie in (0, 1/2) with 1 - edge_margin < 1, "
+                         f"got {edge_margin}")
+    # every B, in A order, before any cell is evaluated
+    a_list, bp = [float(a) for a in a_values], []
+    for a in a_list:
+        b = rule(a)
+        if b <= 0:  # a NaN is left to fail at its cell
+            raise ValueError(f"b_rule must give B > 0, got B={b} at A={a}")
+        bp.append(b + 1.0)
+    ap, bp = np.array(a_list) + 1.0, np.array(bp, dtype=float)
+
     ys = np.linspace(edge_margin, 1.0 - edge_margin, grid_points)
     zs = np.linspace(edge_margin, 1.0 - edge_margin, grid_points)
-    # each inequality only on its own z columns; zs is increasing, so row-major
-    # order on a column subset keeps argmin's first minimum of the full grid;
-    # each branch binds only the A-free arrays its inequality reads
-    y1, z1 = np.meshgrid(ys, zs[zs <= 0.5], indexing="ij")
-    y2, z2 = np.meshgrid(ys, zs[zs >= 0.5], indexing="ij")
-    branches = (
-        ("f1", y1, z1, partial(_f1, y=y1, z=z1, rel=_binary_relative_entropy(y1, z1),
-                               one_minus_y=1.0 - y1, one_minus_z=1.0 - z1,
-                               out=np.empty_like(y1), tmp=np.empty_like(y1))),
-        ("f2", y2, z2, partial(_f2, rel=_binary_relative_entropy(y2, z2),
-                               one_minus_y=1.0 - y2, y_term=y2 * (1.0 - z2) / z2,
-                               out=np.empty_like(y2), tmp=np.empty_like(y2))),
-    )
-
-    best = {"f1": (math.inf, None), "f2": (math.inf, None)}
-    for a in a_values:
-        b = rule(float(a))
-        if b <= 0:  # a NaN is left to fail at its cell
-            raise ValueError(f"b_rule must give B > 0, got B={b} at A={float(a)}")
-        ap, bp = float(a) + 1.0, b + 1.0
-        for name, y, z, f in branches:
-            vals = f(ap, bp)
-            idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
-            v = float(vals[idx])
-            # argmin stops at the first NaN
-            if _beats(v, best[name][0]):
-                best[name] = (v, (float(a), float(y[idx]), float(z[idx])))
-
+    # each inequality only on its own z columns, flat in y-major order: zs is
+    # increasing, so a first minimum there is the full grid's first
+    halves = (("f1", "z<=1/2", zs[zs <= 0.5]), ("f2", "z>=1/2", zs[zs >= 0.5]))
+    # the branches run one after the other, so one pair of buffers serves both
+    size = ys.size * max(zb.size for *_, zb in halves)
+    out, tmp = np.empty(size), np.empty(size)
     results = []
-    for name, branch in (("f1", "z<=1/2"), ("f2", "z>=1/2")):
-        v, (a, y, z) = best[name]
+    for name, branch, zb in halves:
+        # each branch binds only the A-free arrays its inequality reads, and
+        # drops them before the next branch builds its own
+        y, z = (m.ravel() for m in np.meshgrid(ys, zb, indexing="ij"))
+        if name == "f1":
+            f, cells = _f1, dict(y=y, z=z, rel=_binary_relative_entropy(y, z),
+                                 one_minus_y=1.0 - y, one_minus_z=1.0 - z)
+        else:
+            f, cells = _f2, dict(rel=_binary_relative_entropy(y, z), one_minus_y=1.0 - y,
+                                 y_term=y * (1.0 - z) / z)
+        v, i, cell = _branch_minimum(f, ap, bp, cells, out[:y.size], tmp[:y.size])
+        del y, z, cells
+        row, col = divmod(cell, zb.size)
         results.append(BoundCheckResult(
             f"proof-ineq-{name}[{rule_name}]", 0.0, v, GRID_TOL,
-            location=f"A={a:.6g} y={y:.6g} z={z:.6g} ({branch})"))
+            location=f"A={a_list[i]:.6g} y={float(ys[row]):.6g} z={float(zb[col]):.6g} ({branch})"))
     return results

@@ -13,6 +13,7 @@ from seqpred.bounds import (
     BoundCheckResult,
     InequalityPoint,
     InstantChecks,
+    ProofGridConfig,
     check_convergence_bounds,
     check_finite_loss_plateau,
     check_instant_bounds,
@@ -256,6 +257,17 @@ class TestPathwiseChecks:
         r = check_logloss_identity(bent, "log")
         assert (r.tolerance, r.mode) == (EXACT_TOL, "exact")
         assert not r.passed and r.lhs == pytest.approx(1e-6, rel=1e-3)
+
+    @pytest.mark.parametrize("shift, passed", [(1e-8, False), (1e-10, True)])
+    def test_an_exact_slack_of_1e_8_fails_and_1e_10_passes(self, three_coin_report, shift, passed):
+        # pins EXACT_TOL between the two: with 1e-6 (or 1e-11) one of them turns
+        report = three_coin_report
+        shifted = report.cumulative["mixture_loss[log]"] + shift
+        bent = dataclasses.replace(report, cumulative={**report.cumulative, "mixture_loss[log]": shifted})
+        r = check_logloss_identity(bent, "log")
+        assert (r.tolerance, r.mode) == (EXACT_TOL, "exact")
+        assert r.slack == pytest.approx(-shift, rel=1e-3)
+        assert r.passed is passed
 
     def test_random_mixtures_pass_at_the_exact_tolerance(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -630,6 +642,36 @@ def _b_quarter(a):
     return 0.25 * a + 0.5
 
 
+def _as_callable(b_rule):
+    """The rule A -> B that ``grid_verify_proof_inequalities`` reads from
+    ``b_rule``, for the references."""
+    if isinstance(b_rule, str):
+        return B_RULES[b_rule]
+    if callable(b_rule):
+        return b_rule
+    return lambda a: float(b_rule)
+
+
+def _per_a_reference(b_rule, a_values, **grid):
+    """The grid run one A at a time, which leaves no range of A to prune, with
+    each inequality's first minimum kept in A order (a NaN beats every
+    number); returns [(rhs bits, location)] for f1 and f2."""
+    best = [None, None]
+    for a in a_values:
+        for k, r in enumerate(grid_verify_proof_inequalities(b_rule, a_values=[a], **grid)):
+            if best[k] is None or bounds._beats(r.rhs, best[k].rhs):
+                best[k] = r
+    return [(r.rhs.hex(), r.location) for r in best]
+
+
+def _oscillating(level, depth, speed):
+    return lambda a: level * (1.0 + depth * math.sin(speed * a))
+
+
+def _jumping(low, high, period):
+    return lambda a: low if int(a / period) % 2 else high
+
+
 class TestHalfGridMatchesFullGrid:
     # grid 31 has no z = 1/2 column (16 columns below it, 15 above); on grid
     # 51 the z = 1/2 column belongs to both branches; grid 2 is the smallest
@@ -638,16 +680,10 @@ class TestHalfGridMatchesFullGrid:
     def test_bit_for_bit(self, b_rule, grid_points, split):
         zs = np.linspace(1e-4, 1.0 - 1e-4, grid_points)
         assert (int(np.sum(zs <= 0.5)), int(np.sum(zs >= 0.5))) == split
-        if isinstance(b_rule, str):
-            rule = B_RULES[b_rule]
-        elif callable(b_rule):
-            rule = b_rule
-        else:
-            rule = lambda a: float(b_rule)  # noqa: E731
         a_values = np.geomspace(0.1, 10.0, 41)
         got = grid_verify_proof_inequalities(b_rule, a_values=a_values, grid_points=grid_points)
         assert [(r.rhs.hex(), r.location) for r in got] == \
-            _full_grid_reference(rule, a_values, grid_points)
+            _full_grid_reference(_as_callable(b_rule), a_values, grid_points)
 
     def test_ties_go_to_the_first_cell_in_y_major_order(self, monkeypatch):
         ys = np.linspace(1e-4, 1.0 - 1e-4, 11)
@@ -660,6 +696,100 @@ class TestHalfGridMatchesFullGrid:
         monkeypatch.setattr(bounds, "_f1", tied_f1)
         f1 = grid_verify_proof_inequalities("1/A+1", a_values=[1.0, 2.0], grid_points=11)[0]
         assert f1.location == f"A=1 y={ys[0]:.6g} z={ys[2]:.6g} (z<=1/2)"
+
+
+class TestPrunedGridMatchesFullGrid:
+    """Cells leave a range of A once a lower bound of their value exceeds the
+    best found; every result and location keeps its bits."""
+
+    def test_drawn_grids_bit_for_bit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        a = st.floats(0.01, 100.0)
+        a_grids = st.one_of(
+            st.builds(np.geomspace, a, a, st.integers(1, 300)),  # descending where the first is larger
+            st.lists(a, min_size=1, max_size=300).map(sorted),
+            st.lists(a, min_size=1, max_size=300).map(lambda v: sorted(v, reverse=True)),
+            st.lists(st.sampled_from([0.1, 0.5, 2.0, 7.0]), min_size=1, max_size=300),
+            a.map(lambda v: [v]))
+        rules = st.one_of(
+            st.sampled_from(list(B_RULES)),
+            st.floats(1e-3, 1e3),
+            st.builds(_oscillating, st.floats(1e-3, 1e3), st.floats(0.0, 0.99), st.floats(0.1, 30.0)),
+            st.builds(_jumping, st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(0.05, 5.0)))
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(rules, a_grids, st.integers(2, 80), st.floats(1e-12, 0.4))
+        def check(b_rule, a_values, grid_points, edge_margin):
+            got = grid_verify_proof_inequalities(b_rule, a_values=a_values, grid_points=grid_points,
+                                                 edge_margin=edge_margin)
+            assert [(r.rhs.hex(), r.location) for r in got] == \
+                _full_grid_reference(_as_callable(b_rule), a_values, grid_points, edge_margin)
+
+        check()
+
+    @pytest.mark.parametrize("b_rule", [*B_RULES, 0.5, 3.0])
+    def test_descending_a_values(self, b_rule):
+        # the smallest A comes last, where its minimum moves to another cell;
+        # a bound taken at a range's largest A' would drop that cell
+        a_values = np.geomspace(30.0, 0.3, 9)
+        got = grid_verify_proof_inequalities(b_rule, a_values=a_values, grid_points=21)
+        assert [(r.rhs.hex(), r.location) for r in got] == \
+            _full_grid_reference(_as_callable(b_rule), a_values, 21)
+
+    def test_a_b_that_falls_inside_a_range(self):
+        # B = 0.01 from A = 5 on puts the minimum on cells with rel > 0, far
+        # from the corner that leads while B = 100; a bound taken at a range's
+        # largest B' would drop them
+        def rule(a):
+            return 100.0 if a < 5.0 else 0.01
+
+        a_values = np.geomspace(0.1, 10.0, 41)
+        got = grid_verify_proof_inequalities(rule, a_values=a_values, grid_points=21)
+        assert [(r.rhs.hex(), r.location) for r in got] == _full_grid_reference(rule, a_values, 21)
+        assert all(r.rhs < -0.1 for r in got)
+
+    @pytest.mark.parametrize("b_rule", list(B_RULES))
+    def test_1024_a_values_on_the_default_grid(self, b_rule):
+        a_values = ProofGridConfig(a_count=1024).a_values()
+        got = grid_verify_proof_inequalities(b_rule, a_values=a_values)
+        assert [(r.rhs.hex(), r.location) for r in got] == \
+            _full_grid_reference(B_RULES[b_rule], a_values, ProofGridConfig.grid_points)
+
+    def test_an_infinite_b_inside_a_range_fails_at_its_first_nan(self):
+        a_values = np.geomspace(0.1, 10.0, 41)
+
+        def rule(a):
+            # the later NaN must not win: the walk takes the left half first
+            return math.inf if a in (a_values[20], a_values[30]) else 1.0 / a + 1.0
+
+        got = grid_verify_proof_inequalities(rule, a_values=a_values)
+        assert [(r.rhs.hex(), r.location) for r in got] == _per_a_reference(rule, a_values)
+        # an infinite B' meets rel = 0 on the y = z diagonal: inf * 0 is NaN
+        assert [r.location for r in got if math.isnan(r.rhs)] == [
+            f"A={a_values[20]:.6g} y=0.0001 z=0.0001 (z<=1/2)",
+            f"A={a_values[20]:.6g} y=0.5 z=0.5 (z>=1/2)"]
+
+    def test_cells_with_a_negative_rel_are_never_pruned(self, monkeypatch):
+        # where rel < 0, B' * rel falls as B' grows, so a cell's value at the
+        # smallest B' of a range bounds nothing; rounding could leave rel a
+        # hair below 0 next to the diagonal, and this rel is bent far enough
+        # that a growing B pulls the one cell from +0.02 at A = 0.1 to -7 at A = 10
+        true_rel = bounds._binary_relative_entropy
+
+        def bent_rel(y, z):
+            return np.where((y == z) & (np.abs(y - 0.3) < 0.01), -0.01, true_rel(y, z))
+
+        monkeypatch.setattr(bounds, "_binary_relative_entropy", bent_rel)
+
+        def rule(a):
+            return a**3
+
+        a_values = np.geomspace(0.1, 10.0, 41)
+        got = grid_verify_proof_inequalities(rule, a_values=a_values, grid_points=51)
+        assert [(r.rhs.hex(), r.location) for r in got] == \
+            _per_a_reference(rule, a_values, grid_points=51)
+        assert got[0].rhs < -6.0 and got[0].location.startswith("A=10 y=0.3")
 
 
 class TestGridVerification:
@@ -685,6 +815,7 @@ class TestGridVerification:
         {"a_values": []}, {"a_values": [1.0, 0.0]}, {"a_values": [-1.0]},
         {"a_values": [float("nan")]}, {"grid_points": 1}, {"edge_margin": 0.0},
         {"edge_margin": 0.5}, {"edge_margin": -0.1}, {"edge_margin": float("nan")},
+        {"edge_margin": 1e-17},  # 1 - 1e-17 rounds to 1: the grid would reach z = 1
     ])
     def test_invalid_grid_raises_naming_the_keyword(self, kwargs):
         with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} "):

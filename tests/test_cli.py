@@ -247,6 +247,7 @@ class TestCheckInequalities:
         (["--b-rule", "fixed", "--b-value", "-5", "--a-value", "1"], "--b-value"),
         (["--b-rule", "fixed", "--b-value", "0", "--a-value", "1"], "--b-value"),
         (["--b-rule", "fixed", "--b-value", "nan", "--a-value", "1"], "--b-value"),
+        (["--edge-margin", "1e-17"], "--edge-margin"),  # 1 - 1e-17 rounds to 1
     ])
     def test_invalid_grid_exits_1_naming_the_flag(self, capsys, argv, flag):
         assert run_cli("check-inequalities", *argv) == 1
