@@ -106,8 +106,8 @@ DEFAULT_DEVIATION_EPSILON = 0.1
 MAX_GRID_CELLS = 2**22
 # points of the A grid: the A-free arrays cost the same for any count, and the
 # walk over A drops nearly every cell after the first A, so 2**16 points take
-# ~0.03 s per rule on the default 201 x 201 grid (2-CPU x86, was ~8 s with every
-# cell at every A); the A array itself is then 0.5 MB
+# ~0.05 s per rule on the default 201 x 201 grid (2-CPU x86); the A array
+# itself is then 0.5 MB
 MAX_A_COUNT = 2**16
 
 B_RULES: dict[str, Callable[[float], float]] = {
@@ -506,8 +506,9 @@ def _branch_minimum(f, ap, bp, cells, out, tmp):
             block = f(ap[lo:hi, None], bp[lo:hi, None], **cells,
                       out=out[:k * n].reshape(k, n), tmp=tmp[:k * n].reshape(k, n))
             i = int(np.argmin(block))
-            if _beats(float(block.flat[i]), best):
-                best, at = float(block.flat[i]), (lo + i // n, int(index[i % n]))
+            v = float(block.flat[i])
+            if _beats(v, best):
+                best, at = v, (lo + i // n, int(index[i % n]))
             continue
         if nonfinite[hi] == nonfinite[lo]:
             bound = f(ap[lo:hi].min(), bp[lo:hi].min(), **cells, out=out[:n], tmp=tmp[:n])

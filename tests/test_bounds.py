@@ -672,6 +672,10 @@ def _jumping(low, high, period):
     return lambda a: low if int(a / period) % 2 else high
 
 
+def _falls_at_5(a):
+    return 100.0 if a < 5.0 else 0.01
+
+
 class TestHalfGridMatchesFullGrid:
     # grid 31 has no z = 1/2 column (16 columns below it, 15 above); on grid
     # 51 the z = 1/2 column belongs to both branches; grid 2 is the smallest
@@ -728,33 +732,37 @@ class TestPrunedGridMatchesFullGrid:
 
         check()
 
-    @pytest.mark.parametrize("b_rule", [*B_RULES, 0.5, 3.0])
-    def test_descending_a_values(self, b_rule):
-        # the smallest A comes last, where its minimum moves to another cell;
-        # a bound taken at a range's largest A' would drop that cell
-        a_values = np.geomspace(30.0, 0.3, 9)
-        got = grid_verify_proof_inequalities(b_rule, a_values=a_values, grid_points=21)
-        assert [(r.rhs.hex(), r.location) for r in got] == \
-            _full_grid_reference(_as_callable(b_rule), a_values, 21)
-
-    def test_a_b_that_falls_inside_a_range(self):
-        # B = 0.01 from A = 5 on puts the minimum on cells with rel > 0, far
-        # from the corner that leads while B = 100; a bound taken at a range's
+    @pytest.mark.parametrize("b_rule, a_values, grid_points", [
+        # the smallest A comes last, and its minimum sits on another cell: a
+        # bound taken at a range's largest A' would drop that cell
+        *[pytest.param(rule, np.geomspace(30.0, 0.3, 9), 21, id=f"descending-{rule}")
+          for rule in [*B_RULES, 0.5, 3.0]],
+        # from A = 5 on, B = 0.01 puts the minimum on cells with rel > 0, off
+        # the corner that leads while B = 100: a bound taken at a range's
         # largest B' would drop them
-        def rule(a):
-            return 100.0 if a < 5.0 else 0.01
-
-        a_values = np.geomspace(0.1, 10.0, 41)
-        got = grid_verify_proof_inequalities(rule, a_values=a_values, grid_points=21)
-        assert [(r.rhs.hex(), r.location) for r in got] == _full_grid_reference(rule, a_values, 21)
-        assert all(r.rhs < -0.1 for r in got)
-
-    @pytest.mark.parametrize("b_rule", list(B_RULES))
-    def test_1024_a_values_on_the_default_grid(self, b_rule):
-        a_values = ProofGridConfig(a_count=1024).a_values()
-        got = grid_verify_proof_inequalities(b_rule, a_values=a_values)
+        pytest.param(_falls_at_5, np.geomspace(0.1, 10.0, 41), 21, id="b-falls-inside-a-range"),
+        *[pytest.param(rule, ProofGridConfig(a_count=1024).a_values(), ProofGridConfig.grid_points,
+                       id=f"1024-a-values-{rule}") for rule in B_RULES],
+    ])
+    def test_fixed_grids_bit_for_bit(self, b_rule, a_values, grid_points):
+        got = grid_verify_proof_inequalities(b_rule, a_values=a_values, grid_points=grid_points)
         assert [(r.rhs.hex(), r.location) for r in got] == \
-            _full_grid_reference(B_RULES[b_rule], a_values, ProofGridConfig.grid_points)
+            _full_grid_reference(_as_callable(b_rule), a_values, grid_points)
+
+    def test_the_default_grid_holds_no_more_than_both_branches_did(self):
+        # one branch's A-free arrays and the shared buffers, plus the walk's
+        # surviving cells, stay below both branches' arrays held at once
+        # (2.28 MB on the default grid); an uncapped (A, cell) block would not
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            for rule in B_RULES:
+                grid_verify_proof_inequalities(rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.28e6
 
     def test_an_infinite_b_inside_a_range_fails_at_its_first_nan(self):
         a_values = np.geomspace(0.1, 10.0, 41)
