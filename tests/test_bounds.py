@@ -830,10 +830,15 @@ class TestGridVerification:
             grid_verify_proof_inequalities("1/A+1", **kwargs)
 
     @pytest.mark.parametrize("b", [-1.0, 0.0])
-    def test_rule_at_or_below_zero_raises_at_its_first_a(self, b):
+    def test_rule_at_or_below_zero_raises_at_its_first_a(self, b, monkeypatch):
         def rule(a):
             return b if a >= 2.0 else 1.0 / a + 1.0
 
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell was evaluated before every B was checked")
+
+        monkeypatch.setattr(bounds, "_f1", no_cells)
+        monkeypatch.setattr(bounds, "_f2", no_cells)
         with pytest.raises(ValueError, match=f"^b_rule must give B > 0, got B={b} at A=2.0$"):
             grid_verify_proof_inequalities(rule, a_values=[1.0, 2.0, 3.0], grid_points=11)
 
