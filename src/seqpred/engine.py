@@ -14,7 +14,14 @@ sequential.  Every per-history value depends only on that history's row, so
 the rest runs once per block of steps: one ``evaluate`` over the rows of all
 its steps.  A block takes steps while its rows stay within ``BLOCK_ROWS``,
 always at least one, and holds one step when a scheme state widens
-(whole-history states grow every step), since its rows must stack.
+(whole-history states grow every step), since its rows must stack.  A step
+wider than ``BLOCK_ROWS`` (a wide tree level, or more Monte Carlo paths) is
+a block of its own, and ``evaluate`` works through any block ``BLOCK_ROWS``
+rows at a time, each slice into its columns of the block's values: that is
+the block rule.  No per-block temporary is larger than ``BLOCK_ROWS`` rows
+plus the step's own arrays, and since every layer is row-independent the
+slices give the bits of one pass (``MatrixLoss``' lone-row rule covers a
+one-row remainder).
 
 * ``exact_evaluate`` enumerates every history with positive true-measure
   probability (zero-probability branches are pruned; they carry no
@@ -28,7 +35,8 @@ always at least one, and holds one step when a scheme state widens
   (merged) nodes.  The tree's children depend on every component's
   conditionals, so each level is one ``_StepEvaluator.conditionals`` call,
   and ``_Block`` keeps the levels' rows until the block is evaluated, into
-  a values array of its own.  An ``observer`` sees each level, in level
+  a values array of its own; a one-level block evaluates the level's own
+  arrays, with no copy.  An ``observer`` sees each level, in level
   order once its block is evaluated: its weights, multiplicities and
   per-node values (views of the block's array, which the walk never writes
   again), and the first-seen history of any node, rebuilt from per-level
@@ -61,8 +69,8 @@ always at least one, and holds one step when a scheme state widens
   and the memory the paths hold does not grow with n when every state has
   a fixed width.
 
-Each block's ``evaluate`` runs over all its rows, with one numpy call per
-layer:
+Each slice of a block's ``evaluate`` runs over all its rows, with one numpy
+call per layer:
 
 * the K components' log-conditionals are stacked component-major, (K, M, N)
   for M histories and N symbols; the mixture lays its (K, M) prior terms
@@ -97,7 +105,11 @@ Components and schemes follow one protocol (``measures.StateCarrier``), so
 ``ndarray.take(idx, axis=0)`` per array.  That is the gather rule: every
 row gather in the per-level and per-block paths is a ``take``, and every
 repeated row a ``row[None].repeat(n, axis=0)``, since a 2-D fancy index and
-``np.tile`` run several times slower.  The three walks -- the exact tree,
+``np.tile`` run several times slower.  A gather of one entry per row -- the
+tree's children's log-conditionals (``_StepEvaluator.children``), a Monte
+Carlo block's (``mixture.log_marginals_through``) and each action's risk
+(``MatrixLoss.expected_losses``) -- is one flat ``take`` at ``row * width +
+column``.  The three walks -- the exact tree,
 the Monte Carlo paths and ``ratio_trace`` -- start from
 ``_StepEvaluator.start(n)``.  ``extend_state`` takes a block of
 symbols, (L, M), and returns the (L, M, W) states after each; the exact tree
@@ -106,8 +118,9 @@ and the trace grow one symbol at a time by
 log-conditionals of its symbol, then extend every state by that symbol.
 The exact engine picks the parents first, every (parent, symbol) of
 positive true probability, symbol-major (all children by symbol 0, then by
-symbol 1, ...); the trace follows the path's next symbol, and Monte Carlo
-extends each path by a block of drawn symbols.  The states feed
+symbol 1, ...), and ``children`` adds their log-conditionals into the
+gathered parents' log-marginals in place; the trace follows the path's next
+symbol, and Monte Carlo extends each path by a block of drawn symbols.  The states feed
 ``_step_matrix(states, t)`` and ``actions(states, loss)``, so nothing
 rescans a history.  The default state is the whole history.  Bernoulli,
 time-varying and deterministic measures and constant schemes carry nothing,
@@ -117,17 +130,21 @@ majority vote its symbol counts (the start plus a running sum of one-hot
 rows).  ``log_ratio(rows)`` gives each row's full-history
 log(true/mixture), the ``kl_direct`` of both engines.
 
-``_Rows.merge_key`` packs a row into int64s: the bit pattern of the
-log-marginals, then every carried state.  Every per-node value and
-every later state is a function of it, so after each tree extension the
-exact engine keeps one node per distinct key, in order of first occurrence,
-with an integer-valued multiplicity; merged nodes give bit-identical values
-and only the order of the weighted sum changes.  ``_merge_equal_rows``
-groups the keys with one sort of uint64 values: each row's 64-bit hash with
-its low bits replaced by the row's index, so a group's first value is its
-first row.  Every row is then compared exactly with its group's first row;
-a hash collision fails that check and the level is hashed again with the
-next salt, so the groups are those of the keys, not of their hashes.  The
+A row's merge key is its bit pattern of the log-marginals, then every
+carried state, all int64 (``_Rows.key_parts``, the arrays as they lie; no
+key matrix is built).  Every per-node value and every later state is a
+function of it, so after each tree extension the exact engine keeps one
+node per distinct key, in order of first occurrence, with an
+integer-valued multiplicity; merged nodes give bit-identical values and
+only the order of the weighted sum changes.  ``_merge_equal_rows`` hashes
+the parts column by column and groups the rows with one sort of uint64
+values: each row's 64-bit hash with its low bits replaced by the row's
+index, so a group's first value is its first row.  Every duplicate row is
+then compared exactly, part by part, with its group's first row; a hash
+collision fails that check and the level is hashed again with the next
+salt, so the groups are those of the keys, not of their hashes.  The hash,
+its packing and sort and the first rows are written in place, so the merge
+holds a few (M,) arrays beside the level's own.  The
 key is bitwise and not count-based: log-marginals summed along different
 orderings of the same counts may round differently, and on threshold losses
 a one-ulp difference can flip the Bayes action of a posterior sitting on
@@ -254,15 +271,18 @@ class _Rows(NamedTuple):
     states: tuple[np.ndarray, ...]
 
     def take(self, idx: np.ndarray) -> _Rows:
-        """The rows ``idx``; a state of width 0 needs no gather."""
+        """The rows ``idx``; int64 states of width 0 need no gather, and
+        share one empty array."""
+        none = np.empty((idx.size, 0), dtype=np.int64)
         return _Rows(self.comp_logm.take(idx, axis=0),
-                     tuple([s.take(idx, axis=0) if s.shape[1]
-                            else np.empty((idx.size, 0), s.dtype) for s in self.states]))
+                     tuple([s.take(idx, axis=0) if s.shape[1] or s.dtype != none.dtype
+                            else none for s in self.states]))
 
-    def merge_key(self) -> np.ndarray:
-        """One int64 row per history: everything its later values depend on."""
-        return np.concatenate([self.comp_logm.view(np.int64), *self.states],
-                              axis=1, dtype=np.int64, casting="same_kind")
+    def key_parts(self) -> list[np.ndarray]:
+        """Everything a history's later values depend on, one row per
+        history in each array: the bit pattern of the log-marginals, then
+        every carried state (``_merge_equal_rows``' parts)."""
+        return [self.comp_logm.view(np.int64), *self.states]
 
 
 class _StepEvaluator:
@@ -298,10 +318,27 @@ class _StepEvaluator:
     def extend(self, rows: _Rows, log_p: np.ndarray, symbols: np.ndarray) -> _Rows:
         """Each row's history extended by its symbol; ``log_p`` holds the
         (M, K) component log-conditionals of the symbols."""
+        return self._extended(rows.comp_logm + log_p, rows.states, symbols)
+
+    def children(self, rows: _Rows, log_cond: np.ndarray, parents: np.ndarray,
+                 symbols: np.ndarray) -> _Rows:
+        """Each parent row's history extended by its symbol, with the bits of
+        ``extend(rows.take(parents), log_cond[:, parents, symbols].T,
+        symbols)``: the parents' rows gathered, then the children's component
+        log-conditionals gathered from the (K, M, N) ``log_cond`` by one flat
+        ``take`` and added into the gathered log-marginals in place."""
+        k, m, n = log_cond.shape
+        gathered = rows.take(parents)
+        log_p = log_cond.reshape(k, m * n).take(parents * n + symbols, axis=1)
+        np.add(gathered.comp_logm, log_p.T, out=gathered.comp_logm)
+        return self._extended(gathered.comp_logm, gathered.states, symbols)
+
+    def _extended(self, comp_logm: np.ndarray, states: Sequence[np.ndarray],
+                  symbols: np.ndarray) -> _Rows:
+        """Rows of ``comp_logm`` with every state extended by its symbol."""
         block = symbols[None]
-        return _Rows(rows.comp_logm + log_p,
-                     tuple([c.extend_state(st, block)[0]
-                            for c, st in zip(self.carriers, rows.states)]))
+        return _Rows(comp_logm, tuple([c.extend_state(st, block)[0]
+                                       for c, st in zip(self.carriers, states)]))
 
     def scheme_states(self, rows: _Rows) -> tuple[np.ndarray, ...]:
         """The schemes' slice of ``rows.states``."""
@@ -317,7 +354,9 @@ class _StepEvaluator:
         each component's carried state, one row per history (any scheme
         states after them are ignored)."""
         mats = [c._step_matrix(s, t) for c, s in zip(self.components, states)]
-        return mats[self.true_index], log_or_neg_inf(np.stack(mats))
+        # ``np.array`` stacks equal-shaped arrays as ``np.stack`` does, without
+        # its Python-level checks, which cost more than the copy on small levels
+        return mats[self.true_index], log_or_neg_inf(np.array(mats))
 
     def evaluate(self, true_cond: np.ndarray, log_cond: np.ndarray, comp_logm: np.ndarray,
                  scheme_states: Sequence[np.ndarray], out: np.ndarray | None = None):
@@ -327,10 +366,27 @@ class _StepEvaluator:
         ``scheme_states`` each scheme's carried state, one row per history.
         Writes every series into ``out``, a (series, M) array whose rows
         follow ``self.keys`` (a new one when None), and returns it.
+
+        The rows go through ``_evaluate_slice`` at most ``BLOCK_ROWS`` at a
+        time, each slice into its columns of ``out``.  Every layer is
+        row-independent, so the slices give the bits of one pass over all
+        rows, and no temporary holds more than ``BLOCK_ROWS`` rows.
         """
-        mix_cond = self.mixture.conditionals(log_cond, comp_logm)
         m = true_cond.shape[0]
         values = np.empty((len(self.keys), m)) if out is None else out
+        for lo in range(0, m, BLOCK_ROWS):
+            hi = lo + BLOCK_ROWS
+            self._evaluate_slice(true_cond[lo:hi], log_cond[:, lo:hi], comp_logm[lo:hi],
+                                 [st[lo:hi] for st in scheme_states], values[:, lo:hi])
+        return values
+
+    def _evaluate_slice(self, true_cond: np.ndarray, log_cond: np.ndarray,
+                        comp_logm: np.ndarray, scheme_states: Sequence[np.ndarray],
+                        values: np.ndarray) -> None:
+        """``evaluate`` of at most ``BLOCK_ROWS`` rows, into the (series, M)
+        ``values``."""
+        mix_cond = self.mixture.conditionals(log_cond, comp_logm)
+        m = true_cond.shape[0]
         distances_batch(true_cond, mix_cond, out=values[:len(DISTANCE_KEYS)])
         # one (P, M) action array per action dtype: rows 0-1 the mixture and
         # informed actions, which each loss overwrites with its own, then
@@ -352,7 +408,6 @@ class _StepEvaluator:
             actions[:2] = loss.bayes_actions(both).reshape(2, m)
             loss.expected_losses(true_cond, actions, out=values[row:row + p])
             row += p
-        return values
 
 
 class _Block:
@@ -397,11 +452,13 @@ class _Block:
 
     def arrays(self):
         """``evaluate``'s arguments over the whole block: each part of every
-        step concatenated in step order along the rows (axis -2).  The block
-        lets go of its per-step parts, so they are freed before evaluation."""
+        step concatenated in step order along the rows (axis -2), or a
+        one-step block's own parts.  The block lets go of its per-step
+        parts, so a concatenated block's are freed before evaluation."""
         parts, self.parts, self.rows = self.parts, [], 0
         true_cond, log_cond, comp_logm, *scheme_states = [
-            np.concatenate(part, axis=-2) for part in zip(*parts)]
+            part[0] if len(part) == 1 else np.concatenate(part, axis=-2)
+            for part in zip(*parts)]
         return true_cond, log_cond, comp_logm, scheme_states
 
 
@@ -413,62 +470,96 @@ _HASH_MULTIPLIER = np.array(0xBF58476D1CE4E5B9, dtype=np.uint64)
 _SHIFT = np.array(31, dtype=np.uint64)
 _SALT_STEP = 0x9E3779B97F4A7C15
 _MERGE_ATTEMPTS = 64
+# ``_merge_equal_rows``' index bits and hash bits of every index width ``bits``,
+# both from Python ints: ``~low`` would load numpy's uint64 invert loop, whose
+# code pages alone raise the peak resident memory of a small run by ~60 KB
+_MASKS = [(np.array(2**bits - 1, dtype=np.uint64), np.array(2**64 - 2**bits, dtype=np.uint64))
+          for bits in range(64)]
 
 
-def _row_hash(keys: np.ndarray, attempt: int) -> np.ndarray:
-    """A uint64 hash of each int64 row, salted by ``attempt``.
+def _row_hash(parts: Sequence[np.ndarray], attempt: int) -> np.ndarray:
+    """A uint64 hash of each row of the int64 ``parts``, taken as one row of
+    all their columns, salted by ``attempt``.
 
     Each column is mixed in nonlinearly (xor, multiply, xor-shift): a linear
     hash ``keys @ odd`` maps two columns that each differ by 2**63 to one
-    value for every choice of odd multipliers.
+    value for every choice of odd multipliers.  The shift goes through one
+    buffer, so the hash holds two (M,) arrays whatever the width.
     """
-    h = np.full(keys.shape[0], (attempt + 1) * _SALT_STEP % 2**64, dtype=np.uint64)
-    for column in keys.view(np.uint64).T:
-        h ^= column
-        h *= _HASH_MULTIPLIER
-        h ^= h >> _SHIFT
+    n = parts[0].shape[0]
+    h = np.full(n, (attempt + 1) * _SALT_STEP % 2**64, dtype=np.uint64)
+    shifted = np.empty(n, dtype=np.uint64)
+    for part in parts:
+        for column in part.view(np.uint64).T:
+            h ^= column
+            h *= _HASH_MULTIPLIER
+            np.right_shift(h, _SHIFT, shifted)
+            h ^= shifted
     return h
 
 
-def _merge_equal_rows(keys: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _merge_equal_rows(parts: Sequence[np.ndarray],
+                      mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the first row of each distinct key, in order of first
     occurrence, and the summed multiplicities of the rows they stand for.
 
+    A row's key is its row of every array in ``parts``, side by side (see
+    ``_Rows.key_parts``).  Each part is hashed and compared where it lies;
+    one of width 0 holds nothing and is skipped, and one that is not int64
+    is cast to it by the ``same_kind`` rule (TypeError for a float state).
+
     One sort groups the rows: each row's hash with its low ``bits`` bits
-    replaced by its index, ``bits`` being enough for any index.  The
-    values are distinct, so a plain sort orders them; a run of equal high
-    bits is one group, and its first value holds the group's first row.
-    The grouping is then checked exactly, every row against its group's
-    first row.  A hash collision fails the check, and the rows are hashed
-    again with the next salt.  bincount adds every group's multiplicities
-    in row order.
+    replaced by its index, ``bits`` being enough for any index.  The values
+    are distinct, so a plain sort orders them; a run of equal high bits is
+    one group, and its first value holds the group's first row.  The
+    grouping is then checked exactly, every row against its group's first
+    row.  A hash collision fails the check, and the rows are hashed again
+    with the next salt.  bincount adds every group's multiplicities in row
+    order.  The hash is packed and sorted in place, and the first rows are
+    written over it, so the merge holds a few (M,) arrays and the gathered
+    keys of the duplicate rows.
     """
-    n = keys.shape[0]
-    bits = max(1, (n - 1).bit_length())
-    # the index bits and the hash bits, both from Python ints: ``~low`` would
-    # load numpy's uint64 invert loop, whose code pages alone raise the peak
-    # resident memory of a small run by ~60 KB
-    low = np.array(2**bits - 1, dtype=np.uint64)
-    high = np.array(2**64 - 2**bits, dtype=np.uint64)
+    keys = [p if p.dtype.type is np.int64 else p.astype(np.int64, casting="same_kind")
+            for p in parts if p.shape[1]]
+    n = mult.shape[0]
+    low, high = _MASKS[max(1, (n - 1).bit_length())]
     pos = np.arange(n, dtype=np.int64)
+    upos = pos.view(np.uint64)
+    rows = np.empty(n, dtype=np.int64)                  # the row of each sorted value
+    urows = rows.view(np.uint64)
+    starts = np.empty(n, dtype=bool)                    # where each group starts
+    starts[0] = True
     for attempt in range(_MERGE_ATTEMPTS):
-        packed = np.sort(_row_hash(keys, attempt) & high | pos.view(np.uint64))
-        rows = (packed & low).view(np.int64)
-        starts = np.empty(n, dtype=bool)
-        starts[0] = True
-        np.greater(packed[1:] ^ packed[:-1], low, out=starts[1:])
-        first = rows[np.maximum.accumulate(pos * starts)]      # per sorted row
+        packed = _row_hash(keys, attempt)
+        packed &= high
+        packed |= upos
+        packed.sort()
+        np.bitwise_and(packed, low, urows)
+        # a group starts where the (ascending) high bits grow
+        packed ^= urows
+        np.greater(packed[1:], packed[:-1], starts[1:])
+        # each sorted value's group's first row, written over the hash
+        first = packed.view(np.int64)
+        np.multiply(pos, starts, first)
+        np.maximum.accumulate(first, 0, None, first)
+        # every index is in range, and take reads each one before it writes
+        # its slot, so the first rows can overwrite their own indices
+        rows.take(first, 0, first, "clip")
         dup = ~starts
-        if (keys.take(rows[dup], axis=0) == keys.take(first[dup], axis=0)).all():
+        later, earlier = rows[dup], first[dup]
+        for k in keys:
+            if not (k.take(later, axis=0) == k.take(earlier, axis=0)).all():
+                break
+        else:
             break
     else:
         raise RuntimeError(f"rows collided under {_MERGE_ATTEMPTS} hash salts")
-    row_first = np.empty(n, dtype=np.int64)
+    row_first = np.empty(n, dtype=np.int64)             # each row's group's first row
     row_first[rows] = first
     keep = (row_first == pos).nonzero()[0]
-    rank = np.empty(n, dtype=np.int64)
+    rank = first                                        # each first row's group number
     rank[keep] = np.arange(keep.size)
-    return keep, np.bincount(rank[row_first], weights=mult, minlength=keep.size)
+    return keep, np.bincount(rank.take(row_first), weights=mult, minlength=keep.size)
 
 
 def _label_losses(losses) -> dict[str, LossSpec]:
@@ -591,8 +682,8 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
         # so the layout is traversal-independent; link the new nodes to
         # their parents only when an observer sees them
         symbols, parents = np.nonzero(true_cond.T > 0.0)
-        rows = ev.extend(rows.take(parents), log_cond[:, parents, symbols].T, symbols)
-        keep, mult = _merge_equal_rows(rows.merge_key(), mult[parents])
+        rows = ev.children(rows, log_cond, parents, symbols)
+        keep, mult = _merge_equal_rows(rows.key_parts(), mult.take(parents))
         rows = rows.take(keep)
         if observer is not None and t + 1 < horizon:
             links.append((parents[keep], symbols[keep]))

@@ -168,9 +168,12 @@ class MatrixLoss(LossSpec):
         return argmin_columns(self._risks(posteriors))
 
     def expected_losses(self, true_posteriors, actions, out=None):
+        """Each action's entry of its row of the risk table, by one flat
+        ``take``: ``actions`` must be action indices (``action``'s rule)."""
         out = _out(out, np.shape(actions))
         table = self._risks(true_posteriors)
-        out[...] = table[np.arange(table.shape[0]), np.asarray(actions, dtype=np.int64)]
+        at = np.arange(0, table.size, self.n_actions)
+        out[...] = table.take(at + np.asarray(actions, dtype=np.int64))
         return out
 
     def has_zero_loss_action(self) -> bool:

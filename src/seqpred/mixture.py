@@ -45,13 +45,17 @@ def log_marginals_through(comp_logm: np.ndarray, log_cond: np.ndarray,
     ``comp_logm`` holds the (M, K) log-marginals at the block's start,
     ``symbols`` the (L, M) symbols, as for ``extend_state``, and
     ``log_cond`` the component-major (K, L·M, N) log-conditionals of the
-    block's rows in step order.  A running sum along the steps, one whole
-    step at a time, adds each step's log-conditionals of its symbols to the
-    last step's sums: the adds of a walk that extends one symbol at a time,
-    in the same order.
+    block's rows in step order.  Each row's log-conditionals of its symbol
+    are one flat ``take`` from the (K, L·M·N) view of ``log_cond``.  A
+    running sum along the steps, one whole step at a time, adds each step's
+    log-conditionals of its symbols to the last step's sums: the adds of a
+    walk that extends one symbol at a time, in the same order.
     """
     steps, m = symbols.shape
-    log_p = log_cond[:, np.arange(steps * m), symbols.ravel()]          # (K, L·M)
+    k, rows, n = log_cond.shape
+    at = np.arange(0, rows * n, n)
+    at += symbols.reshape(-1)
+    log_p = log_cond.reshape(k, rows * n).take(at, axis=1)              # (K, L·M)
     through = np.concatenate([comp_logm[None], log_p.T.reshape(steps, m, -1)])
     for j in range(1, steps + 1):
         through[j] += through[j - 1]

@@ -324,6 +324,19 @@ class TestLossChecks:
             assert by_id[f"informed-optimality[error|{scheme}]"].passed
             assert by_id[f"no-scheme-much-better[error|{scheme}]"].passed
 
+    def test_certificate_lhs_is_the_mixture_loss_less_twice_a_root(self, three_coin_report):
+        """``no-scheme-much-better``'s lhs is l_mix - 2 sqrt(l_mix kl), from the
+        report's totals, to the bit: a looser constant (2.5 sqrt) moves it."""
+        kl = three_coin_report.total("kl")
+        for label in ("error", "quadratic"):
+            by_id = {r.bound_id: r for r in check_loss_bounds(three_coin_report, label)}
+            l_mix = three_coin_report.total(f"mixture_loss[{label}]")
+            assert l_mix * kl > 0.0
+            want = l_mix - 2.0 * math.sqrt(l_mix * kl)
+            for scheme in ("constant-0", "majority-vote"):
+                got = by_id[f"no-scheme-much-better[{label}|{scheme}]"].lhs
+                assert got.hex() == want.hex(), (label, scheme)
+
     def test_unbounded_loss_routed_away(self, three_coin_report):
         with pytest.raises(ValueError, match="unbounded"):
             check_loss_bounds(three_coin_report, "log")

@@ -276,7 +276,8 @@ def _first_seen_histories(mixture, true_index, schemes, depth):
             scheme_states = [s.extend_state(st, np.array([[x]]))[0]
                              for s, st in zip(ev.schemes, scheme_states)]
         else:
-            key = _Rows(comp_logm, tuple(states + scheme_states)).merge_key().tobytes()
+            key = np.concatenate(_Rows(comp_logm, tuple(states + scheme_states)).key_parts(),
+                                 axis=1).tobytes()
             first.setdefault(key, history)
             count[key] = count.get(key, 0) + 1
     return list(first.values()), [count[key] for key in first]
@@ -502,7 +503,7 @@ class TestMergeEqualRows:
     @pytest.mark.parametrize("case", list(_merge_cases()))
     def test_matches_the_unique_merge_exactly(self, case):
         keys, mult = _merge_cases()[case]
-        first, merged = _merge_equal_rows(keys, mult)
+        first, merged = _merge_equal_rows([keys], mult)
         want_first, want_merged = _unique_merge(keys, mult)
         assert np.array_equal(first, want_first)
         assert np.array_equal(merged, want_merged)
@@ -510,7 +511,7 @@ class TestMergeEqualRows:
 
     def test_signed_zeros_stay_apart(self):
         keys, mult = _merge_cases()["signed-zero-bits"]
-        first, merged = _merge_equal_rows(keys, mult)
+        first, merged = _merge_equal_rows([keys], mult)
         assert first.tolist() == [0, 1]
         assert merged.tolist() == [5.0, 10.0]
 
@@ -525,7 +526,7 @@ class TestMergeEqualRows:
             return np.zeros_like(h) if attempt == 0 else h
 
         monkeypatch.setattr(engine, "_row_hash", colliding_first_salt)
-        first, merged = _merge_equal_rows(keys, mult)
+        first, merged = _merge_equal_rows([keys], mult)
         want_first, want_merged = _unique_merge(keys, mult)
         assert attempts == [0, 1]
         assert np.array_equal(first, want_first)
@@ -534,9 +535,23 @@ class TestMergeEqualRows:
     def test_collisions_under_every_salt_raise(self, monkeypatch):
         keys, mult = _merge_cases()["heavy-duplication"]
         monkeypatch.setattr(engine, "_row_hash",
-                            lambda keys, attempt: np.zeros(keys.shape[0], dtype=np.uint64))
+                            lambda keys, attempt: np.zeros(keys[0].shape[0], dtype=np.uint64))
         with pytest.raises(RuntimeError, match="collided"):
-            _merge_equal_rows(keys, mult)
+            _merge_equal_rows([keys], mult)
+
+    def test_a_zero_width_part_between_two_holds_nothing(self):
+        """The key is the parts side by side; a part of width 0 adds nothing."""
+        keys, mult = _merge_cases()["heavy-duplication"]
+        parts = [keys[:, :1], np.empty((keys.shape[0], 0), dtype=np.int64), keys[:, 1:]]
+        first, merged = _merge_equal_rows(parts, mult)
+        want_first, want_merged = _unique_merge(keys, mult)
+        assert np.array_equal(first, want_first)
+        assert merged.tobytes() == want_merged.tobytes()
+
+    def test_a_float_part_raises_type_error(self):
+        keys, mult = _merge_cases()["one-column"]
+        with pytest.raises(TypeError):
+            _merge_equal_rows([keys, keys.astype(float)], mult)
 
     def test_matches_the_unique_merge_on_random_keys(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -556,7 +571,7 @@ class TestMergeEqualRows:
             pool[is_special] = rng.choice(special, size=int(is_special.sum()))
             keys = pool[rng.integers(0, pool.shape[0], size=n)]      # forced duplicates
             mult = rng.uniform(0.0, 1e6, n)
-            first, merged = _merge_equal_rows(keys, mult)
+            first, merged = _merge_equal_rows([keys], mult)
             want_first, want_merged = _unique_merge(keys, mult)
             assert np.array_equal(first, want_first)
             assert merged.dtype == np.float64
@@ -1077,7 +1092,7 @@ def _per_level_exact(mixture, true_index, losses, horizon, schemes, node_budget,
                  partial(engine._first_history, links, t))
         symbols, parents = np.nonzero(true_cond.T > 0.0)
         rows = ev.extend(rows.take(parents), log_cond[:, parents, symbols].T, symbols)
-        keep, mult = _merge_equal_rows(rows.merge_key(), mult[parents])
+        keep, mult = _merge_equal_rows([np.concatenate(rows.key_parts(), axis=1)], mult[parents])
         rows = rows.take(keep)
         links.append((parents[keep], symbols[keep]))
     visits += mult.shape[0]
@@ -1193,6 +1208,77 @@ class TestBlockedExact:
             exact_evaluate(mix, true_index, losses, horizon, schemes=schemes,
                            node_budget=budget)
         assert str(got.value) == str(want.value)
+
+
+def _slices(blocks, block_rows):
+    """The rows of each ``_evaluate_slice`` call for evaluate calls of
+    ``blocks`` rows: ``block_rows`` at a time, then the remainder."""
+    return [min(block_rows, rows - lo) for rows in blocks for lo in range(0, rows, block_rows)]
+
+
+class TestSlicedEvaluate:
+    """``evaluate`` works through its rows ``BLOCK_ROWS`` at a time; a block
+    wider than that, down to a one-row remainder, gives the bits of one pass."""
+
+    @staticmethod
+    def _counting_slices(monkeypatch):
+        seen = []
+        kernel = _StepEvaluator._evaluate_slice
+
+        def counting(ev, true_cond, *args):
+            seen.append(true_cond.shape[0])
+            return kernel(ev, true_cond, *args)
+
+        monkeypatch.setattr(_StepEvaluator, "_evaluate_slice", counting)
+        return seen
+
+    # (case, evaluate calls at 16 rows a block).  The mixed tree's levels of
+    # 65 and 114 nodes leave remainders of 1 and 2 rows; the matrix case's
+    # levels hold 1, 3, 9, 27 and 81 nodes, and 81 leaves one row under its
+    # 3x4 and 3x5 matrix losses, which round a lone row apart from a batch
+    # unless it is multiplied as one
+    CASES = [("mixed", [14, 12, 21, 37, 65, 114]), ("matrix-level-0", [13, 27, 81])]
+
+    @pytest.mark.parametrize("case, blocks", CASES, ids=[c[0] for c in CASES])
+    def test_exact_slices_give_the_per_level_bits(self, monkeypatch, case, blocks):
+        mix, true_index, losses, schemes, horizon = _blocked_exact_case(case)
+        want_levels = []
+        names, per_step, kl_direct, visits = _per_level_exact(
+            mix, true_index, losses, horizon, schemes, engine.DEFAULT_NODE_BUDGET,
+            _hex_levels(want_levels))
+        monkeypatch.setattr(engine, "BLOCK_ROWS", 16)
+        seen = self._counting_slices(monkeypatch)
+        got_levels = []
+        rep = exact_evaluate(mix, true_index, losses, horizon, schemes=schemes,
+                             observer=_hex_levels(got_levels))
+        assert seen == _slices(blocks, 16)
+        assert max(seen) <= 16 and seen.count(1) == 1
+        assert list(rep.per_step) == names
+        for key, row in zip(names, per_step):
+            assert _hex(rep.per_step[key]) == _hex(row), key
+        assert rep.kl_direct.hex() == kl_direct.hex()
+        assert rep.node_visits == visits
+        assert got_levels == want_levels
+
+    def test_monte_carlo_slices_give_the_per_step_bits(self, monkeypatch):
+        """129 paths, 64 rows a slice: every one-step block is evaluated as
+        64, 64 and 1 rows."""
+        mix, true_index, losses, schemes = _blocked_case("mixed")
+        horizon, samples = 6, 129
+        names, want, se_total, kl_direct, kl_direct_se = _per_step_monte_carlo(
+            mix, true_index, losses, horizon, samples, 8, schemes)
+        monkeypatch.setattr(engine, "BLOCK_ROWS", 64)
+        seen = self._counting_slices(monkeypatch)
+        mc = monte_carlo_evaluate(mix, true_index, losses, horizon, samples=samples, seed=8,
+                                  schemes=schemes)
+        assert seen == [64, 64, 1] * horizon
+        assert list(mc.per_step) == names
+        for field, rows in want.items():
+            for key, row in zip(names, rows):
+                assert _hex(getattr(mc, field)[key]) == _hex(row), (field, key)
+        assert [mc.total_se(key).hex() for key in names] == _hex(se_total)
+        assert float(mc.kl_direct).hex() == kl_direct.hex()
+        assert float(mc.kl_direct_se).hex() == kl_direct_se.hex()
 
 
 class TestSchemeAlphabet:

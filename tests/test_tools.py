@@ -10,6 +10,7 @@ import pytest
 
 from seqpred import config, presets
 from seqpred.bounds import EXACT_TOL, BoundCheckResult
+from seqpred.engine import BLOCK_ROWS, exact_evaluate
 from seqpred.losses import MatrixLoss
 from seqpred.measures import MarkovMeasure
 from seqpred.schemes import MajorityVoteScheme
@@ -120,6 +121,23 @@ def test_digest_runs_hold_higher_order_chains_on_both_engines():
                 and any(isinstance(s, MajorityVoteScheme) for s in cfg.schemes)):
             found.setdefault(cfg.engine, label)
     assert set(found) == {"exact", "monte-carlo"}
+
+
+def test_digest_runs_hold_a_level_wider_than_a_block_on_both_engines():
+    """``evaluate`` takes ``BLOCK_ROWS`` rows at a time: the digests must see a
+    level of ``BLOCK_ROWS`` + 1 nodes under a matrix loss of four outcomes,
+    and a Monte Carlo step over more paths than that."""
+    runs = dict(output_digests._runs(presets))
+    cfg = config.parse_config(runs["wide"])
+    assert cfg.engine == "exact"
+    assert [loss.n_outcomes for loss in cfg.losses.values()
+            if isinstance(loss, MatrixLoss)] == [4]
+    widths = []
+    exact_evaluate(cfg.mixture, cfg.true_index, cfg.losses, cfg.horizon, schemes=cfg.schemes,
+                   observer=lambda step, weights, *rest: widths.append(weights.size))
+    assert widths[-1] == BLOCK_ROWS + 1 and max(widths[:-1]) < BLOCK_ROWS
+    cfg = config.parse_config(runs["wide monte-carlo"])
+    assert cfg.engine == "monte-carlo" and cfg.samples == BLOCK_ROWS + 1
 
 
 def test_slack_sweep_passes_at_a_tiny_size(capsys):

@@ -7,8 +7,8 @@ checkout's ``src``).  Each line is ``<digest>  <run>``: the sha256 of
 ``render_series_csv`` followed by ``report_json`` for every shipped preset
 (the Monte Carlo ``counterexample`` at three seeds), every benchmark
 config under ``bench/configs`` (``mc-long`` at two seeds), ``ZERO_SYMBOL``,
-``HIGHER_ORDER`` on both engines and ``LONE_ROW``, then the sha256 of the
-default ``seqpred check-inequalities`` stdout.  Two trees whose lines match give
+``HIGHER_ORDER`` and ``WIDE`` on both engines and ``LONE_ROW``, then the
+sha256 of the default ``seqpred check-inequalities`` stdout.  Two trees whose lines match give
 byte-identical reports; ``diff`` the output of two runs.
 
 ``LONE_ROW`` is the one run whose config lives here: the exact engine at
@@ -18,6 +18,18 @@ through different BLAS routines, which round differently on such tables;
 this run's digest moves if a lone row is not multiplied as a batch is.  At
 longer horizons the exact engine puts level 0 into a block with later
 levels, and no other run has a lone row under a table this wide.
+
+``WIDE`` is the one run wider than the engine's ``BLOCK_ROWS`` (4096), which
+``evaluate`` works through 4096 rows at a time.  Its exact tree's level 12
+holds 4097 nodes, so the level is evaluated as 4096 rows and a one-row
+remainder, under a 4x4 matrix loss; its Monte Carlo run draws 4097 paths,
+one step per block, each evaluated the same way.  The truth is an order-2
+chain that rules out one symbol after each context and spreads 1/3 over the
+other three, and the other component is uniform, so every node of a level
+has the same log-marginals and the level's nodes are the distinct (last two
+symbols, symbol counts) of its histories: the widths do not hang on
+rounding.  The lone row's weight is far below an ulp of the totals, so its
+digest does not see how that row's product rounds; ``LONE_ROW`` does.
 
 ``ZERO_SYMBOL`` is the one Monte Carlo run over more than two symbols: four,
 and the true chain never emits symbol 1 and emits symbol 3 only from some
@@ -133,13 +145,48 @@ HIGHER_ORDER_MC = {**HIGHER_ORDER, "horizon": 40,
                    "engine": {"kind": "monte-carlo", "samples": 300, "seed": 5}}
 
 
+def _one_out(symbol: int) -> list:
+    """1/3 on each of four symbols but ``symbol``, which gets 0."""
+    return [0.0 if x == symbol else 1 / 3 for x in range(4)]
+
+
+# the symbol ``WIDE``'s truth rules out after each context (c_1, c_2), row
+# 4·c_1 + c_2.  The level widths are 1, 3, 9, 27, 68, 170, 359, 648, 1051,
+# 1583, 2255, 3089 and 4097
+_WIDE_RULED_OUT = [3, 0, 1, 3, 1, 3, 0, 3, 2, 2, 1, 2, 2, 2, 0, 2]
+WIDE = {
+    "alphabet_size": 4,
+    "horizon": 13,
+    "mixture": {
+        "components": [
+            {"kind": "markov", "order": 2, "initial": _one_out(2),
+             "transitions": [[_one_out(_WIDE_RULED_OUT[4 * c1 + c2]) for c2 in range(4)]
+                             for c1 in range(4)]},
+            {"kind": "markov", "initial": [0.25] * 4, "transitions": [[0.25] * 4] * 4},
+        ],
+        "weights": [0.3, 0.7],
+        "true_component_index": 0,
+    },
+    "losses": [
+        {"kind": "matrix", "label": "wide4",
+         "matrix": [[0.0, 0.372, 0.03, 0.123], [0.967, 0.0, 0.428, 0.524],
+                    [0.873, 0.344, 0.0, 0.684], [0.355, 0.519, 0.765, 0.0]]},
+    ],
+    "schemes": [{"kind": "majority-vote"}],
+    "engine": {"kind": "exact"},
+}
+WIDE_MC = {**WIDE, "horizon": 12,
+           "engine": {"kind": "monte-carlo", "samples": 4097, "seed": 3}}
+
+
 def _runs(presets):
     """(label, raw config) of every run, presets first."""
     configs = [(name, presets.load_preset_dict(name)) for name in presets.PRESET_NAMES]
     configs += [(path.stem, json.loads(path.read_text()))
                 for path in sorted((ROOT / "bench" / "configs").glob("*.json"))]
     configs += [("zero-symbol", ZERO_SYMBOL), ("higher-order", HIGHER_ORDER),
-                ("higher-order monte-carlo", HIGHER_ORDER_MC), ("lone-row", LONE_ROW)]
+                ("higher-order monte-carlo", HIGHER_ORDER_MC), ("wide", WIDE),
+                ("wide monte-carlo", WIDE_MC), ("lone-row", LONE_ROW)]
     for name, raw in configs:
         if name not in SEEDS:
             yield name, raw
