@@ -13,8 +13,11 @@ Both engines walk ahead and evaluate in blocks.  Only the walk is
 sequential.  Every per-history value depends only on that history's row, so
 the rest runs once per block of steps: one ``evaluate`` over the rows of all
 its steps.  A block takes steps while its rows stay within ``BLOCK_ROWS``,
-always at least one, and holds one step when a scheme state widens
-(whole-history states grow every step), since its rows must stack.  A step
+always at least one.  The widening rule: a whole-history state widens
+every step, so a widening scheme holds every block to one step (its rows
+must stack), and a widening component holds a Monte Carlo or trace block
+to one step (it takes one symbol per ``extend_state``); one probe in
+``_StepEvaluator.__init__`` (``_widens``) sets both.  A step
 wider than ``BLOCK_ROWS`` (a wide tree level, or more Monte Carlo paths) is
 a block of its own, and ``evaluate`` works through any block ``BLOCK_ROWS``
 rows at a time, each slice into its columns of the block's values: that is
@@ -47,19 +50,9 @@ one-row remainder).
   enters only through path selection; standard errors come from the sample
   variance across paths.  A step draws ``samples`` uniforms, so a block holds
   L = ``max(1, BLOCK_ROWS // samples)`` steps, and draws them as one
-  ``rng.random((L, samples))``: the doubles of L per-step draws.  The next
-  symbol depends on a path only through the true measure's state, so only
-  the truth takes the walk one step at a time (``_walk_block``): its
-  ``_step_matrix`` on the paths, the draw, and its one-symbol
-  ``extend_state``.  Every other state then extends by the block's symbols
-  in one ``extend_state`` call, and each other component's conditionals are
-  one ``_step_matrix`` call over the block's L·S rows, one step per row.
-  The truth's per-step matrices, concatenated, are its share; one stack and
-  one ``log_or_neg_inf`` give the block's log-conditionals, and the
-  log-marginals before each step are one running sum along the steps
-  (``mixture.log_marginals_through``).  A component whose state widens (the
-  whole-history default) walks with the truth, one symbol at a time.  Every
-  block is evaluated into one (series, L·S) array kept for the whole run.
+  ``rng.random((L, samples))``: the doubles of L per-step draws.  The paths
+  are walked by ``_walk_paths``, the one walk along known symbols (below).
+  Every block is evaluated into one (series, L·S) array kept for the whole run.
   After each ``evaluate``, the per-step means and standard errors of every
   series come from one sum over the last axis of a (series, steps, samples)
   array (``_means_and_standard_errors``, by the steps of numpy's ``mean``
@@ -109,21 +102,31 @@ repeated row a ``row[None].repeat(n, axis=0)``, since a 2-D fancy index and
 tree's children's log-conditionals (``_StepEvaluator.children``), a Monte
 Carlo block's (``mixture.log_marginals_through``) and each action's risk
 (``MatrixLoss.expected_losses``) -- is one flat ``take`` at ``row * width +
-column``.  The three walks -- the exact tree,
-the Monte Carlo paths and ``ratio_trace`` -- start from
-``_StepEvaluator.start(n)``.  ``extend_state`` takes a block of
-symbols, (L, M), and returns the (L, M, W) states after each; the exact tree
-and the trace grow one symbol at a time by
-``_StepEvaluator.extend(rows, log_p, symbols)``: add each row's component
-log-conditionals of its symbol, then extend every state by that symbol.
-The exact engine picks the parents first, every (parent, symbol) of
-positive true probability, symbol-major (all children by symbol 0, then by
-symbol 1, ...), and ``children`` adds their log-conditionals into the
-gathered parents' log-marginals in place; the trace follows the path's next
-symbol, and Monte Carlo extends each path by a block of drawn symbols.  The states feed
+column``.
+
+The three walks -- the exact tree, the Monte Carlo paths and
+``ratio_trace`` -- start from ``_StepEvaluator.start(n)``.  ``extend_state``
+takes a block of symbols, (L, M), and returns the (L, M, W) states after
+each.  The exact tree extends each history by every symbol of positive true
+probability, one level at a time, by ``_StepEvaluator.children``: each
+level's conditionals are one ``mixture.component_conditionals`` call, the
+parents are picked symbol-major (all children by symbol 0, then by symbol
+1, ...), their log-conditionals are added into the gathered parents'
+log-marginals in place, and every state extends by its symbol.  Monte Carlo
+and the trace walk along known symbols by ``_walk_paths``: the next symbol
+depends on a path only through the true measure's state, so only the truth
+takes the block's steps one symbol at a time, its ``_step_matrix`` on the
+paths and a ``choose`` that draws each path's symbol (Monte Carlo) or reads
+the fixed path and rejects a zero-probability step (the trace).  Then
+``mixture.walk_block`` walks every component through the block's symbols:
+one ``extend_state`` and one ``_step_matrix`` call each over the block's
+L·M rows (one step per row), one stack of their logs, and the
+log-marginals before each step as one running sum along the steps.  Each
+scheme state extends by the block's symbols in one call.  The states feed
 ``_step_matrix(states, t)`` and ``actions(states, loss)``, so nothing
 rescans a history.  The default state is the whole history.  Bernoulli,
-time-varying and deterministic measures and constant schemes carry nothing,
+time-varying and deterministic measures and constant schemes carry nothing
+(``measures.Stateless``),
 a Markov chain its last ``order`` symbols (a window of the block's), a
 mixture used as a component its components' log-marginals and states, and
 majority vote its symbol counts (the start plus a running sum of one-hot
@@ -170,7 +173,7 @@ from .distances import DISTANCE_KEYS, distances_batch, ratio_term_batch  # noqa:
 from .logdomain import log_or_neg_inf, log_sum_exp_over_axis  # noqa: F401
 from .losses import LossSpec
 from .measures import StateCarrier, as_symbols, draw_symbols, states_before
-from .mixture import MixtureModel, log_marginals_through
+from .mixture import MixtureModel, component_conditionals, walk_block
 from .schemes import PredictionScheme
 
 if TYPE_CHECKING:
@@ -285,6 +288,15 @@ class _Rows(NamedTuple):
         return [self.comp_logm.view(np.int64), *self.states]
 
 
+def _widens(carrier: StateCarrier) -> bool:
+    """Whether a symbol widens the carrier's state, as it widens the
+    whole-history default's: such a state takes one symbol per
+    ``extend_state`` call."""
+    start = carrier.initial_state(1)
+    after = carrier.extend_state(start, np.zeros((1, 1), dtype=np.int64))
+    return after.shape[2] != start.shape[1]
+
+
 class _StepEvaluator:
     """Shared per-step and per-block computation for both engines."""
 
@@ -309,36 +321,33 @@ class _StepEvaluator:
         # everything that carries a state, in the order of ``_Rows.states``
         self.carriers = (*self.components, *self.schemes)
         self.keys = _series_keys(losses, self.schemes)
+        # the widening rule: a block's scheme states stack, so a widening
+        # scheme holds every block to one step; a widening state takes one
+        # symbol per ``extend_state``, so any widening carrier holds a walk
+        # along known symbols (a Monte Carlo or trace block) to one step
+        widens = [_widens(c) for c in self.carriers]
+        self.schemes_widen = any(widens[len(self.components):])
+        self.walks_widen = any(widens)
 
     def start(self, n: int) -> _Rows:
         """The rows of n empty histories."""
         return _Rows(np.zeros((n, len(self.components))),
                      tuple([c.initial_state(n) for c in self.carriers]))
 
-    def extend(self, rows: _Rows, log_p: np.ndarray, symbols: np.ndarray) -> _Rows:
-        """Each row's history extended by its symbol; ``log_p`` holds the
-        (M, K) component log-conditionals of the symbols."""
-        return self._extended(rows.comp_logm + log_p, rows.states, symbols)
-
     def children(self, rows: _Rows, log_cond: np.ndarray, parents: np.ndarray,
                  symbols: np.ndarray) -> _Rows:
-        """Each parent row's history extended by its symbol, with the bits of
-        ``extend(rows.take(parents), log_cond[:, parents, symbols].T,
-        symbols)``: the parents' rows gathered, then the children's component
+        """Each parent row's history extended by its symbol (the exact tree's
+        extension): the parents' rows gathered, the children's component
         log-conditionals gathered from the (K, M, N) ``log_cond`` by one flat
-        ``take`` and added into the gathered log-marginals in place."""
+        ``take`` and added into the gathered log-marginals in place, then
+        every state extended by its symbol."""
         k, m, n = log_cond.shape
         gathered = rows.take(parents)
         log_p = log_cond.reshape(k, m * n).take(parents * n + symbols, axis=1)
         np.add(gathered.comp_logm, log_p.T, out=gathered.comp_logm)
-        return self._extended(gathered.comp_logm, gathered.states, symbols)
-
-    def _extended(self, comp_logm: np.ndarray, states: Sequence[np.ndarray],
-                  symbols: np.ndarray) -> _Rows:
-        """Rows of ``comp_logm`` with every state extended by its symbol."""
         block = symbols[None]
-        return _Rows(comp_logm, tuple([c.extend_state(st, block)[0]
-                                       for c, st in zip(self.carriers, states)]))
+        return _Rows(gathered.comp_logm, tuple([c.extend_state(st, block)[0]
+                                                for c, st in zip(self.carriers, gathered.states)]))
 
     def scheme_states(self, rows: _Rows) -> tuple[np.ndarray, ...]:
         """The schemes' slice of ``rows.states``."""
@@ -353,10 +362,8 @@ class _StepEvaluator:
         component-major (K, M, N) stack of log-conditionals; ``states`` holds
         each component's carried state, one row per history (any scheme
         states after them are ignored)."""
-        mats = [c._step_matrix(s, t) for c, s in zip(self.components, states)]
-        # ``np.array`` stacks equal-shaped arrays as ``np.stack`` does, without
-        # its Python-level checks, which cost more than the copy on small levels
-        return mats[self.true_index], log_or_neg_inf(np.array(mats))
+        mats, log_cond = component_conditionals(self.components, states, t)
+        return mats[self.true_index], log_cond
 
     def evaluate(self, true_cond: np.ndarray, log_cond: np.ndarray, comp_logm: np.ndarray,
                  scheme_states: Sequence[np.ndarray], out: np.ndarray | None = None):
@@ -411,25 +418,20 @@ class _StepEvaluator:
 
 
 class _Block:
-    """Steps walked ahead of one evaluation, and the rule that closes them
-    (the exact tree and ``ratio_trace``).
+    """Tree levels walked ahead of one evaluation, and the rule that closes
+    them.
 
-    Each step adds its rows' ``(true_cond, log_cond, comp_logm,
+    Each level adds its rows' ``(true_cond, log_cond, comp_logm,
     *scheme_states)``: what ``_StepEvaluator.evaluate`` reads.  A block takes
-    steps while its rows stay within ``BLOCK_ROWS``, always at least one,
-    and only while every scheme state keeps the width it had at the block's
-    first step (whole-history states widen every step).  ``arrays`` empties
-    the block for the next steps.
+    levels while its rows stay within ``BLOCK_ROWS``, always at least one,
+    and one level only when a scheme state widens (the widening rule).
+    ``arrays`` empties the block for the next levels.
     """
 
     def __init__(self, ev: _StepEvaluator):
         self.ev = ev
         self.parts: list[tuple[np.ndarray, ...]] = []
         self.rows = 0
-        self.widths: list[int] = []
-
-    def _widths(self, rows: _Rows) -> list[int]:
-        return [st.shape[1] for st in self.ev.scheme_states(rows)]
 
     @property
     def full(self) -> bool:
@@ -438,13 +440,11 @@ class _Block:
 
     def accepts(self, rows: _Rows) -> bool:
         """Whether the step of ``rows`` joins the block."""
-        return not self.parts or (self.rows + rows.comp_logm.shape[0] <= BLOCK_ROWS
-                                  and self._widths(rows) == self.widths)
+        return not self.parts or (not self.ev.schemes_widen
+                                  and self.rows + rows.comp_logm.shape[0] <= BLOCK_ROWS)
 
     def add(self, rows: _Rows, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Add step t of ``rows``; returns its true and log-conditionals."""
-        if not self.parts:
-            self.widths = self._widths(rows)
+        """Add level t of ``rows``; returns its true and log-conditionals."""
         true_cond, log_cond = self.ev.conditionals(rows.states, t)
         self.parts.append((true_cond, log_cond, rows.comp_logm, *self.ev.scheme_states(rows)))
         self.rows += rows.comp_logm.shape[0]
@@ -700,50 +700,31 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
                          dict(zip(ev.keys, per_step)), kl_direct, node_visits=visits)
 
 
-def _widens(carrier: StateCarrier) -> bool:
-    """Whether a symbol widens the carrier's state, as it widens the
-    whole-history default's: such a state takes one symbol per
-    ``extend_state`` call."""
-    start = carrier.initial_state(1)
-    after = carrier.extend_state(start, np.zeros((1, 1), dtype=np.int64))
-    return after.shape[2] != start.shape[1]
+def _walk_paths(ev: _StepEvaluator, rows: _Rows, t: int, steps: int,
+                choose: Callable[[int, np.ndarray], np.ndarray]) -> tuple[_Rows, tuple]:
+    """``rows`` walked ``steps`` steps along known symbols from step t: the
+    rows after the walk, and ``evaluate``'s arguments (but ``out``) for the
+    rows before each step, in step order.
 
-
-def _walk_block(ev: _StepEvaluator, paths: _Rows, t: int, uniforms: np.ndarray,
-                walked: Sequence[int], out: np.ndarray) -> tuple[_Rows, np.ndarray]:
-    """One block of L Monte Carlo steps from ``paths`` at step t, drawn from
-    the (L, S) ``uniforms``: the paths after the block, and the (series, L,
-    S) values of the block's rows, written into the (series, L·S) ``out``.
-
-    Per step, only the ``walked`` components take the step: their
-    conditionals at the paths' states, the truth's draw, and their
-    one-symbol extension.  Every other state then extends by the block's
-    symbols at once, and each other component's conditionals are one
-    ``_step_matrix`` call over the block's rows, one step per row.
+    Only the truth takes the steps one symbol at a time: ``choose(t + j,
+    cond)`` gives each row's symbol of step t + j from the truth's (M, N)
+    conditionals ``cond`` there, drawn (Monte Carlo) or read off a fixed path
+    (``ratio_trace``).  ``mixture.walk_block`` then walks every component
+    through the block's symbols, and each scheme state extends by them in
+    one call.
     """
-    steps, samples = uniforms.shape
-    symbols = np.empty((steps, samples), dtype=np.int64)
-    states = list(paths.states)
-    walked_mats: dict[int, list[np.ndarray]] = {k: [] for k in walked}
+    k, truth = len(ev.components), ev.components[ev.true_index]
+    state, scheme_states = rows.states[ev.true_index], ev.scheme_states(rows)
+    symbols = np.empty((steps, rows.comp_logm.shape[0]), dtype=np.int64)
     for j in range(steps):
-        for k, mats in walked_mats.items():
-            mats.append(ev.components[k]._step_matrix(states[k], t + j))
-        symbols[j] = draw_symbols(walked_mats[ev.true_index][-1], uniforms[j])
-        for k in walked:
-            states[k] = ev.components[k].extend_state(states[k], symbols[j:j + 1])[0]
-    before = list(paths.states)
-    for k, carrier in enumerate(ev.carriers):
-        if k not in walked_mats:
-            after = carrier.extend_state(paths.states[k], symbols)
-            before[k], states[k] = states_before(paths.states[k], after), after[-1]
-    step_of_row = np.repeat(np.arange(t, t + steps), samples)
-    mats = [np.concatenate(walked_mats[k]) if k in walked_mats
-            else c._step_matrix(before[k], step_of_row) for k, c in enumerate(ev.components)]
-    log_cond = log_or_neg_inf(np.stack(mats))
-    logm = log_marginals_through(paths.comp_logm, log_cond, symbols)
-    values = ev.evaluate(mats[ev.true_index], log_cond, logm[:-1].reshape(steps * samples, -1),
-                         before[len(ev.components):], out)
-    return _Rows(logm[-1], tuple(states)), values.reshape(len(ev.keys), steps, samples)
+        symbols[j] = choose(t + j, truth._step_matrix(state, t + j))
+        state = truth.extend_state(state, symbols[j:j + 1])[0]
+    after, mats, log_cond, logm = walk_block(ev.components, rows.comp_logm, rows.states[:k],
+                                             symbols, t)
+    after += [s.extend_state(st, symbols) for s, st in zip(ev.schemes, scheme_states)]
+    return (_Rows(logm[-1], tuple([a[-1] for a in after])),
+            (mats[ev.true_index], log_cond, logm[:-1].reshape(-1, k),
+             [states_before(st, a) for st, a in zip(scheme_states, after[k:])]))
 
 
 def _means_and_standard_errors(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -786,11 +767,7 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
     ev = _StepEvaluator(mixture, true_index, labelled, schemes)
     keys = ev.keys
     rng = np.random.default_rng(seed)
-    # the truth draws every step's symbols, and a widening state takes one
-    # symbol at a time: those components walk step by step.  A widening
-    # scheme state holds a block to one step, as its rows must stack.
-    walked = [k for k, c in enumerate(ev.components) if k == true_index or _widens(c)]
-    steps = 1 if any(_widens(s) for s in ev.schemes) else max(1, BLOCK_ROWS // samples)
+    steps = 1 if ev.walks_widen else max(1, BLOCK_ROWS // samples)
 
     # one row per series: per-step means and standard errors, and each
     # path's running sum for the standard error of the series' total
@@ -803,8 +780,11 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
     paths = ev.start(samples)
     for t in range(0, horizon, steps):
         n = min(steps, horizon - t)
-        paths, vals = _walk_block(ev, paths, t, rng.random((n, samples)), walked,
-                                  values[:, :n * samples])
+        uniforms = rng.random((n, samples))
+        paths, block = _walk_paths(ev, paths, t, n,
+                                   lambda s, cond: draw_symbols(cond, uniforms[s - t]))
+        vals = ev.evaluate(*block, values[:, :n * samples]).reshape(len(keys), n, samples)
+        del block, uniforms                    # freed before the next block's walk
         means[:, t:t + n], se_step[:, t:t + n] = _means_and_standard_errors(vals)
         for j in range(n):                     # one add per step: a per-step loop's bits
             running += vals[:, j]
@@ -838,18 +818,23 @@ def ratio_trace(mixture: MixtureModel, true_index: int, path, *,
     if symbol is not None:
         symbol = mixture.alphabet.check(symbol)
     ev = _StepEvaluator(mixture, true_index, {}, ())
-    rows = ev.start(1)
-    # walk the path, keeping each step's rows; evaluate them in one block
-    block = _Block(ev)
-    for t, x in enumerate(symbols):
-        at = x if symbol is None else symbol
-        true_cond, log_cond = block.add(rows, t)
-        if true_cond[0, x] <= 0.0:
-            raise ValueError(f"path symbol {x} at step {t + 1} has zero true-measure probability")
-        if true_cond[0, at] <= 0.0:
-            raise ValueError(f"symbol {at} at step {t + 1} has zero true-measure probability")
-        rows = ev.extend(rows, log_cond[:, :, x].T, np.array([x]))
-    true_b, log_b, logm_b, _ = block.arrays()
-    steps = np.arange(len(symbols))
-    cols = np.array(symbols) if symbol is None else np.full(len(symbols), symbol)
-    return mixture.conditionals(log_b, logm_b)[steps, cols] / true_b[steps, cols]
+    xs = np.array(symbols)
+    at = xs if symbol is None else np.full(xs.size, symbol)
+
+    def follow(s: int, true_cond: np.ndarray) -> np.ndarray:
+        for what, x in (("path symbol", xs[s]), ("symbol", at[s])):
+            if true_cond[0, x] <= 0.0:
+                raise ValueError(f"{what} {x} at step {s + 1} has zero true-measure probability")
+        return xs[s:s + 1]
+
+    # the whole path is one block, or one block a step under the widening rule
+    steps = 1 if ev.walks_widen else xs.size
+    rows, ratios = ev.start(1), []
+    for t in range(0, xs.size, steps):
+        rows, (true_cond, log_cond, comp_logm, _) = _walk_paths(
+            ev, rows, t, min(steps, xs.size - t), follow)
+        mix_cond = mixture.conditionals(log_cond, comp_logm)
+        rows_at = np.arange(true_cond.shape[0])
+        cols = at[t:t + rows_at.size]
+        ratios.append(mix_cond[rows_at, cols] / true_cond[rows_at, cols])
+    return np.concatenate(ratios)

@@ -112,8 +112,10 @@ class StateCarrier:
     ``extend_state``.  The default state is the whole history; a rule that
     depends on less overrides both to carry less.  The state must fix every
     later value of the rule, because the exact engine merges histories that
-    agree on it (and on their log-marginals).  Measures and prediction
-    schemes both follow this protocol.
+    agree on it (and on their log-marginals).  A state widens every step or
+    never: one that widens (the whole history) takes one symbol per
+    ``extend_state`` call, and a walk holds its blocks to one step for it.
+    Measures and prediction schemes both follow this protocol.
     """
 
     def initial_state(self, n: int) -> np.ndarray:
@@ -130,6 +132,15 @@ class StateCarrier:
             raise ValueError("a whole-history state widens every step: extend it one symbol "
                              "at a time")
         return np.concatenate([states, symbols.T], axis=1)[None]
+
+
+class Stateless(StateCarrier):
+    """A rule that reads no symbol of the history: it carries the width-0
+    initial state, at any block length.  List it before the base class, so
+    that its ``extend_state`` overrides the whole-history default."""
+
+    def extend_state(self, states, symbols):
+        return states[None].repeat(symbols.shape[0], axis=0)
 
 
 def states_before(states: np.ndarray, after: np.ndarray) -> np.ndarray:
@@ -165,8 +176,8 @@ class SequenceMeasure(StateCarrier):
     that the true measure allows, and give them weight 0;
     ``conditional_vector`` raises there instead.  Families whose
     conditionals depend on less than the whole history carry less:
-    Bernoulli, time-varying and deterministic measures carry nothing, and a
-    Markov chain its last ``order`` symbols.  A state that keeps its width
+    Bernoulli, time-varying and deterministic measures carry nothing
+    (``Stateless``), and a Markov chain its last ``order`` symbols.  A state that keeps its width
     extends by a whole block of symbols in one ``extend_state`` call.
 
     The scalar API walks one row the way the engines walk many:
@@ -257,7 +268,7 @@ def _check_distribution(vec, what: str, field: str, tol: float = SUM_TOL,
     return vec
 
 
-class BernoulliMeasure(SequenceMeasure):
+class BernoulliMeasure(Stateless, SequenceMeasure):
     """I.i.d. binary measure with P(x_t = 1) = theta."""
 
     def __init__(self, theta: float):
@@ -269,9 +280,6 @@ class BernoulliMeasure(SequenceMeasure):
 
     def _step_matrix(self, states, t):
         return self._vec[None].repeat(states.shape[0], axis=0)
-
-    def extend_state(self, states, symbols):
-        return states[None].repeat(symbols.shape[0], axis=0)
 
     def __repr__(self):
         return f"BernoulliMeasure({self.theta})"
@@ -334,7 +342,7 @@ class MarkovMeasure(SequenceMeasure):
         return f"MarkovMeasure(order={self.order}, N={self.alphabet.size})"
 
 
-class DeterministicMeasure(SequenceMeasure):
+class DeterministicMeasure(Stateless, SequenceMeasure):
     """Point measure on the single sequence generator(1), generator(2), ...
 
     ``generator`` maps a 1-based position to a symbol.  Histories that
@@ -365,14 +373,11 @@ class DeterministicMeasure(SequenceMeasure):
         vec[self.alphabet.check(self.generator(t + 1))] = 1.0
         return vec
 
-    def extend_state(self, states, symbols):
-        return states[None].repeat(symbols.shape[0], axis=0)
-
     def __repr__(self):
         return f"DeterministicMeasure(N={self.alphabet.size})"
 
 
-class TimeVaryingBinaryMeasure(SequenceMeasure):
+class TimeVaryingBinaryMeasure(Stateless, SequenceMeasure):
     """Binary measure whose next-symbol law depends on the step index only:
     P(x_t = 1 | x_{<t}) = rule(t), t starting at 1."""
 
@@ -395,9 +400,6 @@ class TimeVaryingBinaryMeasure(SequenceMeasure):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"rule({t + 1}) = {p} outside [0, 1]")
         return np.array([1.0 - p, p])
-
-    def extend_state(self, states, symbols):
-        return states[None].repeat(symbols.shape[0], axis=0)
 
     def __repr__(self):
         return "TimeVaryingBinaryMeasure"

@@ -18,14 +18,24 @@ log mixture(h) and every log mixture(h x).  That is the one statement of
 the formula: the engines, ``ratio_trace`` and a mixture's own
 ``_step_matrix`` call it.
 
+Every walk along known symbols is one rule, written once here.
+``component_conditionals`` gives each component's conditionals at a batch
+of carried states and the one stack of their logs; ``walk_block`` extends
+every component's state by a block of symbols in one ``extend_state`` call
+each, takes the conditionals at the states before each step in one
+``_step_matrix`` call each (one step per row), and adds each step's
+log-conditionals of its symbols to the carried log-marginals
+(``log_marginals_through``).  The Monte Carlo paths, ``ratio_trace`` and a
+mixture nested in another walk through ``walk_block``; the exact tree,
+which extends each history by every symbol of positive probability, takes
+each level's ``component_conditionals``.
+
 A mixture carries one int64 state row per history, like any measure: a
 header (the step t, then each component's state width), the components'
 log-marginals as float64 bit patterns, then the components' states.
-``extend_state`` extends each component's state by the block of symbols
-and adds, one step at a time, each component's log-conditional of the
-step's symbol (``log_marginals_through``, which the Monte Carlo engine
-shares), so a mixture nested in another merges in the exact tree as its
-components do, and ``sample(n)`` costs O(n K) component steps.
+``extend_state`` is one ``walk_block``, so a mixture nested in another
+merges in the exact tree as its components do, and ``sample(n)`` costs
+O(n K) component steps.
 """
 from __future__ import annotations
 
@@ -60,6 +70,38 @@ def log_marginals_through(comp_logm: np.ndarray, log_cond: np.ndarray,
     for j in range(1, steps + 1):
         through[j] += through[j - 1]
     return through
+
+
+def component_conditionals(components: Sequence[SequenceMeasure], states: Sequence[np.ndarray],
+                           t) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each component's (M, N) conditionals at step t (one int, or one step
+    per row) of M histories, and the component-major (K, M, N) stack of
+    their logs.  ``states`` holds each component's carried state; any states
+    after the K components' are ignored."""
+    mats = [c._step_matrix(s, t) for c, s in zip(components, states)]
+    # ``np.array`` stacks equal-shaped arrays as ``np.stack`` does, without
+    # its Python-level checks, which cost more than the copy on small levels
+    return mats, log_or_neg_inf(np.array(mats))
+
+
+def walk_block(components: Sequence[SequenceMeasure], comp_logm: np.ndarray,
+               states: Sequence[np.ndarray], symbols: np.ndarray, t: int):
+    """M histories at step t walked through the (L, M) ``symbols`` of a block:
+    ``(after, mats, log_cond, through)``.
+
+    ``after`` holds each component's (L, M, W) states after each step (its
+    ``extend_state``), ``mats`` each component's (L·M, N) conditionals at the
+    states before each step, in step order, ``log_cond`` their (K, L·M, N)
+    log stack, and ``through`` the (L + 1, M, K) log-marginals before each
+    step and after the last (``log_marginals_through`` from the (M, K)
+    ``comp_logm``).  A state that widens takes one symbol at a time (L ==
+    1)."""
+    steps, m = symbols.shape
+    after = [c.extend_state(s, symbols) for c, s in zip(components, states)]
+    mats, log_cond = component_conditionals(
+        components, [states_before(s, a) for s, a in zip(states, after)],
+        np.repeat(np.arange(t, t + steps), m))
+    return after, mats, log_cond, log_marginals_through(comp_logm, log_cond, symbols)
 
 
 class MixtureModel(SequenceMeasure):
@@ -137,12 +179,6 @@ class MixtureModel(SequenceMeasure):
         comp_states = np.split(states[:, 2 * k + 1:], np.cumsum(widths)[:-1], axis=1)
         return int(states[0, 0]), states[:, k + 1:2 * k + 1].view(np.float64), comp_states
 
-    def _component_log_conditionals(self, comp_states, t) -> np.ndarray:
-        """The component-major (K, M, N) log-conditionals at step t (one int,
-        or one step per row)."""
-        return log_or_neg_inf(np.stack([c._step_matrix(s, t)
-                                        for c, s in zip(self.components, comp_states)]))
-
     def initial_state(self, n: int) -> np.ndarray:
         return self._pack(0, np.zeros((n, len(self.components))),
                           [c.initial_state(n) for c in self.components])
@@ -150,18 +186,16 @@ class MixtureModel(SequenceMeasure):
     def extend_state(self, states, symbols):
         t, comp_logm, comp_states = self._unpack(states)
         steps, m = symbols.shape
-        after = [c.extend_state(s, symbols) for c, s in zip(self.components, comp_states)]
-        step_of_row = np.repeat(np.arange(t, t + steps), m)
-        log_cond = self._component_log_conditionals(
-            [states_before(s, a) for s, a in zip(comp_states, after)], step_of_row)
-        logm = log_marginals_through(comp_logm, log_cond, symbols)
-        packed = self._pack(step_of_row + 1, logm[1:].reshape(steps * m, -1),
+        after, _, _, logm = walk_block(self.components, comp_logm, comp_states, symbols, t)
+        packed = self._pack(np.repeat(np.arange(t + 1, t + steps + 1), m),
+                            logm[1:].reshape(steps * m, -1),
                             [a.reshape(steps * m, a.shape[2]) for a in after])
         return packed.reshape(steps, m, -1)
 
     def _step_matrix(self, states, t):
         _, comp_logm, comp_states = self._unpack(states)
-        return self.conditionals(self._component_log_conditionals(comp_states, t), comp_logm)
+        return self.conditionals(component_conditionals(self.components, comp_states, t)[1],
+                                 comp_logm)
 
     # -- the scalar API -----------------------------------------------------------
     def _walk(self, symbols):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .columns import argmax_columns
 from .losses import LossSpec
-from .measures import StateCarrier
+from .measures import StateCarrier, Stateless
 
 
 class PredictionScheme(StateCarrier):
@@ -36,15 +36,12 @@ class PredictionScheme(StateCarrier):
         raise NotImplementedError
 
 
-class ConstantScheme(PredictionScheme):
+class ConstantScheme(Stateless, PredictionScheme):
     """Always play the same action (index for matrix losses, real otherwise)."""
 
     def __init__(self, action):
         self.action = action
         self.label = f"constant-{action}"
-
-    def extend_state(self, states, symbols):
-        return states[None].repeat(symbols.shape[0], axis=0)
 
     def actions(self, states, loss):
         return np.full(states.shape[0], loss.action(self.action), dtype=loss.action_dtype)

@@ -162,6 +162,17 @@ class TestRunCommand:
         assert captured.err == "config error: config: unknown field(s): proof_grid\n"
         assert captured.out == ""
 
+    def test_negative_monte_carlo_seed_exit_1(self, in_tmp, tmp_path, capsys):
+        # numpy's generator takes no negative seed: the schema turns it away
+        cfg = load_preset_dict("counterexample")
+        cfg["engine"]["seed"] = -1
+        p = tmp_path / "seed.json"
+        p.write_text(json.dumps(cfg))
+        assert run_cli("run", str(p)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: engine.seed: must be >= 0\n"
+        assert captured.out == ""
+
     def test_budget_exhaustion_exit_1_names_fallback(self, in_tmp, tmp_path, capsys):
         cfg = load_preset_dict("three-bernoulli")
         cfg["node_budget"] = 32

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from seqpred.engine import _StepEvaluator, exact_evaluate, monte_carlo_evaluate
+from seqpred.engine import _Rows, _StepEvaluator, exact_evaluate, monte_carlo_evaluate
 from seqpred.losses import ErrorLoss, HellingerLoss, LogLoss, MatrixLoss, QuadraticLoss
 from seqpred.measures import (
     BernoulliMeasure,
@@ -159,12 +159,15 @@ def test_carried_states_match_whole_histories(case):
 
 def _carried_rows(mixture, history):
     """The rows the engines carry for ``history``: ``_StepEvaluator.start``,
-    then per symbol ``conditionals`` and ``extend``."""
+    then per symbol ``conditionals``, its log-conditionals added to the
+    log-marginals, and every state extended by the symbol."""
     ev = _StepEvaluator(mixture, 0, {}, ())
     rows = ev.start(1)
     for t, x in enumerate(history):
         log_cond = ev.conditionals(rows.states, t)[1]
-        rows = ev.extend(rows, log_cond[:, :, x].T, np.array([x]))
+        rows = _Rows(rows.comp_logm + log_cond[:, :, x].T,
+                     tuple([c.extend_state(st, np.array([[x]]))[0]
+                            for c, st in zip(ev.carriers, rows.states)]))
     return rows
 
 

@@ -22,7 +22,7 @@ from seqpred.engine import (
     monte_carlo_evaluate,
     ratio_trace,
 )
-from seqpred.logdomain import log_sum_exp_over_axis
+from seqpred.logdomain import log_or_neg_inf, log_sum_exp_over_axis
 from seqpred.losses import (
     AbsoluteLoss,
     AlphaLoss,
@@ -42,7 +42,7 @@ from seqpred.measures import (
     draw_symbols,
     states_before,
 )
-from seqpred.mixture import MixtureModel
+from seqpred.mixture import MixtureModel, walk_block
 from seqpred.schemes import ConstantScheme, MajorityVoteScheme, PredictionScheme
 
 from oracles import (
@@ -906,24 +906,27 @@ def _blocked_case(name):
                           initial=[0.5, 0.5], order=2)
     comps = [chain, BernoulliMeasure(0.3), TimeVaryingBinaryMeasure.from_power_law(0.5, 1.0),
              DeterministicMeasure.from_pattern([0, 1, 1])]
-    if name == "table":
+    if name.startswith("table"):
         table = _random_table(np.random.default_rng(23), 2, 7, zero_at=(0, 1))
         comps = [ExplicitTableMeasure(table, 2), *comps]
     if name == "history-key":
         schemes.append(_HistoryMajority(2))
-    return MixtureModel(comps, np.full(len(comps), 1.0 / len(comps))), 0, losses, schemes
+    # "table-other": the chain is the truth, the whole-history table is not
+    true_index = 1 if name == "table-other" else 0
+    return MixtureModel(comps, np.full(len(comps), 1.0 / len(comps))), true_index, losses, schemes
 
 
 class TestBlockedMonteCarlo:
     """Blocks of steps give the bits of the per-step loop."""
 
     # (case, samples, horizon, rows of each evaluate call): 40, 13 and 1
-    # steps per block; whole-history scheme keys widen every step, which
-    # closes every block after one step
+    # steps per block; whole-history states (the table, true or not, and
+    # the scheme keys) widen every step, which holds every block to one step
     CASES = [("mixed", 100, 50, [4000, 1000]),
              ("mixed", 300, 50, [3900] * 3 + [3300]),
              ("mixed", 5000, 12, [5000] * 12),
-             ("table", 100, 7, [700]),
+             ("table", 100, 7, [100] * 7),
+             ("table-other", 100, 7, [100] * 7),
              ("history-key", 300, 20, [300] * 20)]
 
     @pytest.mark.parametrize("case, samples, horizon, block_rows", CASES,
@@ -975,7 +978,7 @@ class TestBlockedMonteCarlo:
     def test_bernoulli_paths_carry_no_history(self, monkeypatch):
         """Bernoulli components carry no state: no array grows with the
         horizon.  The true coin takes one width-0 call per step, on the
-        paths; each other coin one per block, on the block's rows."""
+        paths, to draw; then every coin one per block, on the block's rows."""
         calls = []
         step_matrix = BernoulliMeasure._step_matrix
 
@@ -987,9 +990,9 @@ class TestBlockedMonteCarlo:
         # 100 paths, 40 steps a block: horizon 60 is two blocks
         monte_carlo_evaluate(three_coin_mixture(), 0, [ErrorLoss()], 60, samples=100, seed=1)
         truth = [(0.2, (100, 0))] * 40
-        others = [(0.5, (4000, 0)), (0.8, (4000, 0))]
-        assert calls == (truth + others + [(0.2, (100, 0))] * 20
-                         + [(0.5, (2000, 0)), (0.8, (2000, 0))])
+        block = [(0.2, (4000, 0)), (0.5, (4000, 0)), (0.8, (4000, 0))]
+        assert calls == (truth + block + [(0.2, (100, 0))] * 20
+                         + [(0.2, (2000, 0)), (0.5, (2000, 0)), (0.8, (2000, 0))])
 
 
 def _carrier_families():
@@ -1019,9 +1022,10 @@ def _same_bits(a, b):
 
 class TestBlockForm:
     """One block call gives the bits of L one-step calls: ``extend_state``
-    over a block of symbols, and ``_step_matrix`` over the block's rows with
-    one step per row.  A whole-history state widens every step, so its block
-    is one step."""
+    over a block of symbols, ``_step_matrix`` over the block's rows with
+    one step per row, and a measure's ``walk_block``: its states,
+    conditionals, log stack and log-marginals.  A whole-history state widens
+    every step, so its block is one step."""
 
     HISTORIES, STEPS = 6, 5
     WIDENING = ("table", "whole-history")
@@ -1042,16 +1046,26 @@ class TestBlockForm:
         start, block = state, symbols[start_step:]
         after = carrier.extend_state(start, block)
         is_measure = isinstance(carrier, SequenceMeasure)
-        mats = []
+        mats, stepped = [], []
+        logm = [np.random.default_rng(7).normal(size=(self.HISTORIES, 1))]
         for j, row in enumerate(block):
             if is_measure:
                 mats.append(carrier._step_matrix(state, start_step + j))
+                log_p = log_or_neg_inf(mats[-1])[np.arange(self.HISTORIES), row]
+                logm.append(logm[-1] + log_p[:, None])
             state = carrier.extend_state(state, row[None])[0]
+            stepped.append(state)
             assert _same_bits(after[j], state), j
         if is_measure:
             step_of_row = np.repeat(np.arange(start_step, start_step + steps), self.HISTORIES)
             got = carrier._step_matrix(states_before(start, after), step_of_row)
             assert _same_bits(got, np.concatenate(mats))
+            walked, (got,), log_cond, through = walk_block([carrier], logm[0], [start], block,
+                                                           start_step)
+            assert _same_bits(walked[0], np.stack(stepped))
+            assert _same_bits(got, np.concatenate(mats))
+            assert _same_bits(log_cond, np.concatenate([log_or_neg_inf(m) for m in mats])[None])
+            assert _same_bits(through, np.stack(logm))
         if family in self.WIDENING:
             with pytest.raises(ValueError, match="one symbol at a time"):
                 carrier.extend_state(start, np.zeros((2, self.HISTORIES), dtype=np.int64))
@@ -1091,7 +1105,9 @@ def _per_level_exact(mixture, true_index, losses, horizon, schemes, node_budget,
         observer(t + 1, weights, mult, dict(zip(ev.keys, values)),
                  partial(engine._first_history, links, t))
         symbols, parents = np.nonzero(true_cond.T > 0.0)
-        rows = ev.extend(rows.take(parents), log_cond[:, parents, symbols].T, symbols)
+        rows = _Rows(rows.comp_logm[parents] + log_cond[:, parents, symbols].T,
+                     tuple([c.extend_state(st[parents], symbols[None])[0]
+                            for c, st in zip(ev.carriers, rows.states)]))
         keep, mult = _merge_equal_rows([np.concatenate(rows.key_parts(), axis=1)], mult[parents])
         rows = rows.take(keep)
         links.append((parents[keep], symbols[keep]))
@@ -1535,23 +1551,47 @@ class TestRatioTrace:
         assert (np.diff(gaps) <= 1e-15).all()
         assert gaps[-1] < 1e-12
 
+    @staticmethod
+    def _rebuilt_state(component, history):
+        """The component's state after ``history``, rebuilt from the empty
+        history: the history itself, but a nested mixture's carried state,
+        extended one symbol at a time."""
+        if not isinstance(component, MixtureModel):
+            return np.array([history])
+        state = component.initial_state(1)
+        for x in history:
+            state = component.extend_state(state, np.array([[x]]))[0]
+        return state
+
     @pytest.mark.parametrize("symbol", [None, 1])
     def test_equals_a_trace_that_rebuilds_each_history(self, symbol):
-        mix = MixtureModel([MarkovMeasure([[0.7, 0.3], [0.2, 0.8]], [0.5, 0.5]),
-                            MarkovMeasure([[[0.6, 0.4], [0.5, 0.5]], [[0.1, 0.9], [0.3, 0.7]]],
-                                          [0.4, 0.6], order=2)], [0.3, 0.7])
-        path = mix.components[0].sample(80, seed=11)
-        ev = _StepEvaluator(mix, 0, {}, ())
-        comp_logm = np.zeros((1, 2))
-        want = []
-        for t, x in enumerate(path):
-            at = x if symbol is None else symbol
-            history = np.array([path[:t]])
-            true_cond, log_cond = ev.conditionals([history, history], t)
-            mix_cond = ev.mixture.conditionals(log_cond, comp_logm)
-            want.append(mix_cond[0, at] / true_cond[0, at])
-            comp_logm = comp_logm + log_cond[:, :, x].T
-        assert np.array_equal(ratio_trace(mix, 0, path, symbol=symbol), want)
+        # two chains; a chain with a whole-history table (which widens, so
+        # the trace walks one step a block) over the 7 steps the table
+        # defines; a chain with a nested mixture, walked as one block
+        chain = MarkovMeasure([[0.7, 0.3], [0.2, 0.8]], [0.5, 0.5])
+        chain_2 = MarkovMeasure([[[0.6, 0.4], [0.5, 0.5]], [[0.1, 0.9], [0.3, 0.7]]],
+                                [0.4, 0.6], order=2)
+        table = ExplicitTableMeasure(_random_table(np.random.default_rng(5), 2, 7,
+                                                   zero_at=(1, 1)), 2)
+        nested = MixtureModel([BernoulliMeasure(0.3), chain_2,
+                               TimeVaryingBinaryMeasure.from_power_law(0.5, 1.0)],
+                              [0.2, 0.5, 0.3])
+        for comps, weights, horizon in [([chain, chain_2], [0.3, 0.7], 80),
+                                        ([chain, table, chain_2], [0.3, 0.3, 0.4], 7),
+                                        ([chain, nested], [0.4, 0.6], 80)]:
+            mix = MixtureModel(comps, weights)
+            path = chain.sample(horizon, seed=11)
+            ev = _StepEvaluator(mix, 0, {}, ())
+            comp_logm = np.zeros((1, len(comps)))
+            want = []
+            for t, x in enumerate(path):
+                at = x if symbol is None else symbol
+                states = [self._rebuilt_state(c, path[:t].tolist()) for c in comps]
+                true_cond, log_cond = ev.conditionals(states, t)
+                mix_cond = ev.mixture.conditionals(log_cond, comp_logm)
+                want.append(mix_cond[0, at] / true_cond[0, at])
+                comp_logm = comp_logm + log_cond[:, :, x].T
+            assert np.array_equal(ratio_trace(mix, 0, path, symbol=symbol), want), comps
 
     def test_zero_probability_symbol_is_a_domain_error(self):
         mix = MixtureModel([BernoulliMeasure(1.0), BernoulliMeasure(0.5)], [0.5, 0.5])

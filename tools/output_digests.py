@@ -8,8 +8,15 @@ checkout's ``src``).  Each line is ``<digest>  <run>``: the sha256 of
 (the Monte Carlo ``counterexample`` at three seeds), every benchmark
 config under ``bench/configs`` (``mc-long`` at two seeds), ``ZERO_SYMBOL``,
 ``HIGHER_ORDER`` and ``WIDE`` on both engines and ``LONE_ROW``, then the
-sha256 of the default ``seqpred check-inequalities`` stdout.  Two trees whose lines match give
-byte-identical reports; ``diff`` the output of two runs.
+sha256 of the default ``seqpred check-inequalities`` stdout, then that of
+three ``ratio_trace`` runs (``ratio-trace``).  Two trees whose lines match
+give byte-identical reports; ``diff`` the output of two runs.
+
+``ratio-trace`` is the sha256 of the ``float.hex`` of every ratio of three
+traces: the ``counterexample`` mixture over 1000 zeros at symbol 1, a
+200-step path of the ``three-symbol`` preset's truth, and an 8-step path
+through a mixture of a chain, an explicit table (a whole-history state,
+which the trace walks one step at a time) and a nested mixture.
 
 ``LONE_ROW`` is the one run whose config lives here: the exact engine at
 horizon 1, so its only level is the empty history's lone row, under 3x4
@@ -49,6 +56,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -179,6 +187,33 @@ WIDE_MC = {**WIDE, "horizon": 12,
            "engine": {"kind": "monte-carlo", "samples": 4097, "seed": 3}}
 
 
+def _traces():
+    """The three traces of the ``ratio-trace`` line."""
+    from seqpred import config, measures, presets
+    from seqpred.engine import ratio_trace
+    from seqpred.mixture import MixtureModel
+
+    counter = config.parse_config(presets.load_preset_dict("counterexample"))
+    three = config.parse_config(presets.load_preset_dict("three-symbol"))
+    three_path = three.mixture.components[three.true_index].sample(200, seed=1)
+    # P(1 | h) = (2 + ones + 3 len) / (7 + 4 len) for every h of under 8 symbols
+    table = {}
+    for t in range(8):
+        for h in itertools.product((0, 1), repeat=t):
+            p = (2 + sum(h) + 3 * t) / (7 + 4 * t)
+            table[h] = [1 - p, p]
+    chain = measures.MarkovMeasure([[0.7, 0.3], [0.4, 0.6]], [0.55, 0.45])
+    nested = MixtureModel([measures.BernoulliMeasure(0.25),
+                           measures.MarkovMeasure([[[0.6, 0.4], [0.5, 0.5]],
+                                                   [[0.1, 0.9], [0.3, 0.7]]], [0.4, 0.6],
+                                                  order=2)], [0.3, 0.7])
+    mixed = MixtureModel([chain, measures.ExplicitTableMeasure(table, 2), nested],
+                         [0.5, 0.2, 0.3])
+    return [ratio_trace(counter.mixture, counter.true_index, [0] * 1000, symbol=1),
+            ratio_trace(three.mixture, three.true_index, three_path),
+            ratio_trace(mixed, 0, chain.sample(8, seed=3))]
+
+
 def _runs(presets):
     """(label, raw config) of every run, presets first."""
     configs = [(name, presets.load_preset_dict(name)) for name in presets.PRESET_NAMES]
@@ -207,6 +242,8 @@ def main(argv: list[str]) -> int:
     with contextlib.redirect_stdout(out):
         cli_main(["check-inequalities"])
     print(f"{hashlib.sha256(out.getvalue().encode()).hexdigest()}  check-inequalities")
+    blob = "\n".join(float(v).hex() for trace in _traces() for v in trace)
+    print(f"{hashlib.sha256(blob.encode()).hexdigest()}  ratio-trace")
     return 0
 
 
