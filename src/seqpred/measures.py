@@ -136,8 +136,8 @@ class StateCarrier:
 
 class Stateless(StateCarrier):
     """A rule that reads no symbol of the history: it carries the width-0
-    initial state, at any block length.  List it before the base class, so
-    that its ``extend_state`` overrides the whole-history default."""
+    initial state, at any block length.  Listed before the base class, its
+    ``extend_state`` replaces the whole-history default."""
 
     def extend_state(self, states, symbols):
         return states[None].repeat(symbols.shape[0], axis=0)
@@ -177,8 +177,9 @@ class SequenceMeasure(StateCarrier):
     ``conditional_vector`` raises there instead.  Families whose
     conditionals depend on less than the whole history carry less:
     Bernoulli, time-varying and deterministic measures carry nothing
-    (``Stateless``), and a Markov chain its last ``order`` symbols.  A state that keeps its width
-    extends by a whole block of symbols in one ``extend_state`` call.
+    (``Stateless``), and a Markov chain its last ``order`` symbols.  A
+    state that keeps its width extends by a whole block of symbols in one
+    ``extend_state`` call.
 
     The scalar API walks one row the way the engines walk many:
     ``initial_state``, then per symbol ``_step_matrix`` and ``extend_state``,
