@@ -112,12 +112,13 @@ probability, one level at a time, by ``_StepEvaluator.children``: each
 level's conditionals are one ``mixture.component_conditionals`` call, the
 parents are picked symbol-major (all children by symbol 0, then by symbol
 1, ...), their log-conditionals are added into the gathered parents'
-log-marginals in place, and every state extends by its symbol.  Monte Carlo
-and the trace walk along known symbols by ``_walk_paths``: the next symbol
-depends on a path only through the true measure's state, so only the truth
-takes the block's steps one symbol at a time, its ``_step_matrix`` on the
-paths and a ``choose`` that draws each path's symbol (Monte Carlo) or reads
-the fixed path and rejects a zero-probability step (the trace).  Then
+log-marginals in place, and every state that carries something extends by
+its symbol.  Monte Carlo and the trace walk along known symbols by
+``_walk_paths``: the next symbol depends on a path only through the true
+measure's state, so only the truth takes the block's steps one symbol at a
+time, its ``_step_matrix`` on the paths and a ``choose`` that draws each
+path's symbol (Monte Carlo) or reads the fixed path and rejects a
+zero-probability step (the trace).  Then
 ``mixture.walk_block`` walks every component through the block's symbols:
 one ``extend_state`` and one ``_step_matrix`` call each over the block's
 L·M rows (one step per row), one stack of their logs, and the
@@ -130,8 +131,12 @@ time-varying and deterministic measures and constant schemes carry nothing
 a Markov chain its last ``order`` symbols (a window of the block's), a
 mixture used as a component its components' log-marginals and states, and
 majority vote its symbol counts (the start plus a running sum of one-hot
-rows).  ``log_ratio(rows)`` gives each row's full-history
-log(true/mixture), the ``kl_direct`` of both engines.
+rows).  The tree extends no state that carries nothing: a carrier whose
+initial state has width 0 and that does not widen (``_widens``) keeps the
+one empty state ``_Rows.take`` gives it.  The whole-history default also
+starts at width 0, but widens, so it is extended.  ``log_ratio(rows)``
+gives each row's full-history log(true/mixture), the ``kl_direct`` of both
+engines.
 
 A row's merge key is its bit pattern of the log-marginals, then every
 carried state, all int64 (``_Rows.key_parts``, the arrays as they lie; no
@@ -328,6 +333,10 @@ class _StepEvaluator:
         widens = [_widens(c) for c in self.carriers]
         self.schemes_widen = any(widens[len(self.components):])
         self.walks_widen = any(widens)
+        # a carrier that starts at width 0 and never widens carries nothing:
+        # the tree keeps the empty state ``_Rows.take`` gives it
+        self.carries = [w or c.initial_state(1).shape[1] > 0
+                        for c, w in zip(self.carriers, widens)]
 
     def start(self, n: int) -> _Rows:
         """The rows of n empty histories."""
@@ -340,14 +349,15 @@ class _StepEvaluator:
         extension): the parents' rows gathered, the children's component
         log-conditionals gathered from the (K, M, N) ``log_cond`` by one flat
         ``take`` and added into the gathered log-marginals in place, then
-        every state extended by its symbol."""
+        every state that carries something extended by its symbol."""
         k, m, n = log_cond.shape
         gathered = rows.take(parents)
         log_p = log_cond.reshape(k, m * n).take(parents * n + symbols, axis=1)
         np.add(gathered.comp_logm, log_p.T, out=gathered.comp_logm)
         block = symbols[None]
-        return _Rows(gathered.comp_logm, tuple([c.extend_state(st, block)[0]
-                                                for c, st in zip(self.carriers, gathered.states)]))
+        return _Rows(gathered.comp_logm, tuple([
+            c.extend_state(st, block)[0] if carries else st
+            for c, st, carries in zip(self.carriers, gathered.states, self.carries)]))
 
     def scheme_states(self, rows: _Rows) -> tuple[np.ndarray, ...]:
         """The schemes' slice of ``rows.states``."""
@@ -581,11 +591,15 @@ def _label_losses(losses) -> dict[str, LossSpec]:
     return labelled
 
 
-def _build_report(engine: str, mixture, true_index, labelled, schemes, horizon,
-                  per_step, kl_direct, **extra) -> TotalsReport:
-    cumulative = {k: np.cumsum(v) for k, v in per_step.items()}
+def _build_report(engine: str, mixture, true_index, labelled, schemes, keys, per_step,
+                  kl_direct, **extra) -> TotalsReport:
+    """The report of the (series, horizon) ``per_step``, whose rows follow
+    ``keys``.  One ``cumsum`` along the steps gives every cumulative series:
+    an accumulation adds in step order, so each row has its own cumsum's
+    bits."""
+    cumulative = np.cumsum(per_step, axis=1)
     return TotalsReport(
-        horizon=horizon,
+        horizon=per_step.shape[1],
         alphabet_size=mixture.alphabet.size,
         engine=engine,
         true_index=true_index,
@@ -594,8 +608,8 @@ def _build_report(engine: str, mixture, true_index, labelled, schemes, horizon,
         loss_labels=tuple(labelled),
         scheme_labels=tuple(s.label for s in schemes),
         losses=dict(labelled),
-        per_step=per_step,
-        cumulative=cumulative,
+        per_step=dict(zip(keys, per_step)),
+        cumulative=dict(zip(keys, cumulative)),
         kl_direct=kl_direct,
         **extra,
     )
@@ -696,8 +710,8 @@ def exact_evaluate(mixture: MixtureModel, true_index: int, losses,
         raise BudgetExceededError(visits, node_budget)
     kl_direct = float((mult * np.exp(rows.comp_logm[:, true_index])) @ ev.log_ratio(rows))
 
-    return _build_report("exact", mixture, true_index, labelled, ev.schemes, horizon,
-                         dict(zip(ev.keys, per_step)), kl_direct, node_visits=visits)
+    return _build_report("exact", mixture, true_index, labelled, ev.schemes, ev.keys, per_step,
+                         kl_direct, node_visits=visits)
 
 
 def _walk_paths(ev: _StepEvaluator, rows: _Rows, t: int, steps: int,
@@ -791,8 +805,8 @@ def monte_carlo_evaluate(mixture: MixtureModel, true_index: int, losses,
 
     se_total = _means_and_standard_errors(running)[1]
     kl_direct, kl_direct_se = _means_and_standard_errors(ev.log_ratio(paths)[None, :])
-    return _build_report("monte-carlo", mixture, true_index, labelled, ev.schemes, horizon,
-                         dict(zip(keys, means)), float(kl_direct[0]), samples=samples, seed=seed,
+    return _build_report("monte-carlo", mixture, true_index, labelled, ev.schemes, keys, means,
+                         float(kl_direct[0]), samples=samples, seed=seed,
                          se_per_step=dict(zip(keys, se_step)),
                          se_total=dict(zip(keys, se_total.tolist())),
                          kl_direct_se=float(kl_direct_se[0]))

@@ -4,9 +4,22 @@ The CSV contract: a header row, one row per step, and one summary row
 (t = "total") carrying the final cumulative values.  Decimals are written
 with 17 significant digits so doubles round-trip exactly; identical runs
 produce byte-identical files.
+
+The report JSON's bytes are ``json.dumps(payload, indent=2, sort_keys=True,
+allow_nan=False) + "\n"``, and a non-finite float in the payload is written
+as the string of its ``repr``.  ``json.dumps`` writes any ``indent`` through
+CPython's pure-Python encoder, which costs more than the rest of rendering a
+small exact run; json's C encoder runs only when ``indent`` is None.  So
+``_dumps`` writes those bytes with the C encoder: each container of scalars
+is one ``encode`` call whose item separator is a line break and the next
+depth's indent, and a list of such dicts (the report's bound records) is one
+call whose record boundaries are then re-indented.  An encoded string never
+holds a raw line break, so the separators and boundaries it finds are the
+encoder's own.  Only the nesting is written in Python.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from itertools import product
@@ -100,6 +113,68 @@ def _json_safe(v):
     return v
 
 
+def _json_safe_record(record: dict) -> dict:
+    """A ``BoundCheckResult.to_dict`` with its non-finite floats as strings;
+    only its sides, tolerance and slack are floats."""
+    for key in ("lhs", "rhs", "tolerance", "slack"):
+        if not math.isfinite(record[key]):
+            record[key] = repr(record[key])
+    return record
+
+
+_INDENT = "  "
+
+
+@functools.cache
+def _encoder(depth: int):
+    """``encode`` of json's C encoder (``indent`` None) whose item separator
+    breaks the line and indents to ``depth``."""
+    return json.JSONEncoder(sort_keys=True, allow_nan=False,
+                            separators=(",\n" + _INDENT * depth, ": ")).encode
+
+
+# the types of the scalars a container of scalars holds; a value of any other
+# type, a subclass too, sends its container down the general path
+_SCALARS = frozenset([str, int, float, bool, type(None)])
+
+
+def _nests(value) -> bool:
+    return isinstance(value, (dict, list, tuple))
+
+
+def _scalars(values) -> bool:
+    return _SCALARS.issuperset(map(type, values))
+
+
+def _dumps(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` at
+    nesting ``depth``, for dicts with str keys (see the module docstring)."""
+    if not _nests(value) or not value:
+        return _encoder(depth)(value)                    # a scalar, {} or []
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    inner, outer = "\n" + _INDENT * (depth + 1), "\n" + _INDENT * depth
+    items = value.values() if isinstance(value, dict) else value
+    if _scalars(items):                                 # scalars: one call
+        body = _encoder(depth + 1)(value)[1:-1]
+    elif isinstance(value, dict):
+        # the scalars in one call, split at its separators, and between
+        # them, in key order, each nested value written on its own
+        scalars = {k: v for k, v in value.items() if not _nests(v)}
+        written = iter(_encoder(depth + 1)(scalars)[1:-1].split("," + inner) if scalars else ())
+        body = ("," + inner).join([f"{_encoder(0)(k)}: {_dumps(v, depth + 1)}" if _nests(v)
+                                   else next(written) for k, v in sorted(value.items())])
+    elif all(type(v) is dict and v and _scalars(v.values()) for v in value):
+        # records: one call, whose keys sit at depth + 2; each boundary
+        # '},' + line break + '{' is re-indented to stand records one a level
+        fields = "\n" + _INDENT * (depth + 2)
+        records = _encoder(depth + 2)(value)[2:-2]
+        records = records.replace("}," + fields + "{", inner + "}," + inner + "{" + fields)
+        body = "{" + fields + records + inner + "}"
+    else:
+        body = ("," + inner).join([_dumps(v, depth + 1) for v in value])
+    return brackets[0] + inner + body + outer + brackets[1]
+
+
 def report_json(report: TotalsReport, results: Sequence[BoundCheckResult]) -> str:
     payload = {
         "schema": "seqpred-report-v1",
@@ -114,10 +189,10 @@ def report_json(report: TotalsReport, results: Sequence[BoundCheckResult]) -> st
         "node_visits": report.node_visits,
         "kl_direct": _json_safe(report.kl_direct),
         "totals": {k: _json_safe(report.total(k)) for k in sorted(report.cumulative)},
-        "bounds": [{k: _json_safe(v) for k, v in r.to_dict().items()} for r in results],
+        "bounds": [_json_safe_record(r.to_dict()) for r in results],
         "all_pass": all(r.passed for r in results),
     }
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return _dumps(payload) + "\n"
 
 
 def report_text(report: TotalsReport, results: Sequence[BoundCheckResult]) -> str:

@@ -1,8 +1,10 @@
-"""The scripts under ``tools/``: ``bench_pairs.py``'s summary of paired runs
-and its refusal of checkouts at paths of different lengths (no benchmark is
-run here), ``report_diff.py``'s diff of two runs, the runs of
+"""The scripts under ``tools/``: ``bench_pairs.py``'s summary of paired runs,
+its refusal of checkouts at paths of different lengths and the problem lines
+it keeps (run on fake checkouts; no benchmark is run here),
+``report_diff.py``'s diff of two runs, the runs of
 ``output_digests.py`` and ``mc_slack_sweep.py`` at a tiny size."""
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -68,6 +70,29 @@ def test_checkouts_at_paths_of_different_lengths_are_refused(tmp_path, capsys):
                           "exact-coins", "--pairs", "1", "--label", "x"])
     assert exit_info.value.code == 2
     assert "differ in length" in capsys.readouterr().err
+
+
+def test_a_failed_items_problem_lines_are_kept_and_printed(tmp_path, capsys):
+    """A run that reads ``correct: false`` keeps the ``problem`` lines that
+    name its failed item in its record, and prints them under its line."""
+    problem = "problem (x1): trace covers 0.946 of the traced wall time"
+    for side in ("a", "b"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text(
+            "import json\n"
+            f"print('workload exact-coins')\nprint({problem!r})\nprint('provenance {{}}')\n"
+            "print(json.dumps({'correct': False, 'attempted': 2, 'failed': 1, 'metrics': "
+            "{'work_per_s': {'value': 1.0, 'unit': 'work/s'}}}))\n")
+    (tmp_path / "b" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "work_per_s", "better": "higher"}], "per_layer": []}')
+    code = bench_pairs.main([str(tmp_path / "a"), str(tmp_path / "b"), "--workload",
+                             "exact-coins", "--pairs", "1", "--label", "fake",
+                             "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().out.count(f"  {problem}\n") == 2
+    doc = json.loads((tmp_path / "BENCH_fake.json").read_text())
+    assert [run["problems"] for run in doc["runs"]] == [[problem], [problem]]
+    assert doc["runs"][0]["result"]["correct"] is False
 
 
 def _report_run(bounds, totals, kl_direct, csv):

@@ -12,12 +12,15 @@ follows heap layout, which moves with the length of the path a checkout
 sits at.
 
 ``BENCH_<label>.json`` (in DIR, default the working directory) holds every
-run's last-line JSON and provenance line, in run order, and per metric and
+run's last-line JSON, provenance line and ``problem (xN): ...`` lines (each
+failed item's description and how many certifications it failed in), in run
+order, and per metric and
 side the median and quartiles, the pairs in which CHANGE beat PARENT (by
 the metric's ``better`` direction in CHANGE's ``BENCHMARK.json``), and the
-change of the median against the spread (q3 - q1) of PARENT's runs.  The
-script exits 1 when any run exits non-zero or reports ``correct: false``;
-the file is written either way.
+change of the median against the spread (q3 - q1) of PARENT's runs.  A run
+that reports ``correct: false`` has its problem lines printed under its
+line.  The script exits 1 when any run exits non-zero or reports ``correct:
+false``; the file is written either way.
 """
 from __future__ import annotations
 
@@ -53,11 +56,12 @@ def git_state(checkout: Path) -> dict:
 
 def run_once(checkout: Path, bench_args: list[str]) -> dict:
     """One ``bench/run.py`` run from ``checkout``: its exit code, last-line
-    JSON and provenance line."""
+    JSON, provenance line and problem lines."""
     proc = subprocess.run([sys.executable, "bench/run.py", *bench_args], cwd=checkout,
                           capture_output=True, text=True)
     lines = proc.stdout.splitlines()
-    run = {"returncode": proc.returncode, "result": None, "provenance": None}
+    run = {"returncode": proc.returncode, "result": None, "provenance": None,
+           "problems": [line for line in lines if line.startswith("problem ")]}
     if proc.returncode == 0 and lines:
         run["result"] = json.loads(lines[-1])
         run["provenance"] = next((json.loads(line[len("provenance "):]) for line in lines
@@ -131,6 +135,8 @@ def main(argv=None) -> int:
             print(f"pair {pair} {side:6s} exit {run['returncode']}"
                   + (f" correct {result['correct']} {metric[0]} {metric[1]['value']:.6g}"
                      if result else ""), flush=True)
+            if result and not result["correct"]:
+                print("".join(f"  {line}\n" for line in run["problems"]), end="", flush=True)
 
     doc = {"label": args.label, "workload": args.workload, "bench_args": bench_args,
            "pairs": args.pairs, "started_utc": started,
