@@ -8,8 +8,8 @@ produce byte-identical files.
 The report JSON's bytes are ``json.dumps(payload, indent=2, sort_keys=True,
 allow_nan=False) + "\n"``, and a non-finite float in the payload is written
 as the string of its ``repr``.  ``json.dumps`` writes any ``indent`` through
-CPython's pure-Python encoder, which costs more than the rest of rendering a
-small exact run; json's C encoder runs only when ``indent`` is None.  So
+CPython's pure-Python encoder, which on a small exact run costs more than
+writing the CSV; json's C encoder runs only when ``indent`` is None.  So
 ``_dumps`` writes those bytes with the C encoder: each container of scalars
 is one ``encode`` call whose item separator is a line break and the next
 depth's indent, and a list of such dicts (the report's bound records) is one

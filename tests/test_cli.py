@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqpred import reporting
 from seqpred.cli import build_parser, main, run_experiment
 from seqpred.config import SCHEMA, ConfigError, load_config, parse_config, validate
 from seqpred.engine import exact_evaluate
@@ -463,6 +464,51 @@ class TestCsvShape:
         assert total[d_cum] == last[d_cum]
 
 
+def json_values(hypothesis):
+    """Nested dicts and lists of ints (past 2**63 too), floats (inf and NaN
+    among them), bools, None and strings with quotes, backslashes, line
+    breaks, braces, commas and non-ASCII; lists of records (non-empty dicts
+    of scalars) at every depth, and empty containers."""
+    st = hypothesis.strategies
+    text = st.text(st.sampled_from('ab"\\\n\r\t {},:é☃\U0001f600\x00'), max_size=8)
+    scalars = (st.none() | st.booleans() | text
+               | st.integers(-2**70, 2**70) | st.sampled_from([2**63, -2**63 - 1, 10**30])
+               | st.floats() | st.sampled_from([-0.0, 5e-324, 1e300, 0.1]))
+    records = st.lists(st.dictionaries(text, scalars, min_size=1, max_size=4), max_size=4)
+    return st.recursive(scalars | records, lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(text, inner, max_size=5)
+        | records), max_leaves=24)
+
+
+class TestReportJson:
+    """``reporting._dumps`` writes the bytes of ``json.dumps(value, indent=2,
+    sort_keys=True, allow_nan=False)`` through json's C encoder."""
+
+    def test_writes_the_bytes_of_indented_json_dumps(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.example([{"a": 1, "b": "},\n      {"}, {"c": None}])
+        @hypothesis.example({"bounds": [{"lhs": 0.5}, {"lhs": 1.0}], "all_pass": True, "x": {}})
+        @hypothesis.given(json_values(hypothesis))
+        def check(value):
+            try:
+                want = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+            except ValueError:                 # inf or NaN: raised as json.dumps raises it
+                with pytest.raises(ValueError):
+                    reporting._dumps(value)
+            else:
+                assert reporting._dumps(value) == want
+
+        check()
+
+    @pytest.mark.parametrize("value", [math.inf, [1, -math.inf], {"a": {"b": math.nan}},
+                                       [{"x": 1.0}, {"x": math.inf}], {"a": [], "b": math.nan}])
+    def test_inf_and_nan_raise_value_error(self, value):
+        with pytest.raises(ValueError):
+            reporting._dumps(value)
+
+
 class TestPresets:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_all_presets_parse(self, name):
@@ -803,7 +849,9 @@ class TestChecks:
 
     def test_report_bounds_carry_exactly_the_result_fields(self):
         report, results = run_experiment(parse_config({**TINY, "checks": CHECK_NAMES}))
-        bounds = json.loads(report_json(report, results))["bounds"]
+        doc = report_json(report, results)
+        assert doc == json.dumps(json.loads(doc), indent=2, sort_keys=True) + "\n"
+        bounds = json.loads(doc)["bounds"]
         assert len(bounds) == len(results)
         for bound in bounds:
             assert set(bound) == BOUND_FIELDS, bound["bound_id"]
@@ -816,7 +864,9 @@ class TestChecks:
         raw = {**TINY, "mixture": {"components": [markov([1 - 1e-320, 1e-320]), markov([1.0, 0.0])],
                                    "weights": [1e-4, 1 - 1e-4], "true_component_index": 0}}
         report, results = run_experiment(parse_config(raw))
-        bounds = {b["bound_id"]: b for b in json.loads(report_json(report, results))["bounds"]}
+        doc = report_json(report, results)
+        assert doc == json.dumps(json.loads(doc), indent=2, sort_keys=True) + "\n"
+        bounds = {b["bound_id"]: b for b in json.loads(doc)["bounds"]}
         assert bounds["regret-bound-form-chain[error]"]["lhs"] == "inf"
         assert bounds["regret-bound-form-chain[error]"]["slack"] == "nan"
         assert not bounds["instant-absdiv-minus-kl<=abs"]["pass"]

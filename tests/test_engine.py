@@ -1226,6 +1226,58 @@ class TestBlockedExact:
         assert str(got.value) == str(want.value)
 
 
+class _Counting:
+    """A carrier that records the symbols' shape of every ``extend_state``
+    call."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def extend_state(self, states, symbols):
+        self.calls.append(symbols.shape)
+        return super().extend_state(states, symbols)
+
+
+class _CountingCoin(_Counting, BernoulliMeasure):
+    pass
+
+
+class _CountingConstant(_Counting, ConstantScheme):
+    pass
+
+
+class _CountingHistory(_Counting, _HistoryMajority):
+    pass
+
+
+def test_the_tree_never_extends_a_state_that_carries_nothing():
+    """A carrier whose state starts at width 0 and does not widen is extended
+    only by the ``_widens`` probe, one (1, 1) symbol block; a whole-history
+    state also starts at width 0 but widens, and is extended at every level.
+    Every series, total and ``kl_direct`` keeps the bits of the per-level walk,
+    which extends every state."""
+    coins = [_CountingCoin(p) for p in (0.2, 0.5, 0.8)]
+    chain = MarkovMeasure([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5])
+    mixture = MixtureModel([*coins, chain], [0.4, 0.3, 0.2, 0.1])
+    constant, history = _CountingConstant(1), _CountingHistory(2)
+    schemes = [constant, MajorityVoteScheme(2), history]
+    losses = {"error": ErrorLoss(), "absolute": AbsoluteLoss(), "log": LogLoss()}
+    horizon = 6
+    rep = exact_evaluate(mixture, 0, losses, horizon, schemes=schemes)
+    for carrier in (*coins, constant):
+        assert carrier.calls == [(1, 1)], carrier
+    assert history.calls == [(1, 1)] + [(1, 2**(t + 1)) for t in range(horizon)]
+    names, per_step, kl_direct, visits = _per_level_exact(
+        mixture, 0, losses, horizon, schemes, engine.DEFAULT_NODE_BUDGET, lambda *level: None)
+    assert list(rep.per_step) == names
+    for key, row in zip(names, per_step):
+        assert _hex(rep.per_step[key]) == _hex(row), key
+        assert _hex(rep.cumulative[key]) == _hex(np.cumsum(row)), key
+    assert rep.kl_direct.hex() == kl_direct.hex()
+    assert rep.node_visits == visits == 2**(horizon + 1) - 1
+
+
 def _slices(blocks, block_rows):
     """The rows of each ``_evaluate_slice`` call for evaluate calls of
     ``blocks`` rows: ``block_rows`` at a time, then the remainder."""
